@@ -28,7 +28,7 @@ API_KEY_ENV = "VERITY_API_KEY"
 
 CONFIG_KEYS = ("model", "base_url", "temperature", "timeout", "seed",
                "n", "height", "branch", "alpha", "topk",
-               "max_retries", "max_in_flight", "min_interval")
+               "max_retries", "min_interval")
 
 
 def _load_config(path: str | None) -> dict:
@@ -78,8 +78,12 @@ def _build_backend(args, config: dict):
         backend = RecordingBackend(backend, args.record)
     return Gateway(backend,
                    max_retries=int(config.get("max_retries", 3)),
-                   max_in_flight=int(config.get("max_in_flight", 4)),
                    min_interval=float(config.get("min_interval", 0.0)))
+
+
+def _print_model_calls(gateway: Gateway) -> None:
+    print(f"model calls: {sum(gateway.call_counts.values())} sent, "
+          f"{sum(gateway.memo_hits.values())} served from memo")
 
 
 def _load_corpus(path: str) -> list[SourceDocument]:
@@ -197,6 +201,7 @@ def _cmd_detect(args) -> int:
     if args.kg_out:
         out_graph.save(args.kg_out)
     print(f"run digest: {record.digest()}")
+    _print_model_calls(gateway)
     if record.exclusions:
         print(f"excluded {record.exclusions} claims due to detection errors")
     if metrics:
@@ -238,6 +243,7 @@ def _cmd_sequential(args) -> int:
     cells = run_sequential(split.subsets, base_graph, engine_config, gateway,
                            updates=args.updates == "on")
     print(format_cells(cells))
+    _print_model_calls(gateway)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump([{"setting": c.setting, "accuracy": c.accuracy,

@@ -279,20 +279,32 @@ class RecordingBackend:
 
 
 class Gateway:
-    """Thread-safe front door: render, rate-limit, retry, parse."""
+    """Thread-safe front door: render, pace, retry, memoize, parse.
+
+    Temperature-0 responses are memoized for the life of the Gateway, keyed
+    by request hash and seed. Only a raw response that parsed is stored;
+    transport errors, hard errors and unparseable outputs are not, so a
+    caller's retry still reaches the backend. A repeat is parsed again from
+    the stored raw text, so callers never share a parsed value. Against a
+    live endpoint this means a repeated request reuses the first answer
+    instead of sampling a new one.
+
+    ``call_counts`` counts calls that reached the backend, by kind;
+    ``memo_hits`` counts answers served from the memo.
+    """
 
     def __init__(self, backend: Backend, max_retries: int = 3,
-                 backoff: float = 0.25, max_in_flight: int = 4,
-                 min_interval: float = 0.0):
+                 backoff: float = 0.25, min_interval: float = 0.0):
         self.backend = backend
         self.max_retries = max_retries
         self.backoff = backoff
         self.min_interval = min_interval
-        self._slots = threading.Semaphore(max_in_flight)
         self._pace_lock = threading.Lock()
         self._last_call = 0.0
         self._count_lock = threading.Lock()
+        self._memo: dict[tuple[str, int], str] = {}
         self.call_counts: dict[PromptKind, int] = {k: 0 for k in PromptKind}
+        self.memo_hits: dict[PromptKind, int] = {k: 0 for k in PromptKind}
 
     def _pace(self) -> None:
         if self.min_interval <= 0:
@@ -303,23 +315,34 @@ class Gateway:
                 time.sleep(wait)
             self._last_call = time.monotonic()
 
+    def _generate(self, req: LLMRequest, prompt: str) -> str:
+        last_error: Optional[Exception] = None
+        for attempt in range(self.max_retries + 1):
+            self._pace()
+            try:
+                return self.backend.generate(req, prompt)
+            except TransportError as exc:
+                last_error = exc
+                if attempt < self.max_retries:
+                    time.sleep(self.backoff * (2 ** attempt))
+        raise GatewayHardError(
+            f"{req.kind.value} failed after {self.max_retries + 1} "
+            f"attempts: {last_error}")
+
     def complete(self, req: LLMRequest) -> LLMResponse:
         prompt = render_prompt(req)
-        last_error: Optional[Exception] = None
-        with self._slots:
-            for attempt in range(self.max_retries + 1):
-                self._pace()
-                try:
-                    raw = self.backend.generate(req, prompt)
-                    break
-                except TransportError as exc:
-                    last_error = exc
-                    if attempt < self.max_retries:
-                        time.sleep(self.backoff * (2 ** attempt))
-            else:
-                raise GatewayHardError(
-                    f"{req.kind.value} failed after {self.max_retries + 1} "
-                    f"attempts: {last_error}")
+        key = None
+        if req.temperature == 0:
+            key = (request_hash(req, prompt), req.seed)
+            raw = self._memo.get(key)
+            if raw is not None:
+                with self._count_lock:
+                    self.memo_hits[req.kind] += 1
+                return _parse_payload(req.kind, raw)
+        raw = self._generate(req, prompt)
         with self._count_lock:
             self.call_counts[req.kind] += 1
-        return _parse_payload(req.kind, raw)
+        resp = _parse_payload(req.kind, raw)
+        if key is not None and resp.parse_ok:
+            self._memo[key] = raw
+        return resp

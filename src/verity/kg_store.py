@@ -108,11 +108,12 @@ class KnowledgeGraph:
         empty-relation triples with :class:`ValidationError`.
         """
         triple.validate()
-        if triple.identity in self._identities:
+        identity = triple.identity
+        if identity in self._identities:
             return False
         idx = len(self.triples)
         self.triples.append(triple)
-        self._identities.add(triple.identity)
+        self._identities.add(identity)
         self._entity_index.setdefault(triple.subject.key, set()).add(idx)
         self._entity_index.setdefault(triple.object.key, set()).add(idx)
         self._next_seq = max(self._next_seq, triple.seq + 1)

@@ -1,4 +1,5 @@
 import json
+import re
 
 from synth import tabled_world
 
@@ -70,6 +71,8 @@ class TestDetect:
         assert code == 0
         printed = capsys.readouterr().out
         assert "run digest:" in printed
+        assert re.search(r"^model calls: [1-9]\d* sent, \d+ served from memo$",
+                         printed, re.MULTILINE)
         assert "accuracy" in printed
         assert len(out.read_text().strip().splitlines()) == 4
 
@@ -135,6 +138,8 @@ class TestSequentialRun:
         assert code == 0
         printed = capsys.readouterr().out
         assert "subset2+kg1" in printed
+        assert re.search(r"^model calls: [1-9]\d* sent, \d+ served from memo$",
+                         printed, re.MULTILINE)
         cells = json.loads(out.read_text())
         assert [c["setting"] for c in cells] == \
             ["subset1", "subset2", "subset2+kg1"]

@@ -128,6 +128,91 @@ class TestGatewayRetry:
         assert gw.call_counts[PromptKind.RANK_TRIPLES] == 0
 
 
+class TestGatewayMemo:
+    VERDICT = LLMRequest(PromptKind.FINAL_VERDICT,
+                         {"claim": "c", "transcript": "(none)"})
+
+    def test_repeats_reach_backend_once(self):
+        prompts = []
+        gw = Gateway(ScriptedBackend(lambda r, p: prompts.append(p) or
+                                     "Answer: Real"))
+        for _ in range(3):
+            assert gw.complete(self.VERDICT).parsed is Verdict.REAL
+        assert len(prompts) == 1
+        assert gw.call_counts[PromptKind.FINAL_VERDICT] == 1
+        assert gw.memo_hits[PromptKind.FINAL_VERDICT] == 2
+        # The seed is part of the key.
+        gw.complete(LLMRequest(PromptKind.FINAL_VERDICT, self.VERDICT.context,
+                               seed=1))
+        assert len(prompts) == 2
+
+    def test_positive_temperature_always_reaches_backend(self):
+        prompts = []
+        gw = Gateway(ScriptedBackend(lambda r, p: prompts.append(p) or
+                                     "Answer: Real"))
+        req = LLMRequest(PromptKind.FINAL_VERDICT, self.VERDICT.context,
+                         temperature=0.7)
+        gw.complete(req)
+        gw.complete(req)
+        assert len(prompts) == 2
+        assert gw.memo_hits[PromptKind.FINAL_VERDICT] == 0
+
+    def test_unparseable_not_memoized(self):
+        answers = iter(["   ", "Who led?"])
+        gw = Gateway(ScriptedBackend(lambda r, p: next(answers)))
+        req = LLMRequest(PromptKind.GENERATE_SUBQUESTION,
+                         {"claim": "c", "transcript": "(none)", "branch": "1"})
+        assert not gw.complete(req).parse_ok
+        # The caller's retry reaches the backend and gets the new answer.
+        assert gw.complete(req).parsed == "Who led?"
+        assert gw.complete(req).parsed == "Who led?"
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 2
+        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 1
+
+    def test_success_after_transport_error_is_memoized(self):
+        attempts = []
+
+        def flaky(req, prompt):
+            attempts.append(1)
+            if len(attempts) == 1:
+                raise TransportError("boom")
+            return "Answer: Fake"
+
+        gw = Gateway(ScriptedBackend(flaky), backoff=0.0)
+        assert gw.complete(self.VERDICT).parsed is Verdict.FAKE
+        assert gw.complete(self.VERDICT).parsed is Verdict.FAKE
+        assert len(attempts) == 2
+        assert gw.memo_hits[PromptKind.FINAL_VERDICT] == 1
+
+    @pytest.mark.parametrize("error", [GatewayHardError("HTTP 401"),
+                                       TransportError("down")])
+    def test_hard_error_stores_nothing(self, error):
+        attempts = []
+
+        def failing_once(req, prompt):
+            attempts.append(1)
+            if len(attempts) == 1:
+                raise error
+            return "Answer: Real"
+
+        gw = Gateway(ScriptedBackend(failing_once), max_retries=0)
+        with pytest.raises(GatewayHardError):
+            gw.complete(self.VERDICT)
+        assert gw.complete(self.VERDICT).parsed is Verdict.REAL
+        assert len(attempts) == 2
+        assert gw.memo_hits[PromptKind.FINAL_VERDICT] == 0
+
+    def test_hit_returns_fresh_parsed_list(self):
+        gw = Gateway(ScriptedBackend(lambda r, p: "Paris\nFrance"))
+        req = LLMRequest(PromptKind.EXTRACT_ENTITIES, {"document": "d"})
+        first = gw.complete(req)
+        first.parsed.append("Nice")
+        second = gw.complete(req)
+        assert second.parsed == ["Paris", "France"]
+        assert second.parsed is not first.parsed
+        assert gw.memo_hits[PromptKind.EXTRACT_ENTITIES] == 1
+
+
 class TestRecordReplay:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "transcript.jsonl"

@@ -1,7 +1,8 @@
 from synth import carryover_world, tabled_world
 
 from verity.errors import GatewayHardError, TransportError
-from verity.gateway import Gateway, RecordingBackend, ReplayBackend
+from verity.gateway import (Gateway, RecordingBackend, ReplayBackend,
+                            request_hash)
 from verity.kg_store import KnowledgeGraph
 from verity.mcts import EngineConfig
 from verity.oracle import RuleBasedOracle
@@ -117,6 +118,28 @@ class TestRunDetection:
         g1.save(str(f1))
         g2.save(str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_backend_sees_each_distinct_request_once(self, tmp_path):
+        table, items = tabled_world(num_real=3, num_fake=3)
+        hashes = []
+
+        class HashingOracle(RuleBasedOracle):
+            def generate(self, req, prompt):
+                hashes.append(request_hash(req, prompt))
+                return super().generate(req, prompt)
+
+        transcript = tmp_path / "transcript.jsonl"
+        recording = Gateway(RecordingBackend(HashingOracle(table),
+                                             str(transcript)))
+        config = small_config(n=20, h=9, b=3)
+        rec1, _, _ = run_detection(items, KnowledgeGraph(), config, recording)
+        assert sum(recording.call_counts.values()) == len(hashes) == \
+            len(set(hashes))
+        assert sum(recording.memo_hits.values()) > 0
+        replayed = Gateway(ReplayBackend.from_path(str(transcript)))
+        rec2, _, _ = run_detection(items, KnowledgeGraph(), config, replayed)
+        assert rec1.digest() == rec2.digest()
+        assert replayed.call_counts == recording.call_counts
 
 
 class TestRunSequential:
