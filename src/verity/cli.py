@@ -26,7 +26,7 @@ from .verdict import Verdict
 
 API_KEY_ENV = "VERITY_API_KEY"
 
-CONFIG_KEYS = ("model", "base_url", "temperature", "timeout", "seed",
+CONFIG_KEYS = ("model", "base_url", "timeout", "seed",
                "n", "height", "branch", "alpha", "topk",
                "max_retries", "min_interval")
 

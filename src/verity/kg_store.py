@@ -6,19 +6,26 @@ normalized for the dedup identity. Each triple carries provenance: the id
 of the source it came from plus a monotonically increasing sequence number.
 
 File format: one JSON object per line with fields subject, relation,
-object, source_id, seq. Lines starting with '#' are ignored.
+object, source_id, seq. Lines starting with '#' are ignored. Saved lines
+and the content digest share one serialization,
+:meth:`Triple.canonical_line`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .atomic import write_lines
 from .errors import KGFormatError, ValidationError
 
 _WS_RUN = re.compile(r"\s+")
+_encode_str = json.encoder.encode_basestring
+# Triples serialized per content_digest_lines call when the digest catches up.
+_DIGEST_CHUNK = 4096
 
 
 def normalize_entity(surface: str) -> str:
@@ -72,6 +79,18 @@ class Triple:
             "seq": self.seq,
         }
 
+    def canonical_line(self) -> str:
+        """The record as one JSON line with sorted keys, no trailing newline.
+
+        Byte-identical to ``json.dumps(self.as_record(), ensure_ascii=False,
+        sort_keys=True)`` without building an encoder and a dict per triple.
+        """
+        return '{"object": %s, "relation": %s, "seq": %d, "source_id": %s, ' \
+            '"subject": %s}' % (
+                _encode_str(self.object.surface), _encode_str(self.relation),
+                self.seq, _encode_str(self.source_id),
+                _encode_str(self.subject.surface))
+
 
 def make_triple(subject: str, relation: str, object: str,
                 source_id: str = "", seq: int = 0) -> Triple:
@@ -81,9 +100,14 @@ def make_triple(subject: str, relation: str, object: str,
 class KnowledgeGraph:
     """Ordered triple collection with an entity index for one-hop lookups.
 
-    Concurrent reads are safe; callers serialize writes. ``copy()`` gives a
-    cheap snapshot so a detection run can read a consistent graph while a
-    previous claim's updates commit elsewhere.
+    Concurrent reads are safe; callers serialize writes, and
+    :meth:`content_digest` counts as a write. ``copy()`` gives a cheap
+    snapshot so a detection run can read a consistent graph while a previous
+    claim's updates commit elsewhere.
+
+    The graph is append-only: triples enter ``triples`` only through
+    :meth:`insert_triple`, and none is ever changed or removed. The running
+    content digest relies on this, since it hashes each triple once.
     """
 
     def __init__(self) -> None:
@@ -91,6 +115,9 @@ class KnowledgeGraph:
         self._identities: set[tuple[str, str, str]] = set()
         self._entity_index: dict[str, set[int]] = {}
         self._next_seq = 0
+        # sha256 over the canonical lines of triples[:_hashed], "\n"-joined.
+        self._hasher = hashlib.sha256()
+        self._hashed = 0
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -141,17 +168,34 @@ class KnowledgeGraph:
         snap._identities = set(self._identities)
         snap._entity_index = {k: set(v) for k, v in self._entity_index.items()}
         snap._next_seq = self._next_seq
+        snap._hasher = self._hasher.copy()
+        snap._hashed = self._hashed
         return snap
 
-    def content_digest_lines(self) -> list[str]:
-        return [json.dumps(t.as_record(), ensure_ascii=False, sort_keys=True)
-                for t in self.triples]
+    def content_digest_lines(self, start: int = 0,
+                             stop: int | None = None) -> list[str]:
+        """Canonical lines of ``triples[start:stop]``."""
+        return [t.canonical_line() for t in self.triples[start:stop]]
+
+    def content_digest(self) -> str:
+        """Hex sha256 of the canonical lines of every triple, joined by "\\n".
+
+        Only triples appended since the last call are serialized and hashed,
+        a chunk at a time, so the digest of a grown graph costs its growth.
+        """
+        total = len(self.triples)
+        while self._hashed < total:
+            stop = min(self._hashed + _DIGEST_CHUNK, total)
+            chunk = "\n".join(self.content_digest_lines(self._hashed, stop))
+            if self._hashed:
+                chunk = "\n" + chunk
+            self._hasher.update(chunk.encode("utf-8"))
+            self._hashed = stop
+        return self._hasher.hexdigest()
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for triple in self.triples:
-                fh.write(json.dumps(triple.as_record(), ensure_ascii=False,
-                                    sort_keys=True) + "\n")
+        """Write one canonical line per triple, atomically (see ``write_lines``)."""
+        write_lines(path, (t.canonical_line() + "\n" for t in self.triples))
 
     @classmethod
     def load(cls, path: str) -> "KnowledgeGraph":

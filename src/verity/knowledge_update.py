@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+from .errors import ValidationError
 from .gateway import Gateway
 from .kg_builder import SourceDocument, extract_document
 from .kg_store import KnowledgeGraph, Triple
@@ -51,14 +52,18 @@ def extract_new_knowledge(claim_id: str, claim: str, paths: list[ReasoningPath],
 
 def apply_update(graph: KnowledgeGraph, new_triples: list[Triple],
                  claim_id: str = "") -> UpdateStats:
-    """Insert each triple; dedup keeps the graph strictly monotone."""
+    """Insert each triple; dedup keeps the graph strictly monotone.
+
+    A triple the graph rejects as invalid is counted in ``rejected``; any
+    other error propagates.
+    """
     stats = UpdateStats()
     for triple in new_triples:
         try:
             inserted = graph.add(triple.subject.surface, triple.relation,
                                  triple.object.surface,
                                  source_id=claim_id or triple.source_id)
-        except Exception:
+        except ValidationError:
             stats.rejected += 1
             continue
         if inserted:

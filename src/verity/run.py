@@ -10,6 +10,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .atomic import write_lines
 from .dataset import NewsItem
 from .errors import GatewayHardError
 from .gateway import Gateway
@@ -62,15 +63,9 @@ class RunRecord:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for result in self.results:
-                fh.write(json.dumps(result.as_record(), ensure_ascii=False)
-                         + "\n")
-
-
-def _graph_digest(graph: KnowledgeGraph) -> str:
-    payload = "\n".join(graph.content_digest_lines())
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """One JSON line per claim result, written atomically."""
+        write_lines(path, (json.dumps(r.as_record(), ensure_ascii=False) + "\n"
+                           for r in self.results))
 
 
 def _config_digest(config: EngineConfig, updates: bool) -> str:
@@ -93,7 +88,7 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
     graph = graph.copy()
     engine = SearchEngine(gateway, config)
     record = RunRecord(config_digest=_config_digest(config, updates),
-                       kg_before=_graph_digest(graph))
+                       kg_before=graph.content_digest())
     for item in items:
         result = ClaimResult(id=item.id, gold=item.gold)
         try:
@@ -115,7 +110,7 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
             result.error = str(exc)
             record.exclusions += 1
         record.results.append(result)
-    record.kg_after = _graph_digest(graph)
+    record.kg_after = graph.content_digest()
     scored = [r for r in record.results if r.error is None and r.gold is not None]
     report = None
     if scored:

@@ -76,6 +76,16 @@ class TestDetect:
         assert "accuracy" in printed
         assert len(out.read_text().strip().splitlines()) == 4
 
+    def test_kg_out_may_overwrite_kg(self, tmp_path, capsys):
+        facts, dataset, kg = self._setup(tmp_path)
+        before = set(tmp_path.iterdir())
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--backend", "oracle", "--facts", str(facts),
+                     "--n", "3", "--height", "3", "--kg-out", str(kg)])
+        assert code == 0
+        assert len(KnowledgeGraph.load(str(kg))) > 0
+        assert set(tmp_path.iterdir()) == before
+
     def test_evaluate_saved_run(self, tmp_path, capsys):
         facts, dataset, kg = self._setup(tmp_path)
         out = tmp_path / "run.jsonl"
@@ -119,6 +129,18 @@ class TestDetect:
                      "--config", str(config)])
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_config_temperature_key_rejected(self, tmp_path, capsys):
+        # Every request is sent at temperature 0; a key that would be
+        # silently ignored is refused instead.
+        facts, dataset, kg = self._setup(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text('{"temperature": 0.7}')
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--backend", "oracle", "--facts", str(facts),
+                     "--config", str(config)])
+        assert code == 2
+        assert "unknown config keys: ['temperature']" in capsys.readouterr().err
 
 
 class TestSequentialRun:

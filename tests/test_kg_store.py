@@ -1,11 +1,35 @@
+import hashlib
+import json
+import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verity import kg_store
 from verity.errors import KGFormatError, ValidationError
-from verity.kg_store import Entity, KnowledgeGraph, make_triple, normalize_entity
+from verity.kg_store import (Entity, KnowledgeGraph, Triple, make_triple,
+                             normalize_entity)
+
+
+def reference_line(triple):
+    """The per-triple serialization used before ``canonical_line``."""
+    return json.dumps(triple.as_record(), ensure_ascii=False, sort_keys=True)
+
+
+def reference_digest(graph):
+    payload = "\n".join(reference_line(t) for t in graph.triples)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+# Text that JSON must escape or that ASCII-only encoders would mangle.
+awkward_text = st.text(alphabet=st.one_of(
+    st.characters(blacklist_categories=("Cs",)),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t",
+                     "\u2028", "\u2029", "é", "东", "\U0001f600"])),
+    max_size=12)
 
 
 def brute_force_one_hop(graph, keys):
@@ -186,3 +210,126 @@ def test_copy_is_independent():
     assert len(snap) == 1
     assert len(g) == 2
     assert snap.match_entities({"c"}) == set()
+
+
+class TestCanonicalLine:
+    @settings(max_examples=200, deadline=None)
+    @given(awkward_text, awkward_text, awkward_text, awkward_text,
+           st.integers(min_value=-2**70, max_value=2**70))
+    def test_equals_sorted_json_dumps(self, subject, relation, obj, source,
+                                      seq):
+        triple = Triple(Entity(subject), relation, Entity(obj), source, seq)
+        assert triple.canonical_line() == reference_line(triple)
+
+
+class TestContentDigest:
+    def test_empty_graph(self):
+        assert KnowledgeGraph().content_digest() == hashlib.sha256(b"").hexdigest()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["add", "copy", "digest"]),
+                              st.integers(min_value=0, max_value=7),
+                              awkward_text, awkward_text),
+                    max_size=40),
+           st.integers(min_value=1, max_value=5))
+    def test_running_digest_equals_from_scratch(self, ops, chunk):
+        # A small chunk makes short graphs cross chunk boundaries.
+        with mock.patch.object(kg_store, "_DIGEST_CHUNK", chunk):
+            graphs = [KnowledgeGraph()]
+            for op, which, a, b in ops:
+                graph = graphs[which % len(graphs)]
+                if op == "add":
+                    try:
+                        graph.add(a, "rel " + b, b + "x", source_id=a)
+                    except ValidationError:
+                        pass
+                elif op == "copy":
+                    graphs.append(graph.copy())
+                else:
+                    assert graph.content_digest() == reference_digest(graph)
+            for graph in graphs:
+                assert graph.content_digest() == reference_digest(graph)
+
+    def test_appends_to_a_copy_leave_the_original_digest(self):
+        g = KnowledgeGraph()
+        for i in range(10):
+            g.add(f"e{i}", "r", f"e{i + 1}")
+        before = g.content_digest()
+        snap = g.copy()
+        snap.add("new", "r", "triple")
+        assert snap.content_digest() != before
+        assert g.content_digest() == before == reference_digest(g)
+        g.add("other", "r", "triple")
+        assert snap.content_digest() == reference_digest(snap)
+        assert g.content_digest() == reference_digest(g)
+
+    def test_crosses_default_chunk_boundaries(self):
+        g = KnowledgeGraph()
+        checkpoints = {0, 1, 4095, 4096, 4097, 8193, 9000}
+        for i in range(9001):
+            if i in checkpoints:
+                assert g.content_digest() == reference_digest(g)
+            g.add(f"s{i}", "r", f"o{i}")
+        assert g.content_digest() == reference_digest(g)
+
+    def test_lines_take_a_slice(self):
+        g = KnowledgeGraph()
+        for i in range(5):
+            g.add(f"e{i}", "r", f"e{i + 1}")
+        assert g.content_digest_lines(1, 3) == \
+            [reference_line(t) for t in g.triples[1:3]]
+        assert g.content_digest_lines() == [reference_line(t) for t in g.triples]
+
+
+class TestSave:
+    def _graph(self):
+        g = KnowledgeGraph()
+        g.add("Zoë \"Q\"", "said\\wrote\u2028", "東京", "doc\x01")
+        g.add("a", "r", "b")
+        return g
+
+    def test_bytes_equal_per_line_json_dumps(self, tmp_path):
+        g = self._graph()
+        path = tmp_path / "kg.jsonl"
+        g.save(str(path))
+        expected = "".join(reference_line(t) + "\n" for t in g.triples)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def _fail_on_second_line(self, monkeypatch):
+        real = Triple.canonical_line
+        calls = []
+
+        def flaky(self):
+            calls.append(self)
+            if len(calls) == 2:
+                raise OSError("disk went away")
+            return real(self)
+
+        monkeypatch.setattr(Triple, "canonical_line", flaky)
+
+    def test_failure_mid_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "kg.jsonl"
+        old = KnowledgeGraph()
+        old.add("old", "r", "graph")
+        old.save(str(path))
+        before = path.read_bytes()
+        self._fail_on_second_line(monkeypatch)
+        with pytest.raises(OSError, match="disk went away"):
+            self._graph().save(str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["kg.jsonl"]
+
+    def test_failure_mid_write_creates_nothing(self, tmp_path, monkeypatch):
+        self._fail_on_second_line(monkeypatch)
+        with pytest.raises(OSError):
+            self._graph().save(str(tmp_path / "kg.jsonl"))
+        assert os.listdir(tmp_path) == []
+
+    def test_save_over_own_input(self, tmp_path):
+        path = tmp_path / "kg.jsonl"
+        self._graph().save(str(path))
+        g = KnowledgeGraph.load(str(path))
+        g.add("c", "r", "d")
+        g.save(str(path))
+        assert KnowledgeGraph.load(str(path)).triples == g.triples
+        assert os.listdir(tmp_path) == ["kg.jsonl"]

@@ -1,3 +1,5 @@
+import pytest
+
 from verity.kg_store import KnowledgeGraph, make_triple
 from verity.knowledge_update import apply_update, extract_new_knowledge
 from verity.mcts import ActionKind, ReasoningPath
@@ -79,3 +81,11 @@ class TestApplyUpdate:
                                  make_triple("a", "r", "b")])
         assert stats.rejected == 1
         assert stats.added == 1
+
+    def test_non_validation_error_propagates(self):
+        class BrokenGraph(KnowledgeGraph):
+            def add(self, *args, **kwargs):
+                raise RuntimeError("index corrupted")
+
+        with pytest.raises(RuntimeError, match="index corrupted"):
+            apply_update(BrokenGraph(), [make_triple("a", "r", "b")])

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import os
+
 from synth import carryover_world, tabled_world
 
 from verity.errors import GatewayHardError, TransportError
@@ -6,7 +10,8 @@ from verity.gateway import (Gateway, RecordingBackend, ReplayBackend,
 from verity.kg_store import KnowledgeGraph
 from verity.mcts import EngineConfig
 from verity.oracle import RuleBasedOracle
-from verity.run import format_cells, run_detection, run_sequential
+from verity.run import (ClaimResult, format_cells, run_detection,
+                        run_sequential)
 from verity.verdict import Verdict
 
 import pytest
@@ -103,6 +108,47 @@ class TestRunDetection:
         record.save(str(path))
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
+
+    def test_record_save_failure_keeps_old_file(self, tmp_path, monkeypatch):
+        table, items = tabled_world(num_real=2, num_fake=1)
+        record, _, _ = run_detection(items, KnowledgeGraph(), small_config(),
+                                     Gateway(RuleBasedOracle(table)))
+        path = tmp_path / "run.jsonl"
+        path.write_text("old record\n")
+        real = ClaimResult.as_record
+        calls = []
+
+        def flaky(self):
+            calls.append(self)
+            if len(calls) == 2:
+                raise OSError("disk went away")
+            return real(self)
+
+        monkeypatch.setattr(ClaimResult, "as_record", flaky)
+        with pytest.raises(OSError, match="disk went away"):
+            record.save(str(path))
+        assert path.read_text() == "old record\n"
+        assert os.listdir(tmp_path) == ["run.jsonl"]
+
+    def test_kg_digests_equal_from_scratch_sha256(self):
+        def from_scratch(graph):
+            lines = [json.dumps(t.as_record(), ensure_ascii=False,
+                                sort_keys=True) for t in graph.triples]
+            return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+        table, items = tabled_world(num_real=3, num_fake=1)
+        gateway = Gateway(RuleBasedOracle(table))
+        base = KnowledgeGraph()
+        base.add("Zoë", "lives in", "Köln \"Altstadt\"", "seed\\doc")
+        record, _, grown = run_detection(items, base, small_config(), gateway)
+        assert len(grown) > len(base)
+        assert record.kg_before == from_scratch(base)
+        assert record.kg_after == from_scratch(grown)
+        # A carried graph starts where the previous run ended.
+        again, _, regrown = run_detection(items, grown, small_config(),
+                                          gateway, updates=False)
+        assert again.kg_before == record.kg_after
+        assert again.kg_after == from_scratch(regrown) == record.kg_after
 
     def test_replay_reproduces_run_byte_identical(self, tmp_path):
         table, items = tabled_world(num_real=3, num_fake=2)
