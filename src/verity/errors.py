@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from typing import Optional
+
 
 class VerityError(Exception):
     """Base class for all package errors."""
@@ -26,7 +28,14 @@ class DatasetError(VerityError):
 
 
 class TransportError(VerityError):
-    """Retryable backend failure (network, 5xx, rate limit)."""
+    """Retryable backend failure (network, 5xx, rate limit).
+
+    ``retry_after`` is the wait in seconds the server asked for, if any.
+    """
+
+    def __init__(self, message: str, retry_after: Optional[float] = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class GatewayHardError(VerityError):

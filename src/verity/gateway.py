@@ -8,15 +8,19 @@ endpoint, a transcript-replay backend keyed by request hash, and (in
 
 from __future__ import annotations
 
+import email.utils
 import hashlib
 import json
+import random
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from enum import Enum
 from importlib import resources
-from typing import Any, Callable, Optional, Protocol
+from typing import Any, Callable, Optional, Protocol, Sequence
 
 import requests
 
@@ -175,6 +179,23 @@ class Backend(Protocol):
     def generate(self, req: LLMRequest, prompt: str) -> str: ...
 
 
+def _retry_after(value: Optional[str]) -> Optional[float]:
+    """Seconds to wait from a Retry-After header: delay-seconds or an HTTP date."""
+    if not value:
+        return None
+    try:
+        return float(max(0, int(value)))
+    except ValueError:
+        pass
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
+
+
 class HttpChatBackend:
     """De-facto chat-completion HTTP endpoint: POST {base}/v1/chat/completions."""
 
@@ -203,7 +224,9 @@ class HttpChatBackend:
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
         if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransportError(f"HTTP {resp.status_code}")
+            raise TransportError(
+                f"HTTP {resp.status_code}",
+                retry_after=_retry_after(resp.headers.get("Retry-After")))
         if resp.status_code != 200:
             raise GatewayHardError(f"HTTP {resp.status_code}: {resp.text[:500]}")
         try:
@@ -277,9 +300,12 @@ class RecordingBackend:
 
 # ---------------------------------------------------------------------------
 
+# Most backend calls one batch has in flight, the calling thread's included.
+MAX_IN_FLIGHT = 8
+
 
 class Gateway:
-    """Thread-safe front door: render, pace, retry, memoize, parse.
+    """Front door for model requests: render, pace, retry, memoize, parse.
 
     Temperature-0 responses are memoized for the life of the Gateway, keyed
     by request hash and seed. Only a raw response that parsed is stored;
@@ -289,8 +315,18 @@ class Gateway:
     live endpoint this means a repeated request reuses the first answer
     instead of sampling a new one.
 
+    ``complete_all`` sends the distinct misses of a batch to the backend
+    together: the first on the calling thread, the rest on a pool of at most
+    ``MAX_IN_FLIGHT - 1`` worker threads, created on first need and stopped
+    by ``close`` (or when the Gateway is discarded). Workers run only the
+    backend call with its pacing and transport retries; counting, the memo
+    and parsing stay on the calling thread, in request order. A Gateway
+    therefore serves one calling thread at a time. ``min_interval`` spaces
+    backend calls across all threads.
+
     ``call_counts`` counts calls that reached the backend, by kind;
-    ``memo_hits`` counts answers served from the memo.
+    ``memo_hits`` counts answers that did not: from the memo, or from an
+    identical request earlier in the same batch.
     """
 
     def __init__(self, backend: Backend, max_retries: int = 3,
@@ -301,10 +337,18 @@ class Gateway:
         self.min_interval = min_interval
         self._pace_lock = threading.Lock()
         self._last_call = 0.0
-        self._count_lock = threading.Lock()
+        # Jitter draws from its own generator: it moves timing, never outputs.
+        self._jitter = random.Random()
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._memo: dict[tuple[str, int], str] = {}
         self.call_counts: dict[PromptKind, int] = {k: 0 for k in PromptKind}
         self.memo_hits: dict[PromptKind, int] = {k: 0 for k in PromptKind}
+
+    def close(self) -> None:
+        """Stop the worker threads; a later batch starts new ones."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     def _pace(self) -> None:
         if self.min_interval <= 0:
@@ -315,6 +359,12 @@ class Gateway:
                 time.sleep(wait)
             self._last_call = time.monotonic()
 
+    def _retry_delay(self, attempt: int, retry_after: Optional[float]) -> float:
+        """Exponential backoff with equal jitter, at least the server's ask."""
+        step = self.backoff * (2 ** attempt)
+        return max(step / 2 + self._jitter.uniform(0, step / 2),
+                   retry_after or 0.0)
+
     def _generate(self, req: LLMRequest, prompt: str) -> str:
         last_error: Optional[Exception] = None
         for attempt in range(self.max_retries + 1):
@@ -324,25 +374,88 @@ class Gateway:
             except TransportError as exc:
                 last_error = exc
                 if attempt < self.max_retries:
-                    time.sleep(self.backoff * (2 ** attempt))
+                    time.sleep(self._retry_delay(attempt, exc.retry_after))
         raise GatewayHardError(
             f"{req.kind.value} failed after {self.max_retries + 1} "
             f"attempts: {last_error}")
 
+    def _send(self, jobs: list[tuple[LLMRequest, str]]) -> list:
+        """Backend answers to ``jobs`` in order; a failed job gives its error.
+
+        Waits for every job, so no call outlives the batch.
+        """
+        futures = []
+        if len(jobs) > 1:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    MAX_IN_FLIGHT - 1, thread_name_prefix="verity-gateway")
+            futures = [self._pool.submit(self._generate, *job)
+                       for job in jobs[1:]]
+        outcomes: list = []
+        try:
+            outcomes.append(self._generate(*jobs[0]))
+        except Exception as exc:
+            # Kept like a worker's error: the caller re-raises it once the
+            # other calls are done and counted.
+            outcomes.append(exc)
+        for future in futures:
+            exc = future.exception()
+            outcomes.append(future.result() if exc is None else exc)
+        return outcomes
+
     def complete(self, req: LLMRequest) -> LLMResponse:
-        prompt = render_prompt(req)
-        key = None
-        if req.temperature == 0:
-            key = (request_hash(req, prompt), req.seed)
-            raw = self._memo.get(key)
-            if raw is not None:
-                with self._count_lock:
-                    self.memo_hits[req.kind] += 1
-                return _parse_payload(req.kind, raw)
-        raw = self._generate(req, prompt)
-        with self._count_lock:
-            self.call_counts[req.kind] += 1
-        resp = _parse_payload(req.kind, raw)
-        if key is not None and resp.parse_ok:
-            self._memo[key] = raw
-        return resp
+        return self.complete_all([req])[0]
+
+    def complete_all(self, reqs: Sequence[LLMRequest]) -> list[LLMResponse]:
+        """Responses to ``reqs``, in order, with the backend calls overlapped.
+
+        Against a deterministic backend this returns and counts what
+        completing the requests one by one would, except that an identical
+        request later in the batch is answered by the first one even when
+        its output did not parse. If a backend call fails, the calls that
+        succeeded are still counted and memoized, then the first failure in
+        request order is raised.
+        """
+        prompts = [render_prompt(req) for req in reqs]
+        keys = [(request_hash(req, prompt), req.seed)
+                if req.temperature == 0 else None
+                for req, prompt in zip(reqs, prompts)]
+        # Each request is answered by memo text (str), or by the miss at an
+        # index (int): its own when it is sent, an earlier one when folded.
+        sources: list = []
+        first: dict[tuple[str, int], int] = {}
+        misses: list[int] = []
+        for i, key in enumerate(keys):
+            if key is None:
+                sources.append(i)
+                misses.append(i)
+            elif key in self._memo:
+                sources.append(self._memo[key])
+            else:
+                sources.append(first.setdefault(key, i))
+                if sources[i] == i:
+                    misses.append(i)
+        outcomes = self._send([(reqs[i], prompts[i]) for i in misses]) \
+            if misses else []
+        sent: dict[int, LLMResponse] = {}
+        error: Optional[Exception] = None
+        for i, outcome in zip(misses, outcomes):
+            if isinstance(outcome, Exception):
+                error = error or outcome
+                continue
+            kind = reqs[i].kind
+            self.call_counts[kind] += 1
+            resp = sent[i] = _parse_payload(kind, outcome)
+            if keys[i] is not None and resp.parse_ok:
+                self._memo[keys[i]] = outcome
+        if error is not None:
+            raise error
+        out: list[LLMResponse] = []
+        for i, (req, source) in enumerate(zip(reqs, sources)):
+            if source == i:
+                out.append(sent[i])
+                continue
+            self.memo_hits[req.kind] += 1
+            raw = source if isinstance(source, str) else sent[source].raw
+            out.append(_parse_payload(req.kind, raw))
+        return out

@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import ValidationError
-from .gateway import Gateway, LLMRequest, PromptKind
+from .gateway import Gateway, LLMRequest, LLMResponse, PromptKind
 from .kg_store import KnowledgeGraph
 from .retrieval import render_triples, retrieve_context
 from .verdict import Verdict
@@ -110,19 +110,6 @@ class SearchTree:
             chain.append(cur)
             cur = self.node(cur.parent) if cur.parent is not None else None
         return list(reversed(chain))
-
-    def dump(self) -> list[dict]:
-        """Per-node debug records."""
-        return [{
-            "id": n.id,
-            "parent": n.parent,
-            "action": n.action.name if n.action else None,
-            "depth": n.depth,
-            "q": round(n.q, 6),
-            "v": n.v,
-            "verdict": n.verdict.value if n.verdict else None,
-            "text_digest": hashlib.sha256(n.text.encode("utf-8")).hexdigest()[:12],
-        } for n in self.nodes]
 
 
 def legal_actions(tree: SearchTree, node: SearchNode) -> set[ActionKind]:
@@ -253,71 +240,76 @@ class SearchEngine:
             node_ids=[n.id for n in chain]))
         backpropagate(tree, leaf)
 
-    def _ask_verdict(self, tree: SearchTree,
-                     path: list[SearchNode]) -> tuple[Verdict, str]:
-        resp = self.gateway.complete(LLMRequest(PromptKind.FINAL_VERDICT, {
+    def _verdict_request(self, tree: SearchTree,
+                         path: list[SearchNode]) -> LLMRequest:
+        return LLMRequest(PromptKind.FINAL_VERDICT, {
             "claim": tree.claim,
             "transcript": _render_transcript(path),
-        }, seed=self.config.seed))
-        if resp.parse_ok:
-            return resp.parsed, resp.raw
-        # Unparseable verdicts default to Fake: insufficient information.
-        return Verdict.FAKE, resp.raw
+        }, seed=self.config.seed)
 
-    def _generate_text(self, kind: PromptKind, context: dict[str, str]) -> Optional[str]:
-        # One retry for unparseable A1/A2 generations, then give up on the child.
-        for _ in range(2):
-            resp = self.gateway.complete(
-                LLMRequest(kind, context, seed=self.config.seed))
-            if resp.parse_ok:
-                return resp.parsed
-        return None
+    @staticmethod
+    def _verdict(resp: LLMResponse) -> Verdict:
+        # Unparseable verdicts default to Fake: insufficient information.
+        return resp.parsed if resp.parse_ok else Verdict.FAKE
 
     def expand(self, tree: SearchTree, node: SearchNode,
                graph: KnowledgeGraph) -> list[SearchNode]:
+        """Add the missing siblings of one action under ``node``.
+
+        The siblings' model requests go to the gateway as one batch, so
+        they are in flight together; children are attached, and leaves
+        completed, in branch order afterwards.
+        """
         kinds = expansion_kinds(tree, node)
         if not kinds:
             raise ValidationError("node has no expansion capacity")
         action = min(kinds,
                      key=lambda a: (_child_count(tree, node, a), _ACTION_ORDER[a]))
         parent_path = tree.path_to(node)
-        transcript = _render_transcript(parent_path)
+        branches = range(_child_count(tree, node, action), tree.config.b)
         created: list[SearchNode] = []
-        retrieved: Optional[str] = None
-        if action == ActionKind.A2:
-            # One retrieval serves every sibling: the question is the same.
+        if action == ActionKind.A3:
+            reqs = [self._verdict_request(tree, parent_path)] * len(branches)
+            for resp in self.gateway.complete_all(reqs):
+                child = tree.add_child(node, ActionKind.A3, resp.raw)
+                self._complete_leaf(tree, child, self._verdict(resp))
+                created.append(child)
+            return created
+        transcript = _render_transcript(parent_path)
+        if action == ActionKind.A1:
+            reqs = [LLMRequest(PromptKind.GENERATE_SUBQUESTION, {
+                "claim": tree.claim,
+                "transcript": transcript,
+                "branch": str(branch),
+            }, seed=self.config.seed) for branch in branches]
+        else:
+            # A2 answers with retrieved knowledge in context. One retrieval
+            # serves every sibling: the question is the same.
             result = retrieve_context(node.text, graph, self.config.top_k,
                                       self.gateway)
-            retrieved = render_triples(result.selected)
-        existing = _child_count(tree, node, action)
-        for branch in range(existing, tree.config.b):
-            if action == ActionKind.A3:
-                verdict, raw = self._ask_verdict(tree, parent_path)
-                child = tree.add_child(node, ActionKind.A3, raw)
-                self._complete_leaf(tree, child, verdict)
-                created.append(child)
+            reqs = [LLMRequest(PromptKind.ANSWER_SUBQUESTION, {
+                "claim": tree.claim,
+                "transcript": transcript,
+                "triples": render_triples(result.selected),
+                "question": node.text,
+            }, seed=self.config.seed)] * len(branches)
+        resps = self.gateway.complete_all(reqs)
+        # One retry for unparseable generations, then give up on the child.
+        failed = [i for i, resp in enumerate(resps) if not resp.parse_ok]
+        if failed:
+            retried = self.gateway.complete_all([reqs[i] for i in failed])
+            for i, resp in zip(failed, retried):
+                resps[i] = resp
+        for resp in resps:
+            if not resp.parse_ok:
                 continue
-            if action == ActionKind.A1:
-                text = self._generate_text(PromptKind.GENERATE_SUBQUESTION, {
-                    "claim": tree.claim,
-                    "transcript": transcript,
-                    "branch": str(branch),
-                })
-            else:  # A2: answer with retrieved knowledge in context
-                text = self._generate_text(PromptKind.ANSWER_SUBQUESTION, {
-                    "claim": tree.claim,
-                    "transcript": transcript,
-                    "triples": retrieved or "(none)",
-                    "question": node.text,
-                })
-            if text is None:
-                continue
-            child = tree.add_child(node, action, text)
+            child = tree.add_child(node, action, resp.parsed)
             created.append(child)
             if child.depth == tree.config.h:
                 # Forced termination: a depth-limit child carries a verdict.
-                verdict, _ = self._ask_verdict(tree, tree.path_to(child))
-                self._complete_leaf(tree, child, verdict)
+                answer = self.gateway.complete(
+                    self._verdict_request(tree, tree.path_to(child)))
+                self._complete_leaf(tree, child, self._verdict(answer))
         return created
 
     def search(self, claim: str, graph: KnowledgeGraph,

@@ -1,13 +1,19 @@
 import json
+import sys
+import threading
+import time
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 
 import pytest
 
 from verity.errors import (GatewayHardError, ReplayMissError, TransportError,
                            ValidationError)
-from verity.gateway import (Gateway, HttpChatBackend, LLMRequest, PromptKind,
-                            RecordingBackend, ReplayBackend, ScriptedBackend,
-                            parse_entities, parse_ranking, parse_triples,
-                            parse_verdict, render_prompt, request_hash)
+from verity.gateway import (MAX_IN_FLIGHT, Gateway, HttpChatBackend,
+                            LLMRequest, PromptKind, RecordingBackend,
+                            ReplayBackend, ScriptedBackend, parse_entities,
+                            parse_ranking, parse_triples, parse_verdict,
+                            render_prompt, request_hash)
 from verity.verdict import Verdict
 
 
@@ -245,10 +251,11 @@ class TestRecordReplay:
 
 
 class _FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -293,3 +300,211 @@ class TestHttpBackend:
         backend = HttpChatBackend("http://api.test", "m", session=session)
         with pytest.raises(GatewayHardError):
             backend.generate(self._req(), "p")
+
+    def test_rate_limit_carries_retry_after(self):
+        later = datetime.now(timezone.utc) + timedelta(seconds=30)
+        session = _FakeSession([
+            _FakeResponse(429, headers={"Retry-After": "7"}),
+            _FakeResponse(429, headers={"Retry-After":
+                                        format_datetime(later, usegmt=True)}),
+            _FakeResponse(429, headers={"Retry-After": "soon"}),
+            _FakeResponse(429)])
+        backend = HttpChatBackend("http://api.test", "m", session=session)
+        waits = []
+        for _ in range(4):
+            with pytest.raises(TransportError) as info:
+                backend.generate(self._req(), "p")
+            waits.append(info.value.retry_after)
+        assert waits[0] == 7.0
+        assert 20 < waits[1] <= 30
+        assert waits[2:] == [None, None]
+
+
+def _subquestion(branch, claim="c"):
+    return LLMRequest(PromptKind.GENERATE_SUBQUESTION,
+                      {"claim": claim, "transcript": "(none)",
+                       "branch": str(branch)})
+
+
+def _echo_branch(req, prompt):
+    return f"Q{req.context['branch']} of {req.context['claim']}?"
+
+
+class TestBackoff:
+    def _sleeps(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("verity.gateway.time.sleep", sleeps.append)
+        return sleeps
+
+    def test_gateway_waits_what_retry_after_asks(self, monkeypatch):
+        sleeps = self._sleeps(monkeypatch)
+        session = _FakeSession([
+            _FakeResponse(429, headers={"Retry-After": "5"}),
+            _FakeResponse(200, {"choices": [
+                {"message": {"content": "Answer: Fake"}}]})])
+        gw = Gateway(HttpChatBackend("http://api.test", "m", session=session),
+                     backoff=0.25)
+        resp = gw.complete(TestGatewayMemo.VERDICT)
+        assert resp.parsed is Verdict.FAKE
+        assert sleeps == [5.0]
+        assert gw.call_counts[PromptKind.FINAL_VERDICT] == 1
+
+    def test_backoff_is_jittered_exponential(self, monkeypatch):
+        sleeps = self._sleeps(monkeypatch)
+        outputs = []
+        for _ in range(20):
+            attempts = []
+
+            def flaky(req, prompt):
+                attempts.append(1)
+                if len(attempts) <= 3:
+                    raise TransportError("busy")
+                return "Answer: Real"
+
+            gw = Gateway(ScriptedBackend(flaky), max_retries=3, backoff=1.0)
+            outputs.append((gw.complete(TestGatewayMemo.VERDICT).raw,
+                            dict(gw.call_counts)))
+        assert len(sleeps) == 60
+        for attempt in range(3):
+            step = 2.0 ** attempt
+            waits = sleeps[attempt::3]
+            assert all(step / 2 <= w <= step for w in waits)
+            assert len(set(waits)) > 1
+        # Jitter moves timing only.
+        assert all(out == outputs[0] for out in outputs)
+
+
+class TestCompleteAll:
+    def test_siblings_are_in_flight_together(self):
+        barrier = threading.Barrier(3, timeout=10)
+
+        def meet(req, prompt):
+            barrier.wait()
+            return _echo_branch(req, prompt)
+
+        gw = Gateway(ScriptedBackend(meet))
+        try:
+            resps = gw.complete_all([_subquestion(b) for b in range(3)])
+        finally:
+            gw.close()
+        assert [r.parsed for r in resps] == ["Q0 of c?", "Q1 of c?", "Q2 of c?"]
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
+
+    def test_identical_requests_reach_backend_once(self):
+        prompts = []
+        lock = threading.Lock()
+
+        def record(req, prompt):
+            with lock:
+                prompts.append(prompt)
+            return _echo_branch(req, prompt)
+
+        gw = Gateway(ScriptedBackend(record))
+        reqs = [_subquestion(0), _subquestion(1), _subquestion(0),
+                _subquestion(0)]
+        resps = gw.complete_all(reqs)
+        gw.close()
+        assert len(prompts) == 2 == len(set(prompts))
+        assert [r.parsed for r in resps] == \
+            ["Q0 of c?", "Q1 of c?", "Q0 of c?", "Q0 of c?"]
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 2
+        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 2
+        # A later batch is answered from the memo.
+        gw.complete_all(reqs)
+        assert len(prompts) == 2
+        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 6
+
+    def test_responses_come_back_in_request_order(self):
+        def slow_first(req, prompt):
+            # Branch 0 answers last, branch 3 first.
+            time.sleep(0.02 * (3 - int(req.context["branch"])))
+            return _echo_branch(req, prompt)
+
+        gw = Gateway(ScriptedBackend(slow_first))
+        resps = gw.complete_all([_subquestion(b) for b in range(4)])
+        gw.close()
+        assert [r.parsed for r in resps] == \
+            [f"Q{b} of c?" for b in range(4)]
+
+    def test_hard_error_from_one_sibling_propagates(self):
+        def one_fails(req, prompt):
+            if req.context["branch"] == "1":
+                raise GatewayHardError("HTTP 400")
+            return _echo_branch(req, prompt)
+
+        gw = Gateway(ScriptedBackend(one_fails))
+        with pytest.raises(GatewayHardError, match="HTTP 400"):
+            gw.complete_all([_subquestion(b) for b in range(3)])
+        gw.close()
+        # The siblings that succeeded were counted and memoized.
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 2
+        assert gw.complete(_subquestion(2)).parsed == "Q2 of c?"
+        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 1
+
+    def test_single_request_batch_starts_no_thread(self):
+        before = set(threading.enumerate())
+        gw = Gateway(ScriptedBackend(_echo_branch))
+        gw.complete_all([_subquestion(0)])
+        # Identical requests fold into one miss; memo hits send nothing.
+        gw.complete_all([_subquestion(1)] * 3)
+        gw.complete_all([_subquestion(0), _subquestion(1)])
+        assert gw._pool is None
+        assert set(threading.enumerate()) <= before
+
+    def test_close_stops_workers(self):
+        before = set(threading.enumerate())
+        gw = Gateway(ScriptedBackend(_echo_branch))
+        gw.complete_all([_subquestion(b) for b in range(3)])
+        assert set(threading.enumerate()) - before
+        gw.close()
+        assert set(threading.enumerate()) <= before
+        # A closed gateway still serves batches.
+        resps = gw.complete_all([_subquestion(b) for b in range(3, 6)])
+        assert [r.parsed for r in resps] == ["Q3 of c?", "Q4 of c?", "Q5 of c?"]
+        gw.close()
+
+    def test_discarded_gateways_do_not_leak_threads(self):
+        before = threading.active_count()
+        for i in range(200):
+            gw = Gateway(ScriptedBackend(_echo_branch))
+            gw.complete_all([_subquestion(b, claim=str(i)) for b in range(3)])
+            del gw
+        deadline = time.monotonic() + 10
+        while threading.active_count() > before and \
+                time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= before
+
+    def test_stress_counts_add_up(self):
+        lock = threading.Lock()
+        sent = []
+
+        def record(req, prompt):
+            with lock:
+                sent.append(request_hash(req, prompt))
+            return _echo_branch(req, prompt)
+
+        gw = Gateway(ScriptedBackend(record))
+        width = 4 * MAX_IN_FLIGHT
+        requests = 0
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 1.0
+            batch = 0
+            while time.monotonic() < deadline:
+                # Half of each batch repeats the previous batch's requests,
+                # and every request appears twice within its batch.
+                reqs = [_subquestion(b - b % 2, claim=str(batch - b % 2))
+                        for b in range(width)] * 2
+                resps = gw.complete_all(reqs)
+                assert [r.parsed for r in resps] == \
+                    [_echo_branch(r, "") for r in reqs]
+                requests += len(reqs)
+                batch += 1
+        finally:
+            sys.setswitchinterval(old_interval)
+            gw.close()
+        calls = sum(gw.call_counts.values())
+        assert calls + sum(gw.memo_hits.values()) == requests
+        assert calls == len(sent) == len(set(sent))

@@ -289,13 +289,3 @@ class TestSearch:
         engine = SearchEngine(gateway)
         with pytest.raises(ValidationError):
             engine.search("  ", KnowledgeGraph())
-
-    def test_tree_dump_shape(self):
-        gateway, items = self._gateway()
-        engine = SearchEngine(gateway, EngineConfig(seed=2))
-        _, _, tree = engine.search(items[0].claim, KnowledgeGraph(),
-                                   claim_id=items[0].id)
-        dump = tree.dump()
-        assert {"id", "parent", "action", "depth", "q", "v", "verdict",
-                "text_digest"} <= set(dump[0])
-        assert dump[0]["parent"] is None

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import os
+import time
 
 from synth import carryover_world, tabled_world
 
 from verity.errors import GatewayHardError, TransportError
-from verity.gateway import (Gateway, RecordingBackend, ReplayBackend,
-                            request_hash)
+from verity.gateway import (Gateway, PromptKind, RecordingBackend,
+                            ReplayBackend, ScriptedBackend, request_hash)
 from verity.kg_store import KnowledgeGraph
 from verity.mcts import EngineConfig
 from verity.oracle import RuleBasedOracle
@@ -15,6 +16,12 @@ from verity.run import (ClaimResult, format_cells, run_detection,
 from verity.verdict import Verdict
 
 import pytest
+
+
+# RunRecord.digest() of tabled_world(3, 3) at n20 h9 b3, seed 0, with updates,
+# as computed when each expansion still sent its requests one by one.
+SEQUENTIAL_DEEP_DIGEST = \
+    "ca5102fbe0295d51c348583549441385538c986fd6a811f74edbc07f9d72c62a"
 
 
 def small_config(**overrides):
@@ -185,6 +192,51 @@ class TestRunDetection:
         replayed = Gateway(ReplayBackend.from_path(str(transcript)))
         rec2, _, _ = run_detection(items, KnowledgeGraph(), config, replayed)
         assert rec1.digest() == rec2.digest()
+        assert replayed.call_counts == recording.call_counts
+
+
+    def test_sibling_hard_error_excludes_claim(self):
+        table, items = tabled_world(num_real=2, num_fake=1)
+        oracle = RuleBasedOracle(table)
+
+        def fail_one_sibling(req, prompt):
+            if (req.kind is PromptKind.GENERATE_SUBQUESTION
+                    and "Alpha1" in req.context["claim"]
+                    and req.context["branch"] == "1"):
+                raise GatewayHardError("HTTP 400")
+            return oracle.generate(req, prompt)
+
+        gateway = Gateway(ScriptedBackend(fail_one_sibling))
+        record, metrics, _ = run_detection(items, KnowledgeGraph(),
+                                           small_config(n=6, h=5, b=3),
+                                           gateway)
+        gateway.close()
+        assert record.exclusions == 1
+        failed = next(r for r in record.results if r.id == "real-1")
+        assert failed.error == "HTTP 400"
+        assert failed.verdict is None
+        assert metrics.tp + metrics.fp + metrics.tn + metrics.fn == 2
+
+    def test_out_of_order_answers_keep_sequential_digest(self, tmp_path):
+        table, items = tabled_world(num_real=3, num_fake=3)
+        oracle = RuleBasedOracle(table)
+
+        def delayed(req, prompt):
+            # 0-2 ms by request hash, so siblings finish out of order.
+            time.sleep(int(request_hash(req, prompt)[:4], 16) % 2001 / 1e6)
+            return oracle.generate(req, prompt)
+
+        transcript = tmp_path / "transcript.jsonl"
+        recording = Gateway(RecordingBackend(ScriptedBackend(delayed),
+                                             str(transcript)))
+        config = small_config(n=20, h=9, b=3)
+        rec1, _, _ = run_detection(items, KnowledgeGraph(), config, recording)
+        recording.close()
+        assert rec1.digest() == SEQUENTIAL_DEEP_DIGEST
+        replayed = Gateway(ReplayBackend.from_path(str(transcript)))
+        rec2, _, _ = run_detection(items, KnowledgeGraph(), config, replayed)
+        replayed.close()
+        assert rec2.digest() == SEQUENTIAL_DEEP_DIGEST
         assert replayed.call_counts == recording.call_counts
 
 
