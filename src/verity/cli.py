@@ -11,11 +11,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .dataset import load_dataset, split_subsets
-from .errors import VerityError
+from .errors import FormatError, VerityError
 from .gateway import (Gateway, HttpChatBackend, RecordingBackend,
                       ReplayBackend)
+from .jsonl import read_object, read_records, write_lines
 from .kg_builder import SourceDocument, build_graph
 from .kg_store import KnowledgeGraph
 from .mcts import EngineConfig
@@ -30,31 +32,38 @@ CONFIG_KEYS = ("model", "base_url", "timeout", "seed",
                "n", "height", "branch", "alpha", "topk",
                "max_retries", "min_interval")
 
+# Engine flag (and config key) -> (EngineConfig field, type).
+ENGINE_KEYS = {"n": ("n", int), "height": ("h", int), "branch": ("b", int),
+               "alpha": ("alpha", float), "topk": ("top_k", int),
+               "seed": ("seed", int)}
+
 
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = read_object(path)
     unknown = set(config) - set(CONFIG_KEYS)
     if unknown:
         raise VerityError(f"unknown config keys: {sorted(unknown)}")
     return config
 
 
-def _engine_config(args, config: dict) -> EngineConfig:
-    def pick(flag, key, default):
-        value = getattr(args, flag, None)
-        return value if value is not None else config.get(key, default)
+def _given(values: dict, params: dict) -> dict:
+    """Cast keyword arguments for the keys of ``params`` set in ``values``."""
+    kwargs = {}
+    for key, (name, cast) in params.items():
+        if values.get(key) is not None:
+            try:
+                kwargs[name] = cast(values[key])
+            except (TypeError, ValueError) as exc:
+                raise VerityError(f"bad value for {key}: {exc}") from exc
+    return kwargs
 
-    return EngineConfig(
-        n=int(pick("n", "n", 5)),
-        h=int(pick("height", "height", 5)),
-        b=int(pick("branch", "branch", 2)),
-        alpha=float(pick("alpha", "alpha", 2.0)),
-        top_k=int(pick("topk", "topk", 5)),
-        seed=int(pick("seed", "seed", 0)),
-    )
+
+def _engine_config(args, config: dict) -> EngineConfig:
+    """Flags win over config values; unset ones keep EngineConfig's defaults."""
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    return EngineConfig(**_given({**config, **flags}, ENGINE_KEYS))
 
 
 def _build_backend(args, config: dict):
@@ -72,13 +81,13 @@ def _build_backend(args, config: dict):
             base_url=config.get("base_url", "https://api.openai.com"),
             model=config.get("model", "gpt-4o-mini"),
             api_key=os.environ.get(API_KEY_ENV, ""),
-            timeout=float(config.get("timeout", 60.0)),
+            **_given(config, {"timeout": ("timeout", float)}),
         )
     if getattr(args, "record", None):
         backend = RecordingBackend(backend, args.record)
-    return Gateway(backend,
-                   max_retries=int(config.get("max_retries", 3)),
-                   min_interval=float(config.get("min_interval", 0.0)))
+    return Gateway(backend, **_given(config, {
+        "max_retries": ("max_retries", int),
+        "min_interval": ("min_interval", float)}))
 
 
 def _print_model_calls(gateway: Gateway) -> None:
@@ -88,16 +97,26 @@ def _print_model_calls(gateway: Gateway) -> None:
 
 def _load_corpus(path: str) -> list[SourceDocument]:
     docs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            record = json.loads(line)
-            docs.append(SourceDocument(id=str(record["id"]),
-                                       body=record["body"],
-                                       trusted=bool(record.get("trusted", True))))
+    for lineno, record in read_records(path):
+        if "id" not in record or not isinstance(record.get("body"), str):
+            raise FormatError(path, lineno, "needs an id and a string body")
+        docs.append(SourceDocument(id=str(record["id"]), body=record["body"],
+                                   trusted=bool(record.get("trusted", True))))
     return docs
+
+
+def _load_scores(path: str) -> tuple[list[Verdict], list[Verdict]]:
+    """Predicted and gold verdicts of a run file's scoreable records."""
+    predictions, golds = [], []
+    for lineno, record in read_records(path):
+        if record.get("error") or record.get("gold") is None:
+            continue
+        try:
+            predictions.append(Verdict(record["verdict"]))
+            golds.append(Verdict(record["gold"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(path, lineno, f"bad verdict: {exc}") from exc
+    return predictions, golds
 
 
 def _add_backend_args(sub):
@@ -173,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_build_kg(args) -> int:
     config = _load_config(args.config)
-    gateway = _build_backend(args, config)
     corpus = _load_corpus(args.corpus)
+    gateway = _build_backend(args, config)
     graph, report = build_graph(corpus, gateway)
     graph.save(args.out)
     report.save(args.report or args.out + ".report.json")
@@ -186,13 +205,14 @@ def _cmd_build_kg(args) -> int:
 
 def _cmd_detect(args) -> int:
     config = _load_config(args.config)
-    gateway = _build_backend(args, config)
     engine_config = _engine_config(args, config)
     report = load_dataset(args.dataset, args.format)
     if report.dropped:
         print(f"dropped {report.dropped} items with non-sentence evidence",
               file=sys.stderr)
     graph = KnowledgeGraph.load(args.kg)
+    # Inputs are read before the backend starts a --record transcript.
+    gateway = _build_backend(args, config)
     record, metrics, out_graph = run_detection(
         report.items, graph, engine_config, gateway,
         updates=args.updates == "on")
@@ -208,23 +228,13 @@ def _cmd_detect(args) -> int:
         print(format_metrics(metrics,
                              population=len(record.results) - record.exclusions))
         if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                json.dump(metrics.as_dict(), fh, indent=2)
+            write_lines(args.metrics_out,
+                        [json.dumps(asdict(metrics), indent=2)])
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    predictions, golds = [], []
-    with open(args.run, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("error") or record.get("gold") is None:
-                continue
-            predictions.append(Verdict(record["verdict"]))
-            golds.append(Verdict(record["gold"]))
+    predictions, golds = _load_scores(args.run)
     if not predictions:
         print("no scoreable records in run file", file=sys.stderr)
         return 1
@@ -235,20 +245,19 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sequential(args) -> int:
     config = _load_config(args.config)
-    gateway = _build_backend(args, config)
     engine_config = _engine_config(args, config)
     report = load_dataset(args.dataset, args.format)
     split = split_subsets(report.items, args.subsets, seed=engine_config.seed)
+    gateway = _build_backend(args, config)
     base_graph, _ = build_graph(split.corpora[0], gateway)
     cells = run_sequential(split.subsets, base_graph, engine_config, gateway,
                            updates=args.updates == "on")
     print(format_cells(cells))
     _print_model_calls(gateway)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump([{"setting": c.setting, "accuracy": c.accuracy,
-                        "population": c.population} for c in cells], fh,
-                      indent=2)
+        write_lines(args.out, [json.dumps(
+            [{"setting": c.setting, "accuracy": c.accuracy,
+              "population": c.population} for c in cells], indent=2)])
     return 0
 
 
@@ -268,10 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except VerityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (VerityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,12 +9,12 @@ dropped, with the drop count reported.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DatasetError, ValidationError
+from .jsonl import read_records
 from .kg_builder import SourceDocument
 from .verdict import Verdict
 
@@ -40,16 +40,6 @@ class NewsItem:
     evidence: list[str] = field(default_factory=list)
     group: Optional[str] = None
     subset: Optional[int] = None
-
-    def as_record(self) -> dict:
-        record: dict = {"id": self.id, "claim": self.claim}
-        if self.gold is not None:
-            record["label"] = self.gold.value
-        if self.evidence:
-            record["evidence"] = self.evidence
-        if self.group is not None:
-            record["group"] = self.group
-        return record
 
 
 @dataclass
@@ -86,42 +76,28 @@ def load_dataset(path: str, fmt: str = "native") -> LoadReport:
         raise ValidationError(f"unknown dataset format: {fmt}")
     items: list[NewsItem] = []
     dropped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(lineno, f"bad JSON: {exc}") from exc
-            claim = record.get("claim", "")
-            if not isinstance(claim, str) or not claim.strip():
-                raise DatasetError(lineno, "missing or empty claim")
+    for lineno, record in read_records(path, DatasetError):
+        claim = record.get("claim", "")
+        if not isinstance(claim, str) or not claim.strip():
+            raise DatasetError(path, lineno, "missing or empty claim")
+        try:
             gold = None
             if record.get("label") is not None:
-                try:
-                    gold = parse_label(str(record["label"]))
-                except ValueError as exc:
-                    raise DatasetError(lineno, str(exc)) from exc
+                gold = parse_label(str(record["label"]))
             evidence, ok = _sentence_evidence(record.get("evidence"), fmt)
-            if not ok:
-                dropped += 1
-                continue
-            items.append(NewsItem(
-                id=str(record.get("id", f"item-{lineno}")),
-                claim=claim,
-                gold=gold,
-                evidence=evidence,
-                group=record.get("group"),
-            ))
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(path, lineno, str(exc)) from exc
+        if not ok:
+            dropped += 1
+            continue
+        items.append(NewsItem(
+            id=str(record.get("id", f"item-{lineno}")),
+            claim=claim,
+            gold=gold,
+            evidence=evidence,
+            group=record.get("group"),
+        ))
     return LoadReport(items, dropped)
-
-
-def save_dataset(items: list[NewsItem], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps(item.as_record(), ensure_ascii=False) + "\n")
 
 
 def split_subsets(items: list[NewsItem], k: int, seed: int = 0) -> DatasetSplit:

@@ -11,20 +11,21 @@ class ValidationError(VerityError):
     """Input violates a documented precondition or invariant."""
 
 
-class KGFormatError(VerityError):
-    """Malformed knowledge-graph file; carries the offending line number."""
+class FormatError(VerityError):
+    """Malformed or cut-off input file; names the file and the line."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, path: str, line: int, message: str):
+        super().__init__(f"{path} line {line}: {message}")
+        self.path = path
         self.line = line
 
 
-class DatasetError(VerityError):
-    """Malformed dataset record; carries the offending line number."""
+class KGFormatError(FormatError):
+    """Malformed knowledge-graph file."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+
+class DatasetError(FormatError):
+    """Malformed dataset file."""
 
 
 class TransportError(VerityError):

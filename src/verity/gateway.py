@@ -9,6 +9,7 @@ endpoint, a transcript-replay backend keyed by request hash, and (in
 from __future__ import annotations
 
 import email.utils
+import functools
 import hashlib
 import json
 import random
@@ -24,7 +25,9 @@ from typing import Any, Callable, Optional, Protocol, Sequence
 
 import requests
 
-from .errors import GatewayHardError, ReplayMissError, TransportError, ValidationError
+from .errors import (FormatError, GatewayHardError, ReplayMissError,
+                     TransportError, ValidationError)
+from .jsonl import read_records, write_lines
 from .verdict import Verdict
 
 
@@ -53,7 +56,6 @@ REQUIRED_SLOTS: dict[PromptKind, tuple[str, ...]] = {
 class LLMRequest:
     kind: PromptKind
     context: dict[str, str]
-    temperature: float = 0.0
     seed: int = 0
 
 
@@ -65,14 +67,10 @@ class LLMResponse:
     warnings: int = 0
 
 
-_template_cache: dict[PromptKind, str] = {}
-
-
+@functools.cache
 def _template(kind: PromptKind) -> str:
-    if kind not in _template_cache:
-        ref = resources.files("verity.templates").joinpath(kind.value + ".txt")
-        _template_cache[kind] = ref.read_text(encoding="utf-8")
-    return _template_cache[kind]
+    ref = resources.files("verity.templates").joinpath(kind.value + ".txt")
+    return ref.read_text(encoding="utf-8")
 
 
 def render_prompt(req: LLMRequest) -> str:
@@ -214,7 +212,7 @@ class HttpChatBackend:
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": req.temperature,
+            "temperature": 0.0,
             "seed": req.seed,
         }
         try:
@@ -254,13 +252,11 @@ class ReplayBackend:
     @classmethod
     def from_path(cls, path: str) -> "ReplayBackend":
         records: dict[str, str] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                records[record["hash"]] = record["response"]
+        for lineno, record in read_records(path):
+            key, response = record.get("hash"), record.get("response")
+            if not isinstance(key, str) or not isinstance(response, str):
+                raise FormatError(path, lineno, "needs a string hash and response")
+            records[key] = response
         return cls(records)
 
     def generate(self, req: LLMRequest, prompt: str) -> str:
@@ -279,8 +275,8 @@ class RecordingBackend:
         self.path = path
         self._seen: set[str] = set()
         self._lock = threading.Lock()
-        # Truncate so a recording session starts clean.
-        open(path, "w", encoding="utf-8").close()
+        # Start the transcript empty; each new record is appended.
+        write_lines(path, ())
 
     def generate(self, req: LLMRequest, prompt: str) -> str:
         response = self.inner.generate(req, prompt)
@@ -307,13 +303,13 @@ MAX_IN_FLIGHT = 8
 class Gateway:
     """Front door for model requests: render, pace, retry, memoize, parse.
 
-    Temperature-0 responses are memoized for the life of the Gateway, keyed
-    by request hash and seed. Only a raw response that parsed is stored;
-    transport errors, hard errors and unparseable outputs are not, so a
-    caller's retry still reaches the backend. A repeat is parsed again from
-    the stored raw text, so callers never share a parsed value. Against a
-    live endpoint this means a repeated request reuses the first answer
-    instead of sampling a new one.
+    Every request is sent at temperature 0, and responses are memoized for
+    the life of the Gateway, keyed by request hash and seed. Only a raw
+    response that parsed is stored; transport errors, hard errors and
+    unparseable outputs are not, so a caller's retry still reaches the
+    backend. A repeat is parsed again from the stored raw text, so callers
+    never share a parsed value. Against a live endpoint this means a
+    repeated request reuses the first answer instead of sampling a new one.
 
     ``complete_all`` sends the distinct misses of a batch to the backend
     together: the first on the calling thread, the rest on a pool of at most
@@ -418,7 +414,6 @@ class Gateway:
         """
         prompts = [render_prompt(req) for req in reqs]
         keys = [(request_hash(req, prompt), req.seed)
-                if req.temperature == 0 else None
                 for req, prompt in zip(reqs, prompts)]
         # Each request is answered by memo text (str), or by the miss at an
         # index (int): its own when it is sent, an earlier one when folded.
@@ -426,10 +421,7 @@ class Gateway:
         first: dict[tuple[str, int], int] = {}
         misses: list[int] = []
         for i, key in enumerate(keys):
-            if key is None:
-                sources.append(i)
-                misses.append(i)
-            elif key in self._memo:
+            if key in self._memo:
                 sources.append(self._memo[key])
             else:
                 sources.append(first.setdefault(key, i))
@@ -446,7 +438,7 @@ class Gateway:
             kind = reqs[i].kind
             self.call_counts[kind] += 1
             resp = sent[i] = _parse_payload(kind, outcome)
-            if keys[i] is not None and resp.parse_ok:
+            if resp.parse_ok:
                 self._memo[keys[i]] = outcome
         if error is not None:
             raise error

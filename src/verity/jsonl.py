@@ -1,0 +1,81 @@
+"""Every file verity reads or writes goes through this module.
+
+Readers turn a malformed or cut-off file into a :class:`FormatError` that
+names the file and the line. The writer replaces its target atomically.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+import secrets
+from typing import Iterable, Iterator
+
+from .errors import FormatError
+
+
+def _bad_json(exc: json.JSONDecodeError) -> str:
+    return f"bad JSON: {exc.msg} (column {exc.colno})"
+
+
+def read_records(path: str, error: type[FormatError] = FormatError,
+                 ) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, record)`` for each JSON object line of ``path``.
+
+    Lines end at ``\\n``. Each is decoded and stripped on its own, so a UTF-8
+    character cut in two is reported on its line. Blank and ``#`` lines are
+    skipped. A line that is not UTF-8, not JSON or not an object raises
+    ``error(path, line, message)``.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line or line.startswith("#"):
+                    continue
+                record = json.loads(line)
+            except UnicodeDecodeError as exc:
+                raise error(path, lineno, f"not UTF-8: {exc}") from exc
+            except json.JSONDecodeError as exc:
+                raise error(path, lineno, _bad_json(exc)) from exc
+            if not isinstance(record, dict):
+                raise error(path, lineno, "not a JSON object")
+            yield lineno, record
+
+
+def read_object(path: str) -> dict:
+    """The one JSON object in ``path``; a bad document raises FormatError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        record = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(path, data.count(b"\n", 0, exc.start) + 1,
+                          f"not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(path, exc.lineno, _bad_json(exc)) from exc
+    if not isinstance(record, dict):
+        raise FormatError(path, 1, "not a JSON object")
+    return record
+
+
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write ``lines`` (each with its own newline) to ``path`` atomically.
+
+    The lines go to a temp file in the directory of ``path``, which replaces
+    ``path`` only once every line is written. If writing fails, the temp file
+    is removed and ``path`` keeps its old content. This guards against a
+    crash of the writing process, not against power loss: nothing is synced
+    to disk.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import GatewayHardError, ValidationError
 from .gateway import Gateway, LLMRequest, PromptKind
+from .jsonl import write_lines
 from .kg_store import Entity, KnowledgeGraph, Triple
 
 log = logging.getLogger(__name__)
@@ -38,18 +39,9 @@ class BuildReport:
     triples_duplicate: int = 0
     triples_dropped: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "docs_processed": self.docs_processed,
-            "docs_failed": self.docs_failed,
-            "triples_added": self.triples_added,
-            "triples_duplicate": self.triples_duplicate,
-            "triples_dropped": self.triples_dropped,
-        }
-
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=2)
+        """Write the report as indented JSON, atomically."""
+        write_lines(path, [json.dumps(asdict(self), indent=2)])
 
 
 def _chunks(body: str) -> list[str]:

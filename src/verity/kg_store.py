@@ -19,8 +19,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .atomic import write_lines
 from .errors import KGFormatError, ValidationError
+from .jsonl import read_records, write_lines
 
 _WS_RUN = re.compile(r"\s+")
 _encode_str = json.encoder.encode_basestring
@@ -122,12 +122,6 @@ class KnowledgeGraph:
     def __len__(self) -> int:
         return len(self.triples)
 
-    def __contains__(self, triple: Triple) -> bool:
-        return triple.identity in self._identities
-
-    def entity_keys(self) -> set[str]:
-        return set(self._entity_index)
-
     def insert_triple(self, triple: Triple) -> bool:
         """Insert unless the dedup identity is already present.
 
@@ -200,20 +194,15 @@ class KnowledgeGraph:
     @classmethod
     def load(cls, path: str) -> "KnowledgeGraph":
         graph = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    record = json.loads(line)
-                    triple = make_triple(
-                        record["subject"], record["relation"], record["object"],
-                        record.get("source_id", ""), int(record.get("seq", 0)))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise KGFormatError(lineno, f"bad record: {exc}") from exc
-                try:
-                    graph.insert_triple(triple)
-                except ValidationError as exc:
-                    raise KGFormatError(lineno, str(exc)) from exc
+        for lineno, record in read_records(path, KGFormatError):
+            try:
+                names = (record["subject"], record["relation"], record["object"],
+                         record.get("source_id", ""))
+                if tuple(map(type, names)) != (str, str, str, str):
+                    raise TypeError("subject, relation, object and source_id "
+                                    "must be strings")
+                graph.insert_triple(
+                    make_triple(*names, int(record.get("seq", 0))))
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
+                raise KGFormatError(path, lineno, f"bad record: {exc}") from exc
         return graph

@@ -19,30 +19,16 @@ class MetricsReport:
     recall: float
     f1: float
 
-    def as_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-            "accuracy": self.accuracy, "precision": self.precision,
-            "recall": self.recall, "f1": self.f1,
-        }
-
 
 def compute_metrics(predictions: list[Verdict],
                     golds: list[Verdict]) -> MetricsReport:
     if len(predictions) != len(golds):
         raise ValidationError("predictions and golds differ in length")
-    tp = fp = tn = fn = 0
-    for pred, gold in zip(predictions, golds):
-        if pred == Verdict.REAL:
-            if gold == Verdict.REAL:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if gold == Verdict.REAL:
-                fn += 1
-            else:
-                tn += 1
+    # (predicted Real, gold Real) per claim.
+    pairs = [(pred == Verdict.REAL, gold == Verdict.REAL)
+             for pred, gold in zip(predictions, golds)]
+    tp, fp = pairs.count((True, True)), pairs.count((True, False))
+    fn, tn = pairs.count((False, True)), pairs.count((False, False))
     total = tp + fp + tn + fn
     accuracy = (tp + tn) / total if total else 0.0
     precision = tp / (tp + fp) if tp + fp else 0.0

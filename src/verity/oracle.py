@@ -8,11 +8,11 @@ sentence containing one known relation phrase, "<subject> <relation>
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 
 from .gateway import LLMRequest, PromptKind
+from .jsonl import read_object
 from .kg_store import normalize_entity
 
 Fact = tuple[str, str, str]
@@ -62,8 +62,7 @@ class FactTable:
 
     @classmethod
     def from_path(cls, path: str) -> "FactTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_object(path))
 
     def fact_identities(self) -> set[Fact]:
         return {_norm_fact(f) for f in self.facts}

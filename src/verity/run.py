@@ -10,10 +10,10 @@ import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .atomic import write_lines
 from .dataset import NewsItem
 from .errors import GatewayHardError
 from .gateway import Gateway
+from .jsonl import write_lines
 from .kg_store import KnowledgeGraph
 from .knowledge_update import apply_update, extract_new_knowledge
 from .mcts import EngineConfig, SearchEngine, paths_digest
@@ -84,11 +84,15 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
 
     Claims that hit a hard gateway failure are recorded as errors and
     excluded from metrics; the exclusion count is reported on the record.
+
+    The input graph's digest cache is updated before the run copies it, so
+    a graph passed to several runs is hashed in full only once.
     """
+    kg_before = graph.content_digest()
     graph = graph.copy()
     engine = SearchEngine(gateway, config)
     record = RunRecord(config_digest=_config_digest(config, updates),
-                       kg_before=graph.content_digest())
+                       kg_before=kg_before)
     for item in items:
         result = ClaimResult(id=item.id, gold=item.gold)
         try:

@@ -6,9 +6,29 @@ one statement per sentence, "<subject> <relation> <object>.".
 
 from __future__ import annotations
 
+import json
+
 from verity.dataset import NewsItem
 from verity.oracle import FactTable
 from verity.verdict import Verdict
+
+
+def news_record(item: NewsItem) -> dict:
+    """The native dataset record of ``item``, as ``load_dataset`` reads it."""
+    record: dict = {"id": item.id, "claim": item.claim}
+    if item.gold is not None:
+        record["label"] = item.gold.value
+    if item.evidence:
+        record["evidence"] = item.evidence
+    if item.group is not None:
+        record["group"] = item.group
+    return record
+
+
+def save_dataset(items: list[NewsItem], path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for item in items:
+            fh.write(json.dumps(news_record(item), ensure_ascii=False) + "\n")
 
 
 def tabled_world(num_real: int = 25, num_fake: int = 25):

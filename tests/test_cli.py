@@ -1,11 +1,15 @@
+import inspect
 import json
 import re
 
-from synth import tabled_world
+import pytest
+from synth import save_dataset, tabled_world
 
-from verity.cli import main
-from verity.dataset import save_dataset
+from verity.cli import _build_backend, _engine_config, build_parser, main
+from verity.errors import VerityError
+from verity.gateway import Gateway, HttpChatBackend
 from verity.kg_store import KnowledgeGraph
+from verity.mcts import EngineConfig
 
 
 def write_facts(path, table):
@@ -75,6 +79,18 @@ class TestDetect:
                          printed, re.MULTILINE)
         assert "accuracy" in printed
         assert len(out.read_text().strip().splitlines()) == 4
+
+    def test_metrics_out_is_indented_json(self, tmp_path, capsys):
+        facts, dataset, kg = self._setup(tmp_path)
+        out = tmp_path / "metrics.json"
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--backend", "oracle", "--facts", str(facts),
+                     "--n", "3", "--height", "3", "--metrics-out", str(out)])
+        assert code == 0
+        metrics = json.loads(out.read_text())
+        assert list(metrics) == ["tp", "fp", "tn", "fn", "accuracy",
+                                 "precision", "recall", "f1"]
+        assert out.read_text() == json.dumps(metrics, indent=2)
 
     def test_kg_out_may_overwrite_kg(self, tmp_path, capsys):
         facts, dataset, kg = self._setup(tmp_path)
@@ -165,3 +181,114 @@ class TestSequentialRun:
         cells = json.loads(out.read_text())
         assert [c["setting"] for c in cells] == \
             ["subset1", "subset2", "subset2+kg1"]
+
+
+class TestDefaults:
+    def _args(self, *flags):
+        return build_parser().parse_args(
+            ["detect", "--dataset", "d", "--kg", "k", *flags])
+
+    def test_unset_engine_values_keep_class_defaults(self):
+        assert _engine_config(self._args(), {}) == EngineConfig()
+        assert _engine_config(self._args("--n", "9"),
+                              {"n": 7, "alpha": "1.5"}) == \
+            EngineConfig(n=9, alpha=1.5)
+
+    def test_bad_config_value_is_an_error(self):
+        with pytest.raises(VerityError, match="bad value for height"):
+            _engine_config(self._args(), {"height": "tall"})
+
+    def test_unset_backend_values_keep_class_defaults(self):
+        def default(cls, name):
+            return inspect.signature(cls).parameters[name].default
+
+        gateway = _build_backend(self._args(), {})
+        assert gateway.max_retries == default(Gateway, "max_retries")
+        assert gateway.min_interval == default(Gateway, "min_interval")
+        assert gateway.backend.timeout == default(HttpChatBackend, "timeout")
+        gateway = _build_backend(self._args(), {"timeout": 5, "max_retries": 1})
+        assert (gateway.backend.timeout, gateway.max_retries) == (5.0, 1)
+
+
+class TestMalformedInput:
+    """A malformed or cut input stops the command with one error line."""
+
+    def _assert_error(self, code, capsys, path, line):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{path} line {line}: " in err
+
+    @pytest.mark.parametrize("content,line", [
+        ('{"id": "d1", "body": "Alpha0 commanded Gamma0."}\n'
+         '{"id": "d2", "body": "Beta1 serv', 2),
+        ('{"id": "d1", "text": "Alpha0 commanded Gamma0."}\n', 1),
+    ], ids=["cut", "no-body"])
+    def test_build_kg_corpus(self, tmp_path, capsys, content, line):
+        table, _ = tabled_world(num_real=2, num_fake=0)
+        facts = tmp_path / "facts.json"
+        write_facts(facts, table)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(content)
+        code = main(["build-kg", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "kg.jsonl"),
+                     "--backend", "oracle", "--facts", str(facts)])
+        self._assert_error(code, capsys, corpus, line)
+        assert not (tmp_path / "kg.jsonl").exists()
+
+    @pytest.mark.parametrize("mangle,line", [
+        (lambda lines: lines[:-1] + [lines[-1][:-9]], 4),
+        (lambda lines: [lines[0].replace('"Real"', '"Maybe"')
+                        .replace('"Fake"', '"Maybe"')] + lines[1:], 1),
+    ], ids=["cut", "bad-verdict"])
+    def test_evaluate_run_file(self, tmp_path, capsys, mangle, line):
+        facts, dataset, kg = TestDetect()._setup(tmp_path)
+        run = tmp_path / "run.jsonl"
+        main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+              "--backend", "oracle", "--facts", str(facts),
+              "--n", "3", "--height", "3", "--out", str(run)])
+        capsys.readouterr()
+        run.write_text("\n".join(mangle(run.read_text().splitlines())))
+        self._assert_error(main(["evaluate", "--run", str(run)]), capsys,
+                           run, line)
+
+    def test_replay_cut_transcript(self, tmp_path, capsys):
+        facts, dataset, kg = TestDetect()._setup(tmp_path)
+        transcript = tmp_path / "transcript.jsonl"
+        main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+              "--backend", "oracle", "--facts", str(facts),
+              "--n", "3", "--height", "3", "--record", str(transcript)])
+        capsys.readouterr()
+        data = transcript.read_bytes()
+        transcript.write_bytes(data[:-40])
+        code = main(["replay", "--dataset", str(dataset), "--kg", str(kg),
+                     "--transcript", str(transcript)])
+        self._assert_error(code, capsys, transcript,
+                           data[:-40].count(b"\n") + 1)
+
+    def test_bad_input_keeps_earlier_transcript(self, tmp_path, capsys):
+        facts, dataset, kg = TestDetect()._setup(tmp_path)
+        dataset.write_text('{"id": "a", "claim": "c"}\n{"id": "b", "cl')
+        transcript = tmp_path / "transcript.jsonl"
+        transcript.write_text('{"hash": "h", "response": "r"}\n')
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--backend", "oracle", "--facts", str(facts),
+                     "--record", str(transcript)])
+        self._assert_error(code, capsys, dataset, 2)
+        assert transcript.read_text() == '{"hash": "h", "response": "r"}\n'
+
+    def test_detect_config(self, tmp_path, capsys):
+        facts, dataset, kg = TestDetect()._setup(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text('{\n  "n": 3,\n  "height"')
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--backend", "oracle", "--facts", str(facts),
+                     "--config", str(config)])
+        self._assert_error(code, capsys, config, 3)
+
+    def test_detect_facts(self, tmp_path, capsys):
+        facts, dataset, kg = TestDetect()._setup(tmp_path)
+        facts.write_bytes(facts.read_bytes()[:-7])
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--backend", "oracle", "--facts", str(facts)])
+        self._assert_error(code, capsys, facts, 1)

@@ -1,9 +1,9 @@
 import json
 
 import pytest
+from synth import save_dataset
 
-from verity.dataset import (NewsItem, load_dataset, parse_label, save_dataset,
-                            split_subsets)
+from verity.dataset import NewsItem, load_dataset, parse_label, split_subsets
 from verity.errors import DatasetError, ValidationError
 from verity.verdict import Verdict
 
@@ -75,6 +75,14 @@ class TestLoadDataset:
     def test_malformed_record_reports_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "a", "claim": "c"}\n{broken\n')
+        with pytest.raises(DatasetError) as err:
+            load_dataset(str(path))
+        assert err.value.line == 2
+
+    def test_evidence_not_a_list_reports_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [{"id": "a", "claim": "c"},
+                           {"id": "b", "claim": "c", "evidence": 5}])
         with pytest.raises(DatasetError) as err:
             load_dataset(str(path))
         assert err.value.line == 2

@@ -7,8 +7,8 @@ from email.utils import format_datetime
 
 import pytest
 
-from verity.errors import (GatewayHardError, ReplayMissError, TransportError,
-                           ValidationError)
+from verity.errors import (FormatError, GatewayHardError, ReplayMissError,
+                           TransportError, ValidationError)
 from verity.gateway import (MAX_IN_FLIGHT, Gateway, HttpChatBackend,
                             LLMRequest, PromptKind, RecordingBackend,
                             ReplayBackend, ScriptedBackend, parse_entities,
@@ -152,17 +152,6 @@ class TestGatewayMemo:
                                seed=1))
         assert len(prompts) == 2
 
-    def test_positive_temperature_always_reaches_backend(self):
-        prompts = []
-        gw = Gateway(ScriptedBackend(lambda r, p: prompts.append(p) or
-                                     "Answer: Real"))
-        req = LLMRequest(PromptKind.FINAL_VERDICT, self.VERDICT.context,
-                         temperature=0.7)
-        gw.complete(req)
-        gw.complete(req)
-        assert len(prompts) == 2
-        assert gw.memo_hits[PromptKind.FINAL_VERDICT] == 0
-
     def test_unparseable_not_memoized(self):
         answers = iter(["   ", "Who led?"])
         gw = Gateway(ScriptedBackend(lambda r, p: next(answers)))
@@ -243,6 +232,17 @@ class TestRecordReplay:
         record = json.loads(lines[0])
         assert set(record) == {"hash", "kind", "prompt", "response"}
 
+    @pytest.mark.parametrize("record", [{"hash": "h"},
+                                        {"hash": 1, "response": "r"}])
+    def test_replay_rejects_record_without_string_fields(self, tmp_path,
+                                                         record):
+        path = tmp_path / "transcript.jsonl"
+        path.write_text('{"hash": "a", "response": "r"}\n'
+                        + json.dumps(record) + "\n")
+        with pytest.raises(FormatError) as err:
+            ReplayBackend.from_path(str(path))
+        assert err.value.line == 2
+
     def test_replay_miss_is_hard_error(self, tmp_path):
         gw = Gateway(ReplayBackend({}))
         with pytest.raises(ReplayMissError):
@@ -288,6 +288,7 @@ class TestHttpBackend:
         assert call["url"] == "http://api.test/v1/chat/completions"
         assert call["json"]["messages"] == [{"role": "user", "content": "prompt"}]
         assert call["headers"]["Authorization"] == "Bearer k"
+        assert (call["json"]["temperature"], call["json"]["seed"]) == (0.0, 0)
 
     def test_server_error_is_retryable(self):
         session = _FakeSession([_FakeResponse(503)])

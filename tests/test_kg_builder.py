@@ -2,8 +2,9 @@ import pytest
 
 from verity.errors import ValidationError
 from verity.gateway import Gateway, LLMRequest, PromptKind, RecordingBackend
-from verity.kg_builder import (SourceDocument, build_graph, extract_entities,
-                               extract_entity_relations, extract_event_triples)
+from verity.kg_builder import (BuildReport, SourceDocument, build_graph,
+                               extract_entities, extract_entity_relations,
+                               extract_event_triples)
 from verity.oracle import RuleBasedOracle
 
 
@@ -118,6 +119,16 @@ class TestBuildGraph:
         second = tmp_path / "second.jsonl"
         graph2.save(str(second))
         assert first.read_bytes() == second.read_bytes()
+
+
+def test_report_saved_as_indented_json(tmp_path):
+    path = tmp_path / "kg.jsonl.report.json"
+    BuildReport(docs_processed=2, docs_failed=["döc"],
+                triples_added=3).save(str(path))
+    assert path.read_text() == (
+        '{\n  "docs_processed": 2,\n  "docs_failed": [\n    "d\\u00f6c"\n  ],'
+        '\n  "triples_added": 3,\n  "triples_duplicate": 0,'
+        '\n  "triples_dropped": 0\n}')
 
 
 class TestChunking:

@@ -152,7 +152,7 @@ class TestQueries:
         for t in g.triples:
             rebuilt.insert_triple(t)
         assert rebuilt._entity_index == g._entity_index
-        for key in g.entity_keys():
+        for key in g._entity_index:
             assert any(key in (t.subject.key, t.object.key)
                        for t in g.one_hop_subgraph({key}))
 
@@ -193,6 +193,19 @@ class TestPersistence:
         path = tmp_path / "kg.jsonl"
         path.write_text('{"subject": "a", "relation": "r", "object": "b", '
                         '"source_id": "", "seq": 0}\n{"subject": "a"\n')
+        with pytest.raises(KGFormatError) as err:
+            KnowledgeGraph.load(str(path))
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("subject", 5), ("relation", None), ("object", ["b"]),
+        ("source_id", 7), ("seq", "first")])
+    def test_ill_typed_field_reports_line(self, tmp_path, field, value):
+        good = {"subject": "a", "relation": "r", "object": "b",
+                "source_id": "", "seq": 0}
+        path = tmp_path / "kg.jsonl"
+        path.write_text(json.dumps(good) + "\n"
+                        + json.dumps({**good, field: value}) + "\n")
         with pytest.raises(KGFormatError) as err:
             KnowledgeGraph.load(str(path))
         assert err.value.line == 2

@@ -8,7 +8,7 @@ from synth import carryover_world, tabled_world
 from verity.errors import GatewayHardError, TransportError
 from verity.gateway import (Gateway, PromptKind, RecordingBackend,
                             ReplayBackend, ScriptedBackend, request_hash)
-from verity.kg_store import KnowledgeGraph
+from verity.kg_store import KnowledgeGraph, Triple
 from verity.mcts import EngineConfig
 from verity.oracle import RuleBasedOracle
 from verity.run import (ClaimResult, format_cells, run_detection,
@@ -22,6 +22,13 @@ import pytest
 # as computed when each expansion still sent its requests one by one.
 SEQUENTIAL_DEEP_DIGEST = \
     "ca5102fbe0295d51c348583549441385538c986fd6a811f74edbc07f9d72c62a"
+
+
+def from_scratch(graph):
+    """sha256 of the graph's lines, serialized independently of kg_store."""
+    lines = [json.dumps(t.as_record(), ensure_ascii=False, sort_keys=True)
+             for t in graph.triples]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 def small_config(**overrides):
@@ -138,11 +145,6 @@ class TestRunDetection:
         assert os.listdir(tmp_path) == ["run.jsonl"]
 
     def test_kg_digests_equal_from_scratch_sha256(self):
-        def from_scratch(graph):
-            lines = [json.dumps(t.as_record(), ensure_ascii=False,
-                                sort_keys=True) for t in graph.triples]
-            return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-
         table, items = tabled_world(num_real=3, num_fake=1)
         gateway = Gateway(RuleBasedOracle(table))
         base = KnowledgeGraph()
@@ -156,6 +158,27 @@ class TestRunDetection:
                                           gateway, updates=False)
         assert again.kg_before == record.kg_after
         assert again.kg_after == from_scratch(regrown) == record.kg_after
+
+    def test_reused_input_graph_is_hashed_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "kg.jsonl"
+        seed = KnowledgeGraph()
+        for i in range(50):
+            seed.add(f"Zoë {i}", "lives in", f"Köln {i % 7}", "seed")
+        seed.save(str(path))
+        loaded = KnowledgeGraph.load(str(path))
+        table, items = tabled_world(num_real=2, num_fake=1)
+        gateway = Gateway(RuleBasedOracle(table))
+        first, _, _ = run_detection(items, loaded, small_config(), gateway)
+        inputs = {id(t) for t in loaded.triples}
+        serialized = []
+        real = Triple.canonical_line
+        monkeypatch.setattr(Triple, "canonical_line",
+                            lambda t: serialized.append(id(t)) or real(t))
+        second, _, grown = run_detection(items, loaded, small_config(),
+                                         gateway)
+        assert len(grown) > len(loaded)
+        assert serialized and not inputs.intersection(serialized)
+        assert second.kg_before == first.kg_before == from_scratch(loaded)
 
     def test_replay_reproduces_run_byte_identical(self, tmp_path):
         table, items = tabled_world(num_real=3, num_fake=2)
