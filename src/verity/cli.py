@@ -45,6 +45,9 @@ def _load_config(path: str | None) -> dict:
     unknown = set(config) - set(CONFIG_KEYS)
     if unknown:
         raise VerityError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("model", "base_url"):
+        if not isinstance(config.get(key, ""), str):
+            raise VerityError(f"bad value for {key}: must be a string")
     return config
 
 

@@ -80,6 +80,9 @@ def load_dataset(path: str, fmt: str = "native") -> LoadReport:
         claim = record.get("claim", "")
         if not isinstance(claim, str) or not claim.strip():
             raise DatasetError(path, lineno, "missing or empty claim")
+        group = record.get("group")
+        if group is not None and not isinstance(group, str):
+            raise DatasetError(path, lineno, "group must be a string")
         try:
             gold = None
             if record.get("label") is not None:
@@ -95,7 +98,7 @@ def load_dataset(path: str, fmt: str = "native") -> LoadReport:
             claim=claim,
             gold=gold,
             evidence=evidence,
-            group=record.get("group"),
+            group=group,
         ))
     return LoadReport(items, dropped)
 

@@ -311,18 +311,17 @@ class Gateway:
     never share a parsed value. Against a live endpoint this means a
     repeated request reuses the first answer instead of sampling a new one.
 
-    ``complete_all`` sends the distinct misses of a batch to the backend
-    together: the first on the calling thread, the rest on a pool of at most
-    ``MAX_IN_FLIGHT - 1`` worker threads, created on first need and stopped
-    by ``close`` (or when the Gateway is discarded). Workers run only the
-    backend call with its pacing and transport retries; counting, the memo
-    and parsing stay on the calling thread, in request order. A Gateway
-    therefore serves one calling thread at a time. ``min_interval`` spaces
-    backend calls across all threads.
+    ``complete_all`` takes a batch of distinct requests and sends its memo
+    misses to the backend together: the first on the calling thread, the
+    rest on a pool of at most ``MAX_IN_FLIGHT - 1`` worker threads, created
+    on first need and stopped by ``close`` (or when the Gateway is
+    discarded). Workers run only the backend call with its pacing and
+    transport retries; counting, the memo and parsing stay on the calling
+    thread, in request order. A Gateway therefore serves one calling thread
+    at a time. ``min_interval`` spaces backend calls across all threads.
 
     ``call_counts`` counts calls that reached the backend, by kind;
-    ``memo_hits`` counts answers that did not: from the memo, or from an
-    identical request earlier in the same batch.
+    ``memo_hits`` counts answers served from the memo.
     """
 
     def __init__(self, backend: Backend, max_retries: int = 3,
@@ -403,30 +402,21 @@ class Gateway:
         return self.complete_all([req])[0]
 
     def complete_all(self, reqs: Sequence[LLMRequest]) -> list[LLMResponse]:
-        """Responses to ``reqs``, in order, with the backend calls overlapped.
+        """Responses to distinct ``reqs``, in order, backend calls overlapped.
 
         Against a deterministic backend this returns and counts what
-        completing the requests one by one would, except that an identical
-        request later in the batch is answered by the first one even when
-        its output did not parse. If a backend call fails, the calls that
+        completing the requests one by one would. A request repeated within
+        the batch raises ``ValidationError``: a caller that needs one answer
+        several times asks once. If a backend call fails, the calls that
         succeeded are still counted and memoized, then the first failure in
         request order is raised.
         """
         prompts = [render_prompt(req) for req in reqs]
         keys = [(request_hash(req, prompt), req.seed)
                 for req, prompt in zip(reqs, prompts)]
-        # Each request is answered by memo text (str), or by the miss at an
-        # index (int): its own when it is sent, an earlier one when folded.
-        sources: list = []
-        first: dict[tuple[str, int], int] = {}
-        misses: list[int] = []
-        for i, key in enumerate(keys):
-            if key in self._memo:
-                sources.append(self._memo[key])
-            else:
-                sources.append(first.setdefault(key, i))
-                if sources[i] == i:
-                    misses.append(i)
+        if len(set(keys)) < len(keys):
+            raise ValidationError("complete_all needs distinct requests")
+        misses = [i for i, key in enumerate(keys) if key not in self._memo]
         outcomes = self._send([(reqs[i], prompts[i]) for i in misses]) \
             if misses else []
         sent: dict[int, LLMResponse] = {}
@@ -443,11 +433,10 @@ class Gateway:
         if error is not None:
             raise error
         out: list[LLMResponse] = []
-        for i, (req, source) in enumerate(zip(reqs, sources)):
-            if source == i:
+        for i, (req, key) in enumerate(zip(reqs, keys)):
+            if i in sent:
                 out.append(sent[i])
-                continue
-            self.memo_hits[req.kind] += 1
-            raw = source if isinstance(source, str) else sent[source].raw
-            out.append(_parse_payload(req.kind, raw))
+            else:
+                self.memo_hits[req.kind] += 1
+                out.append(_parse_payload(req.kind, self._memo[key]))
         return out

@@ -82,7 +82,7 @@ def extract_entities(doc: SourceDocument, gateway: Gateway) -> list[Entity]:
 
 def extract_entity_relations(doc: SourceDocument, entities: list[Entity],
                              gateway: Gateway) -> tuple[list[Triple], int]:
-    """Relation triples between the supplied entities.
+    """Relation triples between the supplied entities, repeats included.
 
     Triples referencing entities outside the list are dropped; the second
     return value counts the drops (plus malformed output lines).
@@ -92,7 +92,6 @@ def extract_entity_relations(doc: SourceDocument, entities: list[Entity],
     allowed = {e.key for e in entities}
     entity_list = ", ".join(e.surface for e in entities)
     triples: list[Triple] = []
-    seen: set[tuple[str, str, str]] = set()
     dropped = 0
     for chunk in _chunks(doc.body):
         resp = gateway.complete(LLMRequest(
@@ -104,9 +103,6 @@ def extract_entity_relations(doc: SourceDocument, entities: list[Entity],
             if triple.subject.key not in allowed or triple.object.key not in allowed:
                 dropped += 1
                 continue
-            if triple.identity in seen:
-                continue
-            seen.add(triple.identity)
             triples.append(triple)
     if dropped:
         log.warning("doc %s: dropped %d relation triples", doc.id, dropped)
@@ -115,27 +111,23 @@ def extract_entity_relations(doc: SourceDocument, entities: list[Entity],
 
 def extract_event_triples(doc: SourceDocument,
                           gateway: Gateway) -> tuple[list[Triple], int]:
-    """Event triples whose endpoints may be multi-word phrases."""
+    """Event triples, repeats included; endpoints may be multi-word phrases."""
     if not doc.body.strip():
         return [], 0
     triples: list[Triple] = []
-    seen: set[tuple[str, str, str]] = set()
     malformed = 0
     for chunk in _chunks(doc.body):
         resp = gateway.complete(LLMRequest(PromptKind.EXTRACT_EVENT_TRIPLES,
                                            {"document": chunk}))
         malformed += resp.warnings
-        for s, r, o in resp.parsed or []:
-            triple = Triple(Entity(s), r, Entity(o), source_id=doc.id)
-            if triple.identity not in seen:
-                seen.add(triple.identity)
-                triples.append(triple)
+        triples += [Triple(Entity(s), r, Entity(o), source_id=doc.id)
+                    for s, r, o in resp.parsed or []]
     return triples, malformed
 
 
 def extract_document(doc: SourceDocument,
                      gateway: Gateway) -> tuple[list[Triple], int]:
-    """Run both extraction modes over one document."""
+    """Run both extraction modes over one document; keep each triple's first."""
     entities = extract_entities(doc, gateway)
     triples: list[Triple] = []
     dropped = 0

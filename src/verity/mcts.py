@@ -45,7 +45,6 @@ class SearchNode:
     v: int = 0
     children: list[int] = field(default_factory=list)
     verdict: Optional[Verdict] = None
-    terminal: bool = False
 
 
 @dataclass
@@ -84,12 +83,11 @@ class SearchTree:
         self.config = config
         self.nodes: list[SearchNode] = [
             SearchNode(id=0, parent=None, action=None, text=claim, depth=0)]
-        self.root_id = 0
         self.completed_paths: list[ReasoningPath] = []
 
     @property
     def root(self) -> SearchNode:
-        return self.nodes[self.root_id]
+        return self.nodes[0]
 
     def node(self, node_id: int) -> SearchNode:
         return self.nodes[node_id]
@@ -114,7 +112,7 @@ class SearchTree:
 
 def legal_actions(tree: SearchTree, node: SearchNode) -> set[ActionKind]:
     """Action precedence: A2 after A1; A3 after the root or A2."""
-    if node.terminal or node.depth >= tree.config.h:
+    if node.depth >= tree.config.h:
         return set()
     if node.action is None:
         base = {ActionKind.A1, ActionKind.A3}
@@ -153,12 +151,8 @@ def expansion_kinds(tree: SearchTree, node: SearchNode) -> list[ActionKind]:
             if _child_count(tree, node, a) < tree.config.b]
 
 
-def has_capacity(tree: SearchTree, node: SearchNode) -> bool:
-    return bool(expansion_kinds(tree, node))
-
-
 def subtree_expandable(tree: SearchTree, node: SearchNode) -> bool:
-    if has_capacity(tree, node):
+    if expansion_kinds(tree, node):
         return True
     return any(subtree_expandable(tree, tree.node(cid)) for cid in node.children)
 
@@ -171,7 +165,7 @@ def select(tree: SearchTree, rng: random.Random) -> Optional[SearchNode]:
     """
     node = tree.root
     while True:
-        if has_capacity(tree, node):
+        if expansion_kinds(tree, node):
             return node
         options = [tree.node(cid) for cid in node.children
                    if subtree_expandable(tree, tree.node(cid))]
@@ -201,7 +195,7 @@ def backpropagate(tree: SearchTree, leaf: SearchNode) -> None:
     reward = path_reward(p_major, p_minor)
     agrees = counts[leaf.verdict] == p_major
     for node in tree.path_to(leaf):
-        if agrees and node.id != tree.root_id:
+        if agrees and node.parent is not None:
             node.q += reward
         node.v += 1
 
@@ -232,7 +226,6 @@ class SearchEngine:
     def _complete_leaf(self, tree: SearchTree, leaf: SearchNode,
                        verdict: Verdict) -> None:
         leaf.verdict = verdict
-        leaf.terminal = True
         chain = tree.path_to(leaf)
         tree.completed_paths.append(ReasoningPath(
             steps=[(n.action, n.text) for n in chain if n.action is not None],
@@ -254,11 +247,12 @@ class SearchEngine:
 
     def expand(self, tree: SearchTree, node: SearchNode,
                graph: KnowledgeGraph) -> list[SearchNode]:
-        """Add the missing siblings of one action under ``node``.
+        """Add the missing children of one action under ``node``.
 
-        The siblings' model requests go to the gateway as one batch, so
-        they are in flight together; children are attached, and leaves
-        completed, in branch order afterwards.
+        Only the A1 prompt has a ``branch`` slot, so an A1 expansion asks
+        once per missing child, with the requests in flight together, and an
+        A2 or A3 expansion asks once and gives the answer to every missing
+        child. Children are attached, and leaves completed, in branch order.
         """
         kinds = expansion_kinds(tree, node)
         if not kinds:
@@ -267,14 +261,6 @@ class SearchEngine:
                      key=lambda a: (_child_count(tree, node, a), _ACTION_ORDER[a]))
         parent_path = tree.path_to(node)
         branches = range(_child_count(tree, node, action), tree.config.b)
-        created: list[SearchNode] = []
-        if action == ActionKind.A3:
-            reqs = [self._verdict_request(tree, parent_path)] * len(branches)
-            for resp in self.gateway.complete_all(reqs):
-                child = tree.add_child(node, ActionKind.A3, resp.raw)
-                self._complete_leaf(tree, child, self._verdict(resp))
-                created.append(child)
-            return created
         transcript = _render_transcript(parent_path)
         if action == ActionKind.A1:
             reqs = [LLMRequest(PromptKind.GENERATE_SUBQUESTION, {
@@ -282,9 +268,8 @@ class SearchEngine:
                 "transcript": transcript,
                 "branch": str(branch),
             }, seed=self.config.seed) for branch in branches]
-        else:
-            # A2 answers with retrieved knowledge in context. One retrieval
-            # serves every sibling: the question is the same.
+        elif action == ActionKind.A2:
+            # A2 answers with retrieved knowledge in context.
             result = retrieve_context(node.text, graph, self.config.top_k,
                                       self.gateway)
             reqs = [LLMRequest(PromptKind.ANSWER_SUBQUESTION, {
@@ -292,24 +277,32 @@ class SearchEngine:
                 "transcript": transcript,
                 "triples": render_triples(result.selected),
                 "question": node.text,
-            }, seed=self.config.seed)] * len(branches)
+            }, seed=self.config.seed)]
+        else:
+            reqs = [self._verdict_request(tree, parent_path)]
         resps = self.gateway.complete_all(reqs)
-        # One retry for unparseable generations, then give up on the child.
-        failed = [i for i, resp in enumerate(resps) if not resp.parse_ok]
-        if failed:
-            retried = self.gateway.complete_all([reqs[i] for i in failed])
-            for i, resp in zip(failed, retried):
-                resps[i] = resp
+        if action != ActionKind.A3:
+            # One retry for unparseable generations, then give up on the child.
+            failed = [i for i, resp in enumerate(resps) if not resp.parse_ok]
+            if failed:
+                retried = self.gateway.complete_all([reqs[i] for i in failed])
+                for i, resp in zip(failed, retried):
+                    resps[i] = resp
+        created: list[SearchNode] = []
         for resp in resps:
-            if not resp.parse_ok:
+            if action != ActionKind.A3 and not resp.parse_ok:
                 continue
-            child = tree.add_child(node, action, resp.parsed)
-            created.append(child)
-            if child.depth == tree.config.h:
-                # Forced termination: a depth-limit child carries a verdict.
-                answer = self.gateway.complete(
-                    self._verdict_request(tree, tree.path_to(child)))
-                self._complete_leaf(tree, child, self._verdict(answer))
+            text = resp.raw if action == ActionKind.A3 else resp.parsed
+            for _ in range(1 if action == ActionKind.A1 else len(branches)):
+                child = tree.add_child(node, action, text)
+                created.append(child)
+                if action == ActionKind.A3:
+                    self._complete_leaf(tree, child, self._verdict(resp))
+                elif child.depth == tree.config.h:
+                    # Forced termination: a depth-limit child carries a verdict.
+                    answer = self.gateway.complete(
+                        self._verdict_request(tree, tree.path_to(child)))
+                    self._complete_leaf(tree, child, self._verdict(answer))
         return created
 
     def search(self, claim: str, graph: KnowledgeGraph,

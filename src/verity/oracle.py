@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from .errors import ValidationError
 from .gateway import LLMRequest, PromptKind
 from .jsonl import read_object
 from .kg_store import normalize_entity
@@ -23,6 +24,22 @@ _QUESTION_PREFIX = re.compile(r"^\s*is it true that\s+", re.IGNORECASE)
 def _norm_fact(fact: Fact) -> Fact:
     return (normalize_entity(fact[0]), normalize_entity(fact[1]),
             normalize_entity(fact[2]))
+
+
+def _field(data: dict, name: str) -> list:
+    """Fact-table field ``name``: strings, or 3-string lists for the facts."""
+    value = data.get(name, [])
+    triples = name.endswith("facts")
+    rows = value if isinstance(value, list) else [None]
+    if triples:
+        ok = all(isinstance(row, list) and len(row) == 3
+                 and all(isinstance(part, str) for part in row) for row in rows)
+    else:
+        ok = all(isinstance(row, str) for row in rows)
+    if not ok:
+        shape = "3-string lists" if triples else "strings"
+        raise ValidationError(f"fact table field {name!r} must be a list of {shape}")
+    return [tuple(row) for row in value] if triples else list(value)
 
 
 def _contains_phrase(text_norm: str, phrase_key: str) -> bool:
@@ -52,17 +69,16 @@ class FactTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FactTable":
-        return cls(
-            entities=list(data.get("entities", [])),
-            facts=[tuple(f) for f in data.get("facts", [])],
-            extraction_facts=[tuple(f) for f in data.get("extraction_facts", [])],
-            event_facts=[tuple(f) for f in data.get("event_facts", [])],
-            relations=list(data.get("relations", [])),
-        )
+        """Table from a JSON object; an ill-typed field raises ValidationError."""
+        return cls(**{name: _field(data, name) for name in (
+            "entities", "facts", "extraction_facts", "event_facts", "relations")})
 
     @classmethod
     def from_path(cls, path: str) -> "FactTable":
-        return cls.from_dict(read_object(path))
+        try:
+            return cls.from_dict(read_object(path))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
     def fact_identities(self) -> set[Fact]:
         return {_norm_fact(f) for f in self.facts}

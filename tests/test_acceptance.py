@@ -33,8 +33,7 @@ def test_criterion_01_uct_oracle_equivalence():
         nchildren = rng.randrange(2, 8)
         tree = make_tree(b=nchildren)
         for _ in range(nchildren):
-            leaf = tree.add_child(tree.root, ActionKind.A3, "v")
-            leaf.terminal = True
+            tree.add_child(tree.root, ActionKind.A3, "v")
         children = []
         for i in range(nchildren):
             child = tree.add_child(tree.root, ActionKind.A1, f"q{i}")

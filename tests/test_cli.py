@@ -292,3 +292,41 @@ class TestMalformedInput:
         code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
                      "--backend", "oracle", "--facts", str(facts)])
         self._assert_error(code, capsys, facts, 1)
+
+
+class TestIllTypedInput:
+    """An ill-typed field stops the command with one error line, exit 2."""
+
+    def _assert_error(self, code, capsys, *words):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(word in err for word in words)
+
+    def test_dataset_group_must_be_a_string(self, tmp_path, capsys):
+        facts, dataset, _ = TestDetect()._setup(tmp_path)
+        lines = dataset.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["group"] = ["g"]
+        lines[1] = json.dumps(record)
+        dataset.write_text("\n".join(lines) + "\n")
+        code = main(["sequential-run", "--dataset", str(dataset),
+                     "--subsets", "2", "--backend", "oracle",
+                     "--facts", str(facts), "--n", "3", "--height", "3"])
+        self._assert_error(code, capsys, f"{dataset} line 2: ", "group")
+
+    def test_fact_table_fields_must_be_lists(self, tmp_path, capsys):
+        _, dataset, kg = TestDetect()._setup(tmp_path)
+        facts = tmp_path / "facts.json"
+        facts.write_text('{"facts": 5}')
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--backend", "oracle", "--facts", str(facts)])
+        self._assert_error(code, capsys, str(facts), "'facts'")
+
+    def test_config_base_url_must_be_a_string(self, tmp_path, capsys):
+        _, dataset, kg = TestDetect()._setup(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text('{"base_url": 7}')
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--config", str(config)])
+        self._assert_error(code, capsys, "base_url")

@@ -391,29 +391,28 @@ class TestCompleteAll:
         assert [r.parsed for r in resps] == ["Q0 of c?", "Q1 of c?", "Q2 of c?"]
         assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
 
-    def test_identical_requests_reach_backend_once(self):
+    def test_repeated_request_in_batch_is_rejected(self):
         prompts = []
-        lock = threading.Lock()
-
-        def record(req, prompt):
-            with lock:
-                prompts.append(prompt)
-            return _echo_branch(req, prompt)
-
-        gw = Gateway(ScriptedBackend(record))
-        reqs = [_subquestion(0), _subquestion(1), _subquestion(0),
-                _subquestion(0)]
-        resps = gw.complete_all(reqs)
+        gw = Gateway(ScriptedBackend(lambda r, p: prompts.append(p) or
+                                     _echo_branch(r, p)))
+        with pytest.raises(ValidationError, match="distinct"):
+            gw.complete_all([_subquestion(0), _subquestion(1),
+                             _subquestion(0)])
+        assert prompts == []
+        assert sum(gw.call_counts.values()) == sum(gw.memo_hits.values()) == 0
+        # A memoized request may come back in a later batch, once.
+        gw.complete(_subquestion(0))
+        resps = gw.complete_all([_subquestion(0), _subquestion(1)])
         gw.close()
-        assert len(prompts) == 2 == len(set(prompts))
-        assert [r.parsed for r in resps] == \
-            ["Q0 of c?", "Q1 of c?", "Q0 of c?", "Q0 of c?"]
-        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 2
-        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 2
-        # A later batch is answered from the memo.
-        gw.complete_all(reqs)
+        assert [r.parsed for r in resps] == ["Q0 of c?", "Q1 of c?"]
         assert len(prompts) == 2
-        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 6
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 2
+        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 1
+        # The seed is part of a request's identity.
+        seeded = LLMRequest(PromptKind.GENERATE_SUBQUESTION,
+                            _subquestion(0).context, seed=1)
+        gw.complete_all([_subquestion(0), seeded])
+        assert len(prompts) == 3
 
     def test_responses_come_back_in_request_order(self):
         def slow_first(req, prompt):
@@ -446,8 +445,8 @@ class TestCompleteAll:
         before = set(threading.enumerate())
         gw = Gateway(ScriptedBackend(_echo_branch))
         gw.complete_all([_subquestion(0)])
-        # Identical requests fold into one miss; memo hits send nothing.
-        gw.complete_all([_subquestion(1)] * 3)
+        gw.complete_all([_subquestion(1)])
+        # Memo hits send nothing.
         gw.complete_all([_subquestion(0), _subquestion(1)])
         assert gw._pool is None
         assert set(threading.enumerate()) <= before
@@ -494,10 +493,9 @@ class TestCompleteAll:
             deadline = time.monotonic() + 1.0
             batch = 0
             while time.monotonic() < deadline:
-                # Half of each batch repeats the previous batch's requests,
-                # and every request appears twice within its batch.
+                # Half of each batch repeats the previous batch's requests.
                 reqs = [_subquestion(b - b % 2, claim=str(batch - b % 2))
-                        for b in range(width)] * 2
+                        for b in range(width)]
                 resps = gw.complete_all(reqs)
                 assert [r.parsed for r in resps] == \
                     [_echo_branch(r, "") for r in reqs]

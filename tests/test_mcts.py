@@ -5,7 +5,8 @@ import pytest
 
 from synth import tabled_world
 from verity.errors import ValidationError
-from verity.gateway import Gateway
+from verity.gateway import (Gateway, PromptKind, ScriptedBackend,
+                            request_hash)
 from verity.kg_store import KnowledgeGraph
 from verity.mcts import (ActionKind, EngineConfig, ReasoningPath, SearchEngine,
                          SearchTree, backpropagate, legal_actions,
@@ -37,7 +38,6 @@ class TestLegalActions:
     def test_a3_terminal(self):
         tree = make_tree()
         a3 = tree.add_child(tree.root, ActionKind.A3, "v")
-        a3.terminal = True
         assert legal_actions(tree, a3) == set()
 
     def test_depth_limit_restricts_to_a3(self):
@@ -107,7 +107,6 @@ class TestBackpropagate:
         leaves = []
         for verdict in verdicts:
             leaf = tree.add_child(a2, ActionKind.A3, "v")
-            leaf.terminal = True
             leaf.verdict = verdict
             leaves.append(leaf)
         return tree, a1, a2, leaves
@@ -154,9 +153,7 @@ class TestSelect:
     def test_unvisited_child_preferred(self):
         tree2 = make_tree(b=2)
         a3a = tree2.add_child(tree2.root, ActionKind.A3, "v")
-        a3a.terminal = True
         a3b = tree2.add_child(tree2.root, ActionKind.A3, "v")
-        a3b.terminal = True
         visited = tree2.add_child(tree2.root, ActionKind.A1, "q1")
         visited.v = 3
         unvisited = tree2.add_child(tree2.root, ActionKind.A1, "q2")
@@ -166,8 +163,7 @@ class TestSelect:
     def test_uct_argmax_used_when_all_visited(self):
         tree = make_tree(b=2)
         for _ in range(2):
-            leaf = tree.add_child(tree.root, ActionKind.A3, "v")
-            leaf.terminal = True
+            tree.add_child(tree.root, ActionKind.A3, "v")
         strong = tree.add_child(tree.root, ActionKind.A1, "q1")
         strong.q, strong.v = 9.0, 4   # uct ~ 2.25 + bonus
         weak = tree.add_child(tree.root, ActionKind.A1, "q2")
@@ -181,8 +177,7 @@ class TestSelect:
             nchildren = rng.randrange(2, 7)
             tree = make_tree(b=nchildren)
             for _ in range(nchildren):
-                leaf = tree.add_child(tree.root, ActionKind.A3, "v")
-                leaf.terminal = True
+                tree.add_child(tree.root, ActionKind.A3, "v")
             children = []
             for i in range(nchildren):
                 child = tree.add_child(tree.root, ActionKind.A1, f"q{i}")
@@ -207,7 +202,7 @@ def structural_check(tree, config):
             assert parent.action in (None, ActionKind.A2)
             assert not node.children
         if node.verdict is not None:
-            assert node.terminal and not node.children
+            assert not node.children
     # visit accounting: v equals completed paths through the node
     through = {n.id: 0 for n in tree.nodes}
     for path in tree.completed_paths:
@@ -289,3 +284,74 @@ class TestSearch:
         engine = SearchEngine(gateway)
         with pytest.raises(ValidationError):
             engine.search("  ", KnowledgeGraph())
+
+
+class TestExpand:
+    """Only A1 requests carry a branch; A2 and A3 children share one answer."""
+
+    def _engine(self, answer=None, b=3):
+        """Engine over the oracle; ``answer(req)`` may override a reply."""
+        table, items = tabled_world(3, 3)
+        oracle = RuleBasedOracle(table)
+        sent = []
+
+        def reply(req, prompt):
+            sent.append(req.kind)
+            text = answer(req) if answer else None
+            return oracle.generate(req, prompt) if text is None else text
+
+        engine = SearchEngine(Gateway(ScriptedBackend(reply)),
+                              EngineConfig(n=20, h=9, b=b))
+        return engine, items, sent
+
+    def test_search_batches_hold_distinct_requests(self):
+        engine, items, _ = self._engine()
+        batches = []
+        complete_all = engine.gateway.complete_all
+
+        def spy(reqs):
+            batches.append(list(reqs))
+            return complete_all(reqs)
+
+        engine.gateway.complete_all = spy
+        for item in items:
+            _, _, tree = engine.search(item.claim, KnowledgeGraph(),
+                                       claim_id=item.id)
+            structural_check(tree, engine.config)
+        engine.gateway.close()
+        for batch in batches:
+            hashes = [request_hash(r) for r in batch]
+            assert len(set(hashes)) == len(hashes)
+            if {r.kind for r in batch} & {PromptKind.ANSWER_SUBQUESTION,
+                                          PromptKind.FINAL_VERDICT}:
+                assert len(batch) == 1
+        kinds = [r.kind for batch in batches for r in batch]
+        assert kinds.count(PromptKind.ANSWER_SUBQUESTION) > 0
+        assert kinds.count(PromptKind.FINAL_VERDICT) > 0
+        assert max(len(batch) for batch in batches) == 3
+
+    def test_unparseable_answer_is_retried_once_and_adds_no_child(self):
+        engine, items, sent = self._engine(
+            lambda req: "  " if req.kind is PromptKind.ANSWER_SUBQUESTION
+            else None)
+        tree = SearchTree(items[0].claim, engine.config)
+        a1 = tree.add_child(tree.root, ActionKind.A1,
+                            "Is it true that Alpha0 commanded Gamma0?")
+        assert engine.expand(tree, a1, KnowledgeGraph()) == []
+        assert sent.count(PromptKind.ANSWER_SUBQUESTION) == 2
+        assert a1.children == []
+        assert engine.gateway.memo_hits[PromptKind.ANSWER_SUBQUESTION] == 0
+
+    def test_unparseable_verdict_gives_every_child_fake(self):
+        engine, items, sent = self._engine(
+            lambda req: "no verdict" if req.kind is PromptKind.FINAL_VERDICT
+            else None)
+        tree = SearchTree(items[0].claim, engine.config)
+        for i in range(3):
+            tree.add_child(tree.root, ActionKind.A1, f"q{i}")
+        leaves = engine.expand(tree, tree.root, KnowledgeGraph())
+        assert sent == [PromptKind.FINAL_VERDICT]
+        assert [leaf.action for leaf in leaves] == [ActionKind.A3] * 3
+        assert [leaf.verdict for leaf in leaves] == [Verdict.FAKE] * 3
+        assert [p.verdict for p in tree.completed_paths] == [Verdict.FAKE] * 3
+        assert engine.gateway.memo_hits[PromptKind.FINAL_VERDICT] == 0

@@ -1,8 +1,12 @@
+import functools
 import hashlib
 import json
 import os
+import threading
 import time
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from synth import carryover_world, tabled_world
 
 from verity.errors import GatewayHardError, TransportError
@@ -261,6 +265,112 @@ class TestRunDetection:
         replayed.close()
         assert rec2.digest() == SEQUENTIAL_DEEP_DIGEST
         assert replayed.call_counts == recording.call_counts
+
+
+# Faults a backend call may meet; "garbage" is text no parser accepts.
+FAULTS = ("transport", "hard", "garbage")
+
+
+def _fault_world():
+    """tabled_world(2, 2) and a seed graph with enough one-hop neighbours
+    of each claim that retrieval asks the model to rank them."""
+    table, items = tabled_world(num_real=2, num_fake=2)
+    graph = KnowledgeGraph()
+    for i in range(2):
+        for j in range(6):
+            graph.add(f"Alpha{i}", "visited", f"Town{j}", "seed")
+    return table, items, graph
+
+
+@functools.cache
+def _fault_free_results() -> tuple[str, ...]:
+    table, items, graph = _fault_world()
+    gateway = Gateway(RuleBasedOracle(table))
+    record, _, _ = run_detection(items, graph, small_config(n=20, h=9, b=3),
+                                 gateway, updates=False)
+    gateway.close()
+    return tuple(json.dumps(r.as_record(), sort_keys=True)
+                 for r in record.results)
+
+
+class FaultyOracle:
+    """The oracle behind injected faults, and the claims each fault hit.
+
+    Whether a call fails depends only on the salt, the request and how often
+    that request was sent before, so a run is the same whatever order a
+    batch's calls finish in.
+    """
+
+    def __init__(self, table, salt: int, percent: int, kinds):
+        self.oracle = RuleBasedOracle(table)
+        self.salt, self.percent, self.kinds = salt, percent, kinds
+        self.sent: dict[str, int] = {}
+        self.hit: dict[str, set[str]] = {}
+        self.claim = ""
+        self._lock = threading.Lock()
+
+    def track(self, items):
+        """Iterate ``items``, noting which claim the calls belong to."""
+        for item in items:
+            self.claim = item.id
+            yield item
+
+    def generate(self, req, prompt):
+        key = request_hash(req, prompt)
+        with self._lock:
+            attempt = self.sent[key] = self.sent.get(key, -1) + 1
+        draw = hashlib.sha256(f"{self.salt}:{key}:{attempt}".encode()).digest()
+        if draw[0] * 100 < self.percent * 256:
+            fault = self.kinds[draw[1] % len(self.kinds)]
+            with self._lock:
+                self.hit.setdefault(fault, set()).add(self.claim)
+            if fault == "transport":
+                raise TransportError("injected")
+            if fault == "hard":
+                raise GatewayHardError("injected")
+            return " \n "
+        return self.oracle.generate(req, prompt)
+
+
+class TestFaultInjection:
+    @settings(max_examples=30, deadline=None)
+    @given(salt=st.integers(0, 2**32), percent=st.integers(0, 25),
+           kinds=st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3,
+                          unique=True),
+           updates=st.booleans())
+    def test_faults_stay_with_their_claims(self, salt, percent, kinds,
+                                           updates):
+        table, items, graph = _fault_world()
+        before = [t.canonical_line() for t in graph.triples]
+        backend = FaultyOracle(table, salt, percent, kinds)
+        gateway = Gateway(ScriptedBackend(backend.generate), max_retries=1,
+                          backoff=0.0)
+        record, _, grown = run_detection(backend.track(items), graph,
+                                         small_config(n=20, h=9, b=3),
+                                         gateway, updates=updates)
+        gateway.close()
+        failed = {r.id for r in record.results if r.error is not None}
+        assert record.exclusions == len(failed)
+        # A hard fault ends its claim; only hard and transport faults do.
+        hit = backend.hit
+        assert hit.get("hard", set()) <= failed
+        assert failed <= hit.get("hard", set()) | hit.get("transport", set())
+        # The input graph is untouched, and the output only grows.
+        assert [t.canonical_line() for t in graph.triples] == before
+        assert record.kg_before == graph.content_digest()
+        after = [t.canonical_line() for t in grown.triples]
+        assert after[:len(before)] == before
+        assert len(after) - len(before) == \
+            sum(len(r.triples_added) for r in record.results)
+        assert record.kg_after == grown.content_digest()
+        if updates:
+            return
+        assert after == before
+        # Without updates, a claim no fault reached decides as if none had.
+        touched = set().union(*hit.values())
+        for result, clean in zip(record.results, _fault_free_results()):
+            if result.id not in touched:
+                assert json.dumps(result.as_record(), sort_keys=True) == clean
 
 
 class TestRunSequential:
