@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands: build-kg, detect, evaluate, sequential-run, replay. Backend
-selection: live (chat-completion HTTP endpoint, API key from VERITY_API_KEY),
-replay (recorded transcript), or oracle (rule-based fact table).
+Subcommands: build-kg, detect, evaluate, sequential-run. Backend selection:
+live (chat-completion HTTP endpoint, API key from VERITY_API_KEY), replay
+(recorded transcript), or oracle (rule-based fact table).
 """
 
 from __future__ import annotations
@@ -70,13 +70,12 @@ def _engine_config(args, config: dict) -> EngineConfig:
 
 
 def _build_backend(args, config: dict):
-    backend_name = getattr(args, "backend", None) or "live"
-    if backend_name == "oracle":
-        if not getattr(args, "facts", None):
+    if args.backend == "oracle":
+        if not args.facts:
             raise VerityError("--facts is required with the oracle backend")
         backend = RuleBasedOracle(FactTable.from_path(args.facts))
-    elif backend_name == "replay":
-        if not getattr(args, "transcript", None):
+    elif args.backend == "replay":
+        if not args.transcript:
             raise VerityError("--transcript is required with the replay backend")
         backend = ReplayBackend.from_path(args.transcript)
     else:
@@ -86,7 +85,7 @@ def _build_backend(args, config: dict):
             api_key=os.environ.get(API_KEY_ENV, ""),
             **_given(config, {"timeout": ("timeout", float)}),
         )
-    if getattr(args, "record", None):
+    if args.record:
         backend = RecordingBackend(backend, args.record)
     return Gateway(backend, **_given(config, {
         "max_retries": ("max_retries", int),
@@ -177,19 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_args(p)
     _add_engine_args(p)
 
-    p = commands.add_parser("replay", help="detect with a recorded transcript")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--format", choices=("native", "hover", "feverous"),
-                   default="native")
-    p.add_argument("--kg", required=True)
-    p.add_argument("--updates", choices=("on", "off"), default="on")
-    p.add_argument("--transcript", required=True)
-    p.add_argument("--out")
-    p.add_argument("--kg-out")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    _add_engine_args(p)
-
     return parser
 
 
@@ -266,17 +252,11 @@ def _cmd_sequential(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "replay":
-        args.backend = "replay"
-        args.facts = None
-        args.record = None
-        args.metrics_out = None
     handler = {
         "build-kg": _cmd_build_kg,
         "detect": _cmd_detect,
         "evaluate": _cmd_evaluate,
         "sequential-run": _cmd_sequential,
-        "replay": _cmd_detect,
     }[args.command]
     try:
         return handler(args)

@@ -85,9 +85,11 @@ def render_prompt(req: LLMRequest) -> str:
 
 
 def request_hash(req: LLMRequest, prompt: Optional[str] = None) -> str:
+    """Memo and transcript key: a hash of the kind, seed and prompt."""
     if prompt is None:
         prompt = render_prompt(req)
-    return hashlib.sha256((req.kind.value + "\x00" + prompt).encode("utf-8")).hexdigest()
+    text = f"{req.kind.value}\x00{req.seed}\x00{prompt}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -244,53 +246,60 @@ class ScriptedBackend:
 
 
 class ReplayBackend:
-    """Replays recorded responses keyed by request hash; misses are fatal."""
+    """Replays recorded responses by request hash; misses are fatal.
 
-    def __init__(self, records: dict[str, str]):
+    A hash's answers are served in recorded order, then the last repeats,
+    so one transcript can serve several runs.
+    """
+
+    def __init__(self, records: dict[str, list[str]]):
         self._records = records
 
     @classmethod
     def from_path(cls, path: str) -> "ReplayBackend":
-        records: dict[str, str] = {}
+        records: dict[str, list[str]] = {}
         for lineno, record in read_records(path):
             key, response = record.get("hash"), record.get("response")
             if not isinstance(key, str) or not isinstance(response, str):
                 raise FormatError(path, lineno, "needs a string hash and response")
-            records[key] = response
+            records.setdefault(key, []).append(response)
         return cls(records)
 
     def generate(self, req: LLMRequest, prompt: str) -> str:
         key = request_hash(req, prompt)
-        if key not in self._records:
+        answers = self._records.get(key)
+        if not answers:
             raise ReplayMissError(f"no recorded response for {req.kind.value} "
                                   f"request {key[:12]}")
-        return self._records[key]
+        return answers.pop(0) if len(answers) > 1 else answers[0]
 
 
 class RecordingBackend:
-    """Wraps another backend and appends a transcript record per unique request."""
+    """Wraps another backend and appends a transcript line per answer it gives.
+
+    A request asked again, because its answer did not parse, gets a line
+    per answer in call order, since a Gateway never has one request in
+    flight twice; ``ReplayBackend`` serves them back in that order.
+    """
 
     def __init__(self, inner: Backend, path: str):
         self.inner = inner
         self.path = path
-        self._seen: set[str] = set()
         self._lock = threading.Lock()
-        # Start the transcript empty; each new record is appended.
+        # Start the transcript empty; each answer is appended.
         write_lines(path, ())
 
     def generate(self, req: LLMRequest, prompt: str) -> str:
         response = self.inner.generate(req, prompt)
         key = request_hash(req, prompt)
         with self._lock:
-            if key not in self._seen:
-                self._seen.add(key)
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps({
-                        "hash": key,
-                        "kind": req.kind.value,
-                        "prompt": prompt,
-                        "response": response,
-                    }, ensure_ascii=False) + "\n")
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps({
+                    "hash": key,
+                    "kind": req.kind.value,
+                    "prompt": prompt,
+                    "response": response,
+                }, ensure_ascii=False) + "\n")
         return response
 
 
@@ -304,7 +313,9 @@ class Gateway:
     """Front door for model requests: render, pace, retry, memoize, parse.
 
     Every request is sent at temperature 0, and responses are memoized for
-    the life of the Gateway, keyed by request hash and seed. Only a raw
+    the life of the Gateway, keyed by ``request_hash``, which covers the
+    kind, the seed and the prompt. The memo is the only dedup: backends,
+    the recorder included, see every call that misses it. Only a raw
     response that parsed is stored; transport errors, hard errors and
     unparseable outputs are not, so a caller's retry still reaches the
     backend. A repeat is parsed again from the stored raw text, so callers
@@ -335,7 +346,7 @@ class Gateway:
         # Jitter draws from its own generator: it moves timing, never outputs.
         self._jitter = random.Random()
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._memo: dict[tuple[str, int], str] = {}
+        self._memo: dict[str, str] = {}
         self.call_counts: dict[PromptKind, int] = {k: 0 for k in PromptKind}
         self.memo_hits: dict[PromptKind, int] = {k: 0 for k in PromptKind}
 
@@ -412,8 +423,7 @@ class Gateway:
         request order is raised.
         """
         prompts = [render_prompt(req) for req in reqs]
-        keys = [(request_hash(req, prompt), req.seed)
-                for req, prompt in zip(reqs, prompts)]
+        keys = [request_hash(req, prompt) for req, prompt in zip(reqs, prompts)]
         if len(set(keys)) < len(keys):
             raise ValidationError("complete_all needs distinct requests")
         misses = [i for i, key in enumerate(keys) if key not in self._memo]

@@ -30,7 +30,7 @@ class ActionKind(Enum):
     A3 = "verdict"
 
 
-# Tie order when choosing which legal action to expand next.
+# Order in which a node's legal actions are expanded.
 _ACTION_ORDER = {ActionKind.A1: 0, ActionKind.A2: 1, ActionKind.A3: 2}
 
 
@@ -45,6 +45,8 @@ class SearchNode:
     v: int = 0
     children: list[int] = field(default_factory=list)
     verdict: Optional[Verdict] = None
+    # Actions that have children here; each action is expanded once.
+    expanded: set[ActionKind] = field(default_factory=set)
 
 
 @dataclass
@@ -98,6 +100,7 @@ class SearchTree:
                            text=text, depth=parent.depth + 1)
         self.nodes.append(child)
         parent.children.append(child.id)
+        parent.expanded.add(action)
         return child
 
     def path_to(self, node: SearchNode) -> list[SearchNode]:
@@ -141,14 +144,9 @@ def path_reward(p_major: int, p_minor: int) -> float:
     return p_major / (p_major + p_minor)
 
 
-def _child_count(tree: SearchTree, node: SearchNode, action: ActionKind) -> int:
-    return sum(1 for cid in node.children if tree.node(cid).action == action)
-
-
-def expansion_kinds(tree: SearchTree, node: SearchNode) -> list[ActionKind]:
-    """Legal actions that still have unexpanded child capacity."""
-    return [a for a in legal_actions(tree, node)
-            if _child_count(tree, node, a) < tree.config.b]
+def expansion_kinds(tree: SearchTree, node: SearchNode) -> set[ActionKind]:
+    """Legal actions not yet expanded at ``node``."""
+    return legal_actions(tree, node) - node.expanded
 
 
 def subtree_expandable(tree: SearchTree, node: SearchNode) -> bool:
@@ -247,27 +245,29 @@ class SearchEngine:
 
     def expand(self, tree: SearchTree, node: SearchNode,
                graph: KnowledgeGraph) -> list[SearchNode]:
-        """Add the missing children of one action under ``node``.
+        """Add the ``b`` children of the first unexpanded action under ``node``.
 
         Only the A1 prompt has a ``branch`` slot, so an A1 expansion asks
-        once per missing child, with the requests in flight together, and an
-        A2 or A3 expansion asks once and gives the answer to every missing
-        child. Children are attached, and leaves completed, in branch order.
+        once per branch, with the requests in flight together, and an A2 or
+        A3 expansion asks once and gives the answer to all ``b`` children.
+        A2 children at the height limit share one forced verdict request.
+        An A1 branch or A2 answer that fails its one retry adds no child; an
+        action is marked expanded by its first child, so it is not asked
+        again unless every branch failed. Children are attached, and leaves
+        completed, in branch order.
         """
         kinds = expansion_kinds(tree, node)
         if not kinds:
             raise ValidationError("node has no expansion capacity")
-        action = min(kinds,
-                     key=lambda a: (_child_count(tree, node, a), _ACTION_ORDER[a]))
+        action = min(kinds, key=_ACTION_ORDER.__getitem__)
         parent_path = tree.path_to(node)
-        branches = range(_child_count(tree, node, action), tree.config.b)
         transcript = _render_transcript(parent_path)
         if action == ActionKind.A1:
             reqs = [LLMRequest(PromptKind.GENERATE_SUBQUESTION, {
                 "claim": tree.claim,
                 "transcript": transcript,
                 "branch": str(branch),
-            }, seed=self.config.seed) for branch in branches]
+            }, seed=self.config.seed) for branch in range(tree.config.b)]
         elif action == ActionKind.A2:
             # A2 answers with retrieved knowledge in context.
             result = retrieve_context(node.text, graph, self.config.top_k,
@@ -293,16 +293,20 @@ class SearchEngine:
             if action != ActionKind.A3 and not resp.parse_ok:
                 continue
             text = resp.raw if action == ActionKind.A3 else resp.parsed
-            for _ in range(1 if action == ActionKind.A1 else len(branches)):
-                child = tree.add_child(node, action, text)
-                created.append(child)
-                if action == ActionKind.A3:
-                    self._complete_leaf(tree, child, self._verdict(resp))
-                elif child.depth == tree.config.h:
-                    # Forced termination: a depth-limit child carries a verdict.
-                    answer = self.gateway.complete(
-                        self._verdict_request(tree, tree.path_to(child)))
-                    self._complete_leaf(tree, child, self._verdict(answer))
+            children = [tree.add_child(node, action, text) for _ in
+                        range(1 if action == ActionKind.A1 else tree.config.b)]
+            created += children
+            if action == ActionKind.A3:
+                verdict = self._verdict(resp)
+            elif node.depth + 1 == tree.config.h:
+                # Forced termination: depth-limit children carry a verdict,
+                # and the clones share one transcript, so they ask once.
+                verdict = self._verdict(self.gateway.complete(
+                    self._verdict_request(tree, tree.path_to(children[0]))))
+            else:
+                continue
+            for child in children:
+                self._complete_leaf(tree, child, verdict)
         return created
 
     def search(self, claim: str, graph: KnowledgeGraph,

@@ -82,7 +82,8 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
                   ) -> tuple[RunRecord, Optional[MetricsReport], KnowledgeGraph]:
     """Sequentially detect each claim, committing KG updates between claims.
 
-    Claims that hit a hard gateway failure are recorded as errors and
+    Claims that hit a hard gateway failure, in the search or in the
+    knowledge update, are recorded with an error and no verdict and are
     excluded from metrics; the exclusion count is reported on the record.
 
     The input graph's digest cache is updated before the run copies it, so
@@ -98,8 +99,6 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
         try:
             verdict, paths, _tree = engine.search(item.claim, graph,
                                                   claim_id=item.id)
-            result.verdict = verdict
-            result.paths_digest = paths_digest(paths)
             if updates and verdict == Verdict.REAL:
                 new_triples = extract_new_knowledge(item.id, item.claim, paths,
                                                     gateway)
@@ -109,6 +108,9 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
                 result.triples_added = [
                     t.as_record() for t in graph.triples[-stats.added:]
                 ] if stats.added else []
+            # An abandoned claim carries no verdict, so it is set last.
+            result.verdict = verdict
+            result.paths_digest = paths_digest(paths)
         except GatewayHardError as exc:
             log.warning("claim %s failed: %s", item.id, exc)
             result.error = str(exc)

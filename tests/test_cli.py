@@ -119,7 +119,8 @@ class TestDetect:
               "--backend", "oracle", "--facts", str(facts),
               "--n", "3", "--height", "3", "--record", str(transcript)])
         first = capsys.readouterr().out
-        code = main(["replay", "--dataset", str(dataset), "--kg", str(kg),
+        code = main(["detect", "--backend", "replay",
+                     "--dataset", str(dataset), "--kg", str(kg),
                      "--transcript", str(transcript),
                      "--n", "3", "--height", "3"])
         assert code == 0
@@ -261,7 +262,8 @@ class TestMalformedInput:
         capsys.readouterr()
         data = transcript.read_bytes()
         transcript.write_bytes(data[:-40])
-        code = main(["replay", "--dataset", str(dataset), "--kg", str(kg),
+        code = main(["detect", "--backend", "replay",
+                     "--dataset", str(dataset), "--kg", str(kg),
                      "--transcript", str(transcript)])
         self._assert_error(code, capsys, transcript,
                            data[:-40].count(b"\n") + 1)

@@ -232,6 +232,35 @@ class TestRecordReplay:
         record = json.loads(lines[0])
         assert set(record) == {"hash", "kind", "prompt", "response"}
 
+    def test_every_answer_recorded(self, tmp_path):
+        path = tmp_path / "transcript.jsonl"
+        answers = iter([" ", "q1"])
+        gw = Gateway(RecordingBackend(
+            ScriptedBackend(lambda r, p: next(answers)), str(path)))
+        req = _subquestion(0)
+        assert not gw.complete(req).parse_ok
+        assert gw.complete(req).parsed == "q1"
+        records = [json.loads(l) for l in path.read_text().splitlines()]
+        assert [r["response"] for r in records] == [" ", "q1"]
+        assert {r["hash"] for r in records} == {request_hash(req)}
+
+    def test_replay_serves_answers_in_order_then_repeats_last(self, tmp_path):
+        req = _subquestion(0)
+        path = tmp_path / "transcript.jsonl"
+        path.write_text("".join(
+            json.dumps({"hash": request_hash(req), "response": text}) + "\n"
+            for text in ("first", "second")))
+        replay = ReplayBackend.from_path(str(path))
+        prompt = render_prompt(req)
+        assert [replay.generate(req, prompt) for _ in range(3)] == \
+            ["first", "second", "second"]
+
+    def test_seed_is_part_of_request_hash(self):
+        seeded = LLMRequest(PromptKind.GENERATE_SUBQUESTION,
+                            _subquestion(0).context, seed=1)
+        assert request_hash(seeded) != request_hash(_subquestion(0))
+        assert render_prompt(seeded) == render_prompt(_subquestion(0))
+
     @pytest.mark.parametrize("record", [{"hash": "h"},
                                         {"hash": 1, "response": "r"}])
     def test_replay_rejects_record_without_string_fields(self, tmp_path,

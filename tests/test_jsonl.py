@@ -128,7 +128,7 @@ def write_transcript(path, words):
         req = LLMRequest(PromptKind.EXTRACT_ENTITIES, {"document": f"{i} {w}"})
         prompt = render_prompt(req)
         expected.append((request_hash(req, prompt),
-                         backend.generate(req, prompt)))
+                         [backend.generate(req, prompt)]))
     return expected, \
         lambda: list(ReplayBackend.from_path(path)._records.items())
 

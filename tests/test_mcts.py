@@ -355,3 +355,44 @@ class TestExpand:
         assert [leaf.verdict for leaf in leaves] == [Verdict.FAKE] * 3
         assert [p.verdict for p in tree.completed_paths] == [Verdict.FAKE] * 3
         assert engine.gateway.memo_hits[PromptKind.FINAL_VERDICT] == 0
+
+    def test_failed_branch_leaves_no_clone(self):
+        def reply(req, prompt):
+            if req.kind is PromptKind.GENERATE_SUBQUESTION:
+                # Root branch 0 never parses.
+                if (req.context["transcript"], req.context["branch"]) == \
+                        ("(none)", "0"):
+                    return ""
+                return "alternative " + req.context["branch"]
+            if req.kind is PromptKind.FINAL_VERDICT:
+                return "Answer: Real"
+            return "yes"
+
+        engine = SearchEngine(Gateway(ScriptedBackend(reply)),
+                              EngineConfig(n=3, h=9, b=3))
+        _, _, tree = engine.search("claim", KnowledgeGraph())
+        root = tree.root
+        assert [tree.node(c).text for c in root.children
+                if tree.node(c).action is ActionKind.A1] == \
+            ["alternative 1", "alternative 2"]
+        assert root.expanded == {ActionKind.A1, ActionKind.A3}
+        structural_check(tree, engine.config)
+
+    def test_depth_limit_clones_ask_for_one_verdict(self):
+        table, items = tabled_world(3, 3)
+        oracle = RuleBasedOracle(table)
+        sent = []
+
+        def reply(req, prompt):
+            sent.append(req.kind)
+            if req.kind is PromptKind.FINAL_VERDICT:
+                return "no verdict"
+            return oracle.generate(req, prompt)
+
+        engine = SearchEngine(Gateway(ScriptedBackend(reply)),
+                              EngineConfig(n=3, h=2, b=3))
+        _, paths, tree = engine.search(items[0].claim, KnowledgeGraph())
+        # One root verdict expansion, then one A2 expansion at the limit.
+        assert sent.count(PromptKind.FINAL_VERDICT) == 2
+        assert [p.verdict for p in paths] == [Verdict.FAKE] * 6
+        structural_check(tree, engine.config)

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import os
+import tempfile
 import threading
 import time
 
@@ -117,6 +118,24 @@ class TestRunDetection:
         # Metrics cover only the surviving claim.
         assert metrics.tp + metrics.fp + metrics.tn + metrics.fn == 1
 
+    def test_failed_update_leaves_no_verdict(self):
+        table, items = tabled_world(num_real=1, num_fake=0)
+        oracle = RuleBasedOracle(table)
+
+        def fail_update(req, prompt):
+            if req.kind is PromptKind.EXTRACT_EVENT_TRIPLES:
+                raise GatewayHardError("HTTP 400")
+            return oracle.generate(req, prompt)
+
+        record, metrics, grown = run_detection(
+            items, KnowledgeGraph(), small_config(),
+            Gateway(ScriptedBackend(fail_update)))
+        [result] = record.results
+        assert (result.error, result.verdict, result.paths_digest) == \
+            ("HTTP 400", None, "")
+        assert record.exclusions == 1 and metrics is None
+        assert len(grown) == 0
+
     def test_record_round_trip(self, tmp_path):
         table, items = tabled_world(num_real=1, num_fake=1)
         gateway = Gateway(RuleBasedOracle(table))
@@ -221,6 +240,48 @@ class TestRunDetection:
         assert rec1.digest() == rec2.digest()
         assert replayed.call_counts == recording.call_counts
 
+
+    def test_retried_answers_replay_in_order(self, tmp_path):
+        table, items = tabled_world(num_real=3, num_fake=3)
+        oracle = RuleBasedOracle(table)
+        asked = set()
+
+        def blank_first(req, prompt):
+            # The first answer to each sub-question prompt does not parse,
+            # so the search asks again and keeps the second.
+            key = request_hash(req, prompt)
+            if req.kind is PromptKind.GENERATE_SUBQUESTION and key not in asked:
+                asked.add(key)
+                return " "
+            return oracle.generate(req, prompt)
+
+        transcript = tmp_path / "transcript.jsonl"
+        recording = Gateway(RecordingBackend(ScriptedBackend(blank_first),
+                                             str(transcript)))
+        config = small_config(n=20, h=9, b=3)
+        rec1, _, _ = run_detection(items, KnowledgeGraph(), config, recording,
+                                   updates=False)
+        recording.close()
+        assert [r.verdict for r in rec1.results] == [r.gold for r in rec1.results]
+        replayed = Gateway(ReplayBackend.from_path(str(transcript)))
+        rec2, _, _ = run_detection(items, KnowledgeGraph(), config, replayed,
+                                   updates=False)
+        replayed.close()
+        assert rec2.digest() == rec1.digest()
+        assert replayed.call_counts == recording.call_counts
+
+    def test_replay_under_another_seed_misses(self, tmp_path):
+        table, items = tabled_world(num_real=3, num_fake=3)
+        transcript = tmp_path / "transcript.jsonl"
+        recording = Gateway(RecordingBackend(RuleBasedOracle(table),
+                                             str(transcript)))
+        run_detection(items, KnowledgeGraph(), small_config(seed=0), recording)
+        replayed = Gateway(ReplayBackend.from_path(str(transcript)))
+        record, metrics, _ = run_detection(items, KnowledgeGraph(),
+                                           small_config(seed=1), replayed)
+        assert record.exclusions == len(items) and metrics is None
+        assert all(r.error.startswith("no recorded response")
+                   and r.verdict is None for r in record.results)
 
     def test_sibling_hard_error_excludes_claim(self):
         table, items = tabled_world(num_real=2, num_fake=1)
@@ -343,14 +404,28 @@ class TestFaultInjection:
         table, items, graph = _fault_world()
         before = [t.canonical_line() for t in graph.triples]
         backend = FaultyOracle(table, salt, percent, kinds)
-        gateway = Gateway(ScriptedBackend(backend.generate), max_retries=1,
-                          backoff=0.0)
-        record, _, grown = run_detection(backend.track(items), graph,
-                                         small_config(n=20, h=9, b=3),
-                                         gateway, updates=updates)
-        gateway.close()
+        config = small_config(n=20, h=9, b=3)
+        with tempfile.TemporaryDirectory() as scratch:
+            transcript = os.path.join(scratch, "transcript.jsonl")
+            gateway = Gateway(RecordingBackend(ScriptedBackend(backend.generate),
+                                               transcript),
+                              max_retries=1, backoff=0.0)
+            record, _, grown = run_detection(backend.track(items), graph,
+                                             config, gateway, updates=updates)
+            gateway.close()
+            replay = ReplayBackend.from_path(transcript)
         failed = {r.id for r in record.results if r.error is not None}
         assert record.exclusions == len(failed)
+        # An abandoned claim carries no verdict.
+        assert all(r.verdict is None and r.paths_digest == ""
+                   for r in record.results if r.error is not None)
+        if not failed:
+            # Retried transport faults and unparseable answers replay too.
+            replayed = Gateway(replay)
+            again, _, _ = run_detection(items, graph, config, replayed,
+                                        updates=updates)
+            replayed.close()
+            assert again.digest() == record.digest()
         # A hard fault ends its claim; only hard and transport faults do.
         hit = backend.hit
         assert hit.get("hard", set()) <= failed
