@@ -28,14 +28,13 @@ from .verdict import Verdict
 
 API_KEY_ENV = "VERITY_API_KEY"
 
-CONFIG_KEYS = ("model", "base_url", "timeout", "seed",
-               "n", "height", "branch", "alpha", "topk",
-               "max_retries", "min_interval")
-
 # Engine flag (and config key) -> (EngineConfig field, type).
 ENGINE_KEYS = {"n": ("n", int), "height": ("h", int), "branch": ("b", int),
                "alpha": ("alpha", float), "topk": ("top_k", int),
                "seed": ("seed", int)}
+
+CONFIG_KEYS = (*ENGINE_KEYS, "model", "base_url", "timeout", "max_retries",
+               "min_interval")
 
 
 def _load_config(path: str | None) -> dict:
@@ -128,7 +127,6 @@ def _add_backend_args(sub):
     sub.add_argument("--transcript", help="transcript file for the replay backend")
     sub.add_argument("--record", help="record all requests to this transcript file")
     sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--seed", type=int)
 
 
 def _add_engine_args(sub):
@@ -137,6 +135,7 @@ def _add_engine_args(sub):
     sub.add_argument("--branch", type=int, help="children per expansion")
     sub.add_argument("--alpha", type=float, help="exploration constant")
     sub.add_argument("--topk", type=int, help="retrieval cutoff")
+    sub.add_argument("--seed", type=int, help="search and subset-split seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("detect", help="run detection over a dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--format", choices=("native", "hover", "feverous"),
-                   default="native")
     p.add_argument("--kg", required=True, help="knowledge graph file")
     p.add_argument("--updates", choices=("on", "off"), default="on")
     p.add_argument("--out", help="run record output (JSONL)")
@@ -168,8 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("sequential-run",
                             help="subset-by-subset carry-over evaluation")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--format", choices=("native", "hover", "feverous"),
-                   default="native")
     p.add_argument("--subsets", type=int, default=3)
     p.add_argument("--updates", choices=("on", "off"), default="on")
     p.add_argument("--out", help="machine-readable cell table (JSON)")
@@ -195,7 +190,7 @@ def _cmd_build_kg(args) -> int:
 def _cmd_detect(args) -> int:
     config = _load_config(args.config)
     engine_config = _engine_config(args, config)
-    report = load_dataset(args.dataset, args.format)
+    report = load_dataset(args.dataset)
     if report.dropped:
         print(f"dropped {report.dropped} items with non-sentence evidence",
               file=sys.stderr)
@@ -235,7 +230,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sequential(args) -> int:
     config = _load_config(args.config)
     engine_config = _engine_config(args, config)
-    report = load_dataset(args.dataset, args.format)
+    report = load_dataset(args.dataset)
     split = split_subsets(report.items, args.subsets, seed=engine_config.seed)
     gateway = _build_backend(args, config)
     base_graph, _ = build_graph(split.corpora[0], gateway)

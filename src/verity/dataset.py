@@ -1,10 +1,11 @@
 """Claim dataset loading, label normalization, and sequential-subset splits.
 
-Native format: one JSON object per line with fields id, claim, label
-(optional), evidence (optional list of sentence texts), group (optional).
-Hover- and Feverous-style files are normalized into the same shape;
-Feverous-style items carrying non-sentence evidence (tables, cells) are
-dropped, with the drop count reported.
+One JSON object per line with fields id, claim, label (optional), evidence
+(optional list) and group (optional). Labels may use any of the native,
+HoVer or FEVEROUS tokens. An evidence entry is a sentence text or a dict
+with its ``text``; an item whose evidence holds a dict typed other than
+``"sentence"`` (a FEVEROUS table or cell) is dropped, with the drop count
+reported.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import DatasetError, ValidationError
+from .errors import FormatError, ValidationError
 from .jsonl import read_records
 from .kg_builder import SourceDocument
 from .verdict import Verdict
@@ -39,7 +40,6 @@ class NewsItem:
     gold: Optional[Verdict] = None
     evidence: list[str] = field(default_factory=list)
     group: Optional[str] = None
-    subset: Optional[int] = None
 
 
 @dataclass
@@ -54,14 +54,14 @@ class DatasetSplit:
     corpora: list[list[SourceDocument]]
 
 
-def _sentence_evidence(raw_evidence, fmt: str) -> tuple[list[str], bool]:
+def _sentence_evidence(raw_evidence) -> tuple[list[str], bool]:
     """Normalize one record's evidence; False means non-sentence evidence."""
     sentences: list[str] = []
     for item in raw_evidence or []:
         if isinstance(item, str):
             sentences.append(item)
         elif isinstance(item, dict):
-            if fmt == "feverous" and item.get("type", "sentence") != "sentence":
+            if item.get("type", "sentence") != "sentence":
                 return [], False
             text = item.get("text", "")
             if text:
@@ -71,25 +71,23 @@ def _sentence_evidence(raw_evidence, fmt: str) -> tuple[list[str], bool]:
     return sentences, True
 
 
-def load_dataset(path: str, fmt: str = "native") -> LoadReport:
-    if fmt not in ("native", "hover", "feverous"):
-        raise ValidationError(f"unknown dataset format: {fmt}")
+def load_dataset(path: str) -> LoadReport:
     items: list[NewsItem] = []
     dropped = 0
-    for lineno, record in read_records(path, DatasetError):
+    for lineno, record in read_records(path):
         claim = record.get("claim", "")
         if not isinstance(claim, str) or not claim.strip():
-            raise DatasetError(path, lineno, "missing or empty claim")
+            raise FormatError(path, lineno, "missing or empty claim")
         group = record.get("group")
         if group is not None and not isinstance(group, str):
-            raise DatasetError(path, lineno, "group must be a string")
+            raise FormatError(path, lineno, "group must be a string")
         try:
             gold = None
             if record.get("label") is not None:
                 gold = parse_label(str(record["label"]))
-            evidence, ok = _sentence_evidence(record.get("evidence"), fmt)
+            evidence, ok = _sentence_evidence(record.get("evidence"))
         except (TypeError, ValueError) as exc:
-            raise DatasetError(path, lineno, str(exc)) from exc
+            raise FormatError(path, lineno, str(exc)) from exc
         if not ok:
             dropped += 1
             continue
@@ -127,7 +125,6 @@ def split_subsets(items: list[NewsItem], k: int, seed: int = 0) -> DatasetSplit:
     corpora: list[list[SourceDocument]] = [[] for _ in range(k)]
     for idx, subset in enumerate(subsets):
         for item in subset:
-            item.subset = idx
             if item.evidence:
                 corpora[idx].append(SourceDocument(
                     id=f"{item.id}-evidence",

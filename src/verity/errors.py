@@ -20,14 +20,6 @@ class FormatError(VerityError):
         self.line = line
 
 
-class KGFormatError(FormatError):
-    """Malformed knowledge-graph file."""
-
-
-class DatasetError(FormatError):
-    """Malformed dataset file."""
-
-
 class TransportError(VerityError):
     """Retryable backend failure (network, 5xx, rate limit).
 

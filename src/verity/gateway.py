@@ -41,17 +41,6 @@ class PromptKind(Enum):
     RANK_TRIPLES = "rank_triples"
 
 
-REQUIRED_SLOTS: dict[PromptKind, tuple[str, ...]] = {
-    PromptKind.EXTRACT_ENTITIES: ("document",),
-    PromptKind.GENERATE_RELATIONS: ("document", "entities"),
-    PromptKind.EXTRACT_EVENT_TRIPLES: ("document",),
-    PromptKind.GENERATE_SUBQUESTION: ("claim", "transcript", "branch"),
-    PromptKind.ANSWER_SUBQUESTION: ("claim", "transcript", "triples", "question"),
-    PromptKind.FINAL_VERDICT: ("claim", "transcript"),
-    PromptKind.RANK_TRIPLES: ("question", "candidates"),
-}
-
-
 @dataclass(frozen=True)
 class LLMRequest:
     kind: PromptKind
@@ -68,20 +57,22 @@ class LLMResponse:
 
 
 @functools.cache
-def _template(kind: PromptKind) -> str:
+def _template(kind: PromptKind) -> tuple[str, tuple[str, ...]]:
+    """The kind's template text and its ``{name}`` slots, in order."""
     ref = resources.files("verity.templates").joinpath(kind.value + ".txt")
-    return ref.read_text(encoding="utf-8")
+    text = ref.read_text(encoding="utf-8")
+    return text, tuple(dict.fromkeys(re.findall(r"\{(\w+)\}", text)))
 
 
 def render_prompt(req: LLMRequest) -> str:
     """Pure function of (kind, context, template); raises on missing slots."""
-    slots = REQUIRED_SLOTS[req.kind]
+    text, slots = _template(req.kind)
     for slot in slots:
         if slot not in req.context:
             raise ValidationError(f"{req.kind.value} request missing slot '{slot}'")
     # Single pass so slot values containing brace patterns stay inert.
     pattern = re.compile("|".join(re.escape("{" + s + "}") for s in slots))
-    return pattern.sub(lambda m: req.context[m.group(0)[1:-1]], _template(req.kind))
+    return pattern.sub(lambda m: req.context[m.group(0)[1:-1]], text)
 
 
 def request_hash(req: LLMRequest, prompt: Optional[str] = None) -> str:

@@ -19,14 +19,13 @@ def _bad_json(exc: json.JSONDecodeError) -> str:
     return f"bad JSON: {exc.msg} (column {exc.colno})"
 
 
-def read_records(path: str, error: type[FormatError] = FormatError,
-                 ) -> Iterator[tuple[int, dict]]:
+def read_records(path: str) -> Iterator[tuple[int, dict]]:
     """Yield ``(line number, record)`` for each JSON object line of ``path``.
 
     Lines end at ``\\n``. Each is decoded and stripped on its own, so a UTF-8
     character cut in two is reported on its line. Blank and ``#`` lines are
     skipped. A line that is not UTF-8, not JSON or not an object raises
-    ``error(path, line, message)``.
+    :class:`FormatError`.
     """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -36,11 +35,11 @@ def read_records(path: str, error: type[FormatError] = FormatError,
                     continue
                 record = json.loads(line)
             except UnicodeDecodeError as exc:
-                raise error(path, lineno, f"not UTF-8: {exc}") from exc
+                raise FormatError(path, lineno, f"not UTF-8: {exc}") from exc
             except json.JSONDecodeError as exc:
-                raise error(path, lineno, _bad_json(exc)) from exc
+                raise FormatError(path, lineno, _bad_json(exc)) from exc
             if not isinstance(record, dict):
-                raise error(path, lineno, "not a JSON object")
+                raise FormatError(path, lineno, "not a JSON object")
             yield lineno, record
 
 

@@ -69,9 +69,6 @@ def extract_entities(doc: SourceDocument, gateway: Gateway) -> list[Entity]:
     for chunk in _chunks(doc.body):
         resp = gateway.complete(LLMRequest(PromptKind.EXTRACT_ENTITIES,
                                            {"document": chunk}))
-        if not resp.parse_ok:
-            log.warning("entity extraction parse failure for doc %s", doc.id)
-            continue
         for surface in resp.parsed:
             entity = Entity(surface)
             if entity.key and entity.key not in seen:
@@ -98,7 +95,7 @@ def extract_entity_relations(doc: SourceDocument, entities: list[Entity],
             PromptKind.GENERATE_RELATIONS,
             {"document": chunk, "entities": entity_list}))
         dropped += resp.warnings
-        for s, r, o in resp.parsed or []:
+        for s, r, o in resp.parsed:
             triple = Triple(Entity(s), r, Entity(o), source_id=doc.id)
             if triple.subject.key not in allowed or triple.object.key not in allowed:
                 dropped += 1
@@ -121,7 +118,7 @@ def extract_event_triples(doc: SourceDocument,
                                            {"document": chunk}))
         malformed += resp.warnings
         triples += [Triple(Entity(s), r, Entity(o), source_id=doc.id)
-                    for s, r, o in resp.parsed or []]
+                    for s, r, o in resp.parsed]
     return triples, malformed
 
 

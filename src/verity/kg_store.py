@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import KGFormatError, ValidationError
+from .errors import FormatError, ValidationError
 from .jsonl import read_records, write_lines
 
 _WS_RUN = re.compile(r"\s+")
@@ -194,7 +194,7 @@ class KnowledgeGraph:
     @classmethod
     def load(cls, path: str) -> "KnowledgeGraph":
         graph = cls()
-        for lineno, record in read_records(path, KGFormatError):
+        for lineno, record in read_records(path):
             try:
                 names = (record["subject"], record["relation"], record["object"],
                          record.get("source_id", ""))
@@ -204,5 +204,5 @@ class KnowledgeGraph:
                 graph.insert_triple(
                     make_triple(*names, int(record.get("seq", 0))))
             except (KeyError, TypeError, ValueError, ValidationError) as exc:
-                raise KGFormatError(path, lineno, f"bad record: {exc}") from exc
+                raise FormatError(path, lineno, f"bad record: {exc}") from exc
         return graph

@@ -49,8 +49,6 @@ def question_entities(question: str, gateway: Gateway) -> set[str]:
         return set()
     resp = gateway.complete(LLMRequest(PromptKind.EXTRACT_ENTITIES,
                                        {"document": question}))
-    if not resp.parse_ok:
-        return set()
     return {key for key in (normalize_entity(e) for e in resp.parsed) if key}
 
 

@@ -7,11 +7,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .dataset import NewsItem
-from .errors import GatewayHardError
+from .errors import GatewayHardError, ValidationError
 from .gateway import Gateway
 from .jsonl import write_lines
 from .kg_store import KnowledgeGraph
@@ -51,7 +51,11 @@ class RunRecord:
     config_digest: str = ""
     kg_before: str = ""
     kg_after: str = ""
-    exclusions: int = 0
+
+    @property
+    def exclusions(self) -> int:
+        """Claims abandoned on a hard gateway failure."""
+        return sum(1 for r in self.results if r.error is not None)
 
     def digest(self) -> str:
         payload = json.dumps({
@@ -69,10 +73,7 @@ class RunRecord:
 
 
 def _config_digest(config: EngineConfig, updates: bool) -> str:
-    payload = json.dumps({"n": config.n, "h": config.h, "b": config.b,
-                          "alpha": config.alpha, "top_k": config.top_k,
-                          "seed": config.seed, "updates": updates},
-                         sort_keys=True)
+    payload = json.dumps({**asdict(config), "updates": updates}, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -114,7 +115,6 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
         except GatewayHardError as exc:
             log.warning("claim %s failed: %s", item.id, exc)
             result.error = str(exc)
-            record.exclusions += 1
         record.results.append(result)
     record.kg_after = graph.content_digest()
     scored = [r for r in record.results if r.error is None and r.gold is not None]
@@ -143,7 +143,7 @@ def run_sequential(subsets: list[list[NewsItem]], base_graph: KnowledgeGraph,
     updated during subsets 1..i-1.
     """
     if not subsets or any(not s for s in subsets):
-        raise GatewayHardError("run_sequential requires non-empty subsets")
+        raise ValidationError("run_sequential requires non-empty subsets")
 
     cells: list[SequentialCell] = []
 

@@ -6,10 +6,13 @@ import pytest
 from synth import save_dataset, tabled_world
 
 from verity.cli import _build_backend, _engine_config, build_parser, main
+from verity.dataset import load_dataset
 from verity.errors import VerityError
 from verity.gateway import Gateway, HttpChatBackend
 from verity.kg_store import KnowledgeGraph
 from verity.mcts import EngineConfig
+from verity.oracle import RuleBasedOracle
+from verity.run import run_detection
 
 
 def write_facts(path, table):
@@ -128,6 +131,25 @@ class TestDetect:
         digest = [l for l in first.splitlines() if l.startswith("run digest")]
         assert digest == \
             [l for l in second.splitlines() if l.startswith("run digest")]
+
+    def test_seed_flag_sets_the_run_seed(self, tmp_path, capsys):
+        facts, dataset, kg = self._setup(tmp_path)
+        table, _ = tabled_world(num_real=2, num_fake=2)
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--backend", "oracle", "--facts", str(facts),
+                     "--n", "3", "--height", "3", "--seed", "1"])
+        assert code == 0
+        record, _, _ = run_detection(
+            load_dataset(str(dataset)).items, KnowledgeGraph(),
+            EngineConfig(n=3, h=3, seed=1), Gateway(RuleBasedOracle(table)))
+        assert f"run digest: {record.digest()}" in capsys.readouterr().out
+
+    def test_build_kg_has_no_seed_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["build-kg", "--corpus", "c.jsonl", "--out", "kg.jsonl",
+                  "--seed", "1"])
+        assert exit_.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_missing_kg_file(self, tmp_path, capsys):
         facts, dataset, _ = self._setup(tmp_path)

@@ -4,7 +4,7 @@ import pytest
 from synth import save_dataset
 
 from verity.dataset import NewsItem, load_dataset, parse_label, split_subsets
-from verity.errors import DatasetError, ValidationError
+from verity.errors import FormatError, ValidationError
 from verity.verdict import Verdict
 
 
@@ -44,7 +44,7 @@ class TestLoadDataset:
     def test_label_mapping_applied(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [{"id": "x", "claim": "c", "label": "SUPPORTED"}])
-        assert load_dataset(str(path), "hover").items[0].gold is Verdict.REAL
+        assert load_dataset(str(path)).items[0].gold is Verdict.REAL
 
     def test_feverous_cell_evidence_dropped(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -54,8 +54,20 @@ class TestLoadDataset:
             {"id": "drop", "claim": "c2", "label": "REFUTES",
              "evidence": [{"type": "cell", "text": "cell_0_1"}]},
         ])
-        report = load_dataset(str(path), "feverous")
+        report = load_dataset(str(path))
         assert [i.id for i in report.items] == ["keep"]
+        assert report.dropped == 1
+
+    def test_typed_non_sentence_evidence_dropped_in_any_file(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [
+            {"id": "strings", "claim": "c1", "evidence": ["s1", "s2"]},
+            {"id": "untyped", "claim": "c2", "evidence": [{"text": "s3"}]},
+            {"id": "table", "claim": "c3", "evidence": ["s4", {"type": "table"}]},
+        ])
+        report = load_dataset(str(path))
+        assert [(i.id, i.evidence) for i in report.items] == \
+            [("strings", ["s1", "s2"]), ("untyped", ["s3"])]
         assert report.dropped == 1
 
     def test_empty_file(self, tmp_path):
@@ -68,14 +80,14 @@ class TestLoadDataset:
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [{"id": "a", "claim": "c", "label": "real"},
                            {"id": "b", "claim": "c", "label": "sideways"}])
-        with pytest.raises(DatasetError) as err:
+        with pytest.raises(FormatError) as err:
             load_dataset(str(path))
         assert err.value.line == 2
 
     def test_malformed_record_reports_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "a", "claim": "c"}\n{broken\n')
-        with pytest.raises(DatasetError) as err:
+        with pytest.raises(FormatError) as err:
             load_dataset(str(path))
         assert err.value.line == 2
 
@@ -83,14 +95,14 @@ class TestLoadDataset:
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [{"id": "a", "claim": "c"},
                            {"id": "b", "claim": "c", "evidence": 5}])
-        with pytest.raises(DatasetError) as err:
+        with pytest.raises(FormatError) as err:
             load_dataset(str(path))
         assert err.value.line == 2
 
     def test_missing_claim_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [{"id": "a"}])
-        with pytest.raises(DatasetError):
+        with pytest.raises(FormatError):
             load_dataset(str(path))
 
 
@@ -135,8 +147,9 @@ class TestSplitSubsets:
 
     def test_subset_tags_and_corpora(self):
         split = split_subsets(self._items(6), 2, seed=0)
-        for idx, subset in enumerate(split.subsets):
-            assert all(i.subset == idx for i in subset)
+        for subset, corpus in zip(split.subsets, split.corpora):
+            assert [(d.id, d.body) for d in corpus] == \
+                [(f"{i.id}-evidence", "\n".join(i.evidence)) for i in subset]
         assert sum(len(c) for c in split.corpora) == 6
         assert all(d.trusted for c in split.corpora for d in c)
 

@@ -16,6 +16,17 @@ from verity.gateway import (MAX_IN_FLIGHT, Gateway, HttpChatBackend,
                             render_prompt, request_hash)
 from verity.verdict import Verdict
 
+# The {name} slots of each prompt kind's template.
+PROMPT_SLOTS = {
+    PromptKind.EXTRACT_ENTITIES: ("document",),
+    PromptKind.GENERATE_RELATIONS: ("document", "entities"),
+    PromptKind.EXTRACT_EVENT_TRIPLES: ("document",),
+    PromptKind.GENERATE_SUBQUESTION: ("claim", "transcript", "branch"),
+    PromptKind.ANSWER_SUBQUESTION: ("claim", "transcript", "triples", "question"),
+    PromptKind.FINAL_VERDICT: ("claim", "transcript"),
+    PromptKind.RANK_TRIPLES: ("question", "candidates"),
+}
+
 
 class TestParseVerdict:
     def test_real_token(self):
@@ -83,9 +94,15 @@ class TestTemplates:
         assert render_prompt(req) != render_prompt(other)
         assert request_hash(req) != request_hash(other)
 
-    def test_missing_slot_rejected(self):
-        with pytest.raises(ValidationError):
-            render_prompt(LLMRequest(PromptKind.FINAL_VERDICT, {"claim": "c"}))
+    @pytest.mark.parametrize("kind,slot", [
+        pytest.param(kind, slot, id=f"{kind.value}-{slot}")
+        for kind in PromptKind for slot in PROMPT_SLOTS[kind]])
+    def test_missing_slot_rejected(self, kind, slot):
+        context = {name: "x" for name in PROMPT_SLOTS[kind]}
+        render_prompt(LLMRequest(kind, context))
+        del context[slot]
+        with pytest.raises(ValidationError, match=f"missing slot '{slot}'"):
+            render_prompt(LLMRequest(kind, context))
 
     def test_context_braces_are_inert(self):
         req = LLMRequest(PromptKind.FINAL_VERDICT,

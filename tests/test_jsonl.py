@@ -7,7 +7,7 @@ from synth import save_dataset
 
 from verity.cli import _load_corpus, _load_scores
 from verity.dataset import NewsItem, load_dataset
-from verity.errors import DatasetError, FormatError, KGFormatError
+from verity.errors import FormatError
 from verity.gateway import (LLMRequest, PromptKind, RecordingBackend,
                             ReplayBackend, ScriptedBackend, render_prompt,
                             request_hash)
@@ -39,20 +39,6 @@ class TestReadRecords:
         path.write_text('{"a": 1}\n[1, 2]\n')
         with pytest.raises(FormatError, match=r"line 2: not a JSON object"):
             list(read_records(str(path)))
-
-    def test_error_class_is_the_callers(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        path.write_text("{broken\n")
-        with pytest.raises(KGFormatError) as err:
-            list(read_records(str(path), KGFormatError))
-        assert str(err.value).startswith(f"{path} line 1: bad JSON:")
-
-    def test_format_errors_share_one_base(self):
-        for cls in (KGFormatError, DatasetError):
-            err = cls("f.jsonl", 3, "bad")
-            assert isinstance(err, FormatError)
-            assert (err.path, err.line, str(err)) == \
-                ("f.jsonl", 3, "f.jsonl line 3: bad")
 
 
 class TestReadObject:

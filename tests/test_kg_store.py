@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verity import kg_store
-from verity.errors import KGFormatError, ValidationError
+from verity.errors import FormatError, ValidationError
 from verity.kg_store import (Entity, KnowledgeGraph, Triple, make_triple,
                              normalize_entity)
 
@@ -193,7 +193,7 @@ class TestPersistence:
         path = tmp_path / "kg.jsonl"
         path.write_text('{"subject": "a", "relation": "r", "object": "b", '
                         '"source_id": "", "seq": 0}\n{"subject": "a"\n')
-        with pytest.raises(KGFormatError) as err:
+        with pytest.raises(FormatError) as err:
             KnowledgeGraph.load(str(path))
         assert err.value.line == 2
 
@@ -206,7 +206,7 @@ class TestPersistence:
         path = tmp_path / "kg.jsonl"
         path.write_text(json.dumps(good) + "\n"
                         + json.dumps({**good, field: value}) + "\n")
-        with pytest.raises(KGFormatError) as err:
+        with pytest.raises(FormatError) as err:
             KnowledgeGraph.load(str(path))
         assert err.value.line == 2
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from synth import carryover_world, tabled_world
 
-from verity.errors import GatewayHardError, TransportError
+from verity.errors import GatewayHardError, TransportError, ValidationError
 from verity.gateway import (Gateway, PromptKind, RecordingBackend,
                             ReplayBackend, ScriptedBackend, request_hash)
 from verity.kg_store import KnowledgeGraph, Triple
@@ -474,7 +474,7 @@ class TestRunSequential:
     def test_empty_subset_rejected(self):
         table, items = tabled_world(num_real=1, num_fake=0)
         gateway = Gateway(RuleBasedOracle(table))
-        with pytest.raises(GatewayHardError):
+        with pytest.raises(ValidationError):
             run_sequential([items, []], KnowledgeGraph(), small_config(),
                            gateway)
 
