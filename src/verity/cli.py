@@ -110,7 +110,7 @@ def _load_scores(path: str) -> tuple[list[Verdict], list[Verdict]]:
     """Predicted and gold verdicts of a run file's scoreable records."""
     predictions, golds = [], []
     for lineno, record in read_records(path):
-        if record.get("error") or record.get("gold") is None:
+        if record.get("error") is not None or record.get("gold") is None:
             continue
         try:
             predictions.append(Verdict(record["verdict"]))
@@ -209,8 +209,7 @@ def _cmd_detect(args) -> int:
     if record.exclusions:
         print(f"excluded {record.exclusions} claims due to detection errors")
     if metrics:
-        print(format_metrics(metrics,
-                             population=len(record.results) - record.exclusions))
+        print(format_metrics(metrics))
         if args.metrics_out:
             write_lines(args.metrics_out,
                         [json.dumps(asdict(metrics), indent=2)])
@@ -222,8 +221,7 @@ def _cmd_evaluate(args) -> int:
     if not predictions:
         print("no scoreable records in run file", file=sys.stderr)
         return 1
-    print(format_metrics(compute_metrics(predictions, golds),
-                         population=len(predictions)))
+    print(format_metrics(compute_metrics(predictions, golds)))
     return 0
 
 

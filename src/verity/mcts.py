@@ -30,10 +30,6 @@ class ActionKind(Enum):
     A3 = "verdict"
 
 
-# Order in which a node's legal actions are expanded.
-_ACTION_ORDER = {ActionKind.A1: 0, ActionKind.A2: 1, ActionKind.A3: 2}
-
-
 @dataclass
 class SearchNode:
     id: int
@@ -45,8 +41,11 @@ class SearchNode:
     v: int = 0
     children: list[int] = field(default_factory=list)
     verdict: Optional[Verdict] = None
-    # Actions that have children here; each action is expanded once.
-    expanded: set[ActionKind] = field(default_factory=set)
+    # Legal actions not yet expanded, in expansion order; an action leaves
+    # `pending` with its first child.
+    pending: list[ActionKind] = field(default_factory=list)
+    # Whether this node or a descendant still has a pending action.
+    open: bool = False
 
 
 @dataclass
@@ -83,8 +82,10 @@ class SearchTree:
         config.validate()
         self.claim = claim
         self.config = config
-        self.nodes: list[SearchNode] = [
-            SearchNode(id=0, parent=None, action=None, text=claim, depth=0)]
+        root = SearchNode(id=0, parent=None, action=None, text=claim, depth=0)
+        root.pending = legal_actions(self, root)
+        root.open = True
+        self.nodes: list[SearchNode] = [root]
         self.completed_paths: list[ReasoningPath] = []
 
     @property
@@ -98,9 +99,18 @@ class SearchTree:
                   text: str) -> SearchNode:
         child = SearchNode(id=len(self.nodes), parent=parent.id, action=action,
                            text=text, depth=parent.depth + 1)
+        child.pending = legal_actions(self, child)
+        child.open = bool(child.pending)
         self.nodes.append(child)
         parent.children.append(child.id)
-        parent.expanded.add(action)
+        if action in parent.pending:
+            parent.pending.remove(action)
+        # Close the ancestors whose subtrees can no longer grow.
+        cur: Optional[SearchNode] = parent
+        while cur is not None and not cur.pending and not any(
+                self.nodes[cid].open for cid in cur.children):
+            cur.open = False
+            cur = self.node(cur.parent) if cur.parent is not None else None
         return child
 
     def path_to(self, node: SearchNode) -> list[SearchNode]:
@@ -113,21 +123,15 @@ class SearchTree:
         return list(reversed(chain))
 
 
-def legal_actions(tree: SearchTree, node: SearchNode) -> set[ActionKind]:
-    """Action precedence: A2 after A1; A3 after the root or A2."""
-    if node.depth >= tree.config.h:
-        return set()
-    if node.action is None:
-        base = {ActionKind.A1, ActionKind.A3}
-    elif node.action == ActionKind.A1:
-        base = {ActionKind.A2}
-    elif node.action == ActionKind.A2:
-        base = {ActionKind.A1, ActionKind.A3}
-    else:
-        return set()
-    if node.depth == tree.config.h - 1 and ActionKind.A3 in base:
-        return {ActionKind.A3}
-    return base
+def legal_actions(tree: SearchTree, node: SearchNode) -> list[ActionKind]:
+    """Legal actions in expansion order: A2 after A1; A3 after the root or A2."""
+    if node.depth >= tree.config.h or node.action == ActionKind.A3:
+        return []
+    if node.action == ActionKind.A1:
+        return [ActionKind.A2]
+    if node.depth == tree.config.h - 1:
+        return [ActionKind.A3]
+    return [ActionKind.A1, ActionKind.A3]
 
 
 def uct_score(q: float, v: int, v_parent: int, alpha: float) -> float:
@@ -144,17 +148,6 @@ def path_reward(p_major: int, p_minor: int) -> float:
     return p_major / (p_major + p_minor)
 
 
-def expansion_kinds(tree: SearchTree, node: SearchNode) -> set[ActionKind]:
-    """Legal actions not yet expanded at ``node``."""
-    return legal_actions(tree, node) - node.expanded
-
-
-def subtree_expandable(tree: SearchTree, node: SearchNode) -> bool:
-    if expansion_kinds(tree, node):
-        return True
-    return any(subtree_expandable(tree, tree.node(cid)) for cid in node.children)
-
-
 def select(tree: SearchTree, rng: random.Random) -> Optional[SearchNode]:
     """Descend from the root to the first node with expansion capacity.
 
@@ -163,10 +156,9 @@ def select(tree: SearchTree, rng: random.Random) -> Optional[SearchNode]:
     """
     node = tree.root
     while True:
-        if expansion_kinds(tree, node):
+        if node.pending:
             return node
-        options = [tree.node(cid) for cid in node.children
-                   if subtree_expandable(tree, tree.node(cid))]
+        options = [c for c in map(tree.node, node.children) if c.open]
         if not options:
             return None
         unvisited = [c for c in options if c.v == 0]
@@ -245,21 +237,20 @@ class SearchEngine:
 
     def expand(self, tree: SearchTree, node: SearchNode,
                graph: KnowledgeGraph) -> list[SearchNode]:
-        """Add the ``b`` children of the first unexpanded action under ``node``.
+        """Add the ``b`` children of the first pending action under ``node``.
 
         Only the A1 prompt has a ``branch`` slot, so an A1 expansion asks
         once per branch, with the requests in flight together, and an A2 or
         A3 expansion asks once and gives the answer to all ``b`` children.
         A2 children at the height limit share one forced verdict request.
         An A1 branch or A2 answer that fails its one retry adds no child; an
-        action is marked expanded by its first child, so it is not asked
+        action leaves ``pending`` with its first child, so it is not asked
         again unless every branch failed. Children are attached, and leaves
         completed, in branch order.
         """
-        kinds = expansion_kinds(tree, node)
-        if not kinds:
+        if not node.pending:
             raise ValidationError("node has no expansion capacity")
-        action = min(kinds, key=_ACTION_ORDER.__getitem__)
+        action = node.pending[0]
         parent_path = tree.path_to(node)
         transcript = _render_transcript(parent_path)
         if action == ActionKind.A1:

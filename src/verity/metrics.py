@@ -19,6 +19,11 @@ class MetricsReport:
     recall: float
     f1: float
 
+    @property
+    def population(self) -> int:
+        """Scored claims; a property, so ``asdict`` leaves it out."""
+        return self.tp + self.fp + self.tn + self.fn
+
 
 def compute_metrics(predictions: list[Verdict],
                     golds: list[Verdict]) -> MetricsReport:
@@ -38,12 +43,11 @@ def compute_metrics(predictions: list[Verdict],
     return MetricsReport(tp, fp, tn, fn, accuracy, precision, recall, f1)
 
 
-def format_metrics(report: MetricsReport, population: int | None = None) -> str:
+def format_metrics(report: MetricsReport) -> str:
     lines = [f"{'metric':<12}{'value':>10}"]
     for name in ("accuracy", "precision", "recall", "f1"):
         lines.append(f"{name:<12}{getattr(report, name):>10.4f}")
     lines.append(f"{'tp/fp/tn/fn':<12}{report.tp}/{report.fp}/"
                  f"{report.tn}/{report.fn:>}")
-    if population is not None:
-        lines.append(f"{'population':<12}{population:>10}")
+    lines.append(f"{'population':<12}{report.population:>10}")
     return "\n".join(lines)

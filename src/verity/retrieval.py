@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .gateway import Gateway, LLMRequest, PromptKind
-from .kg_store import KnowledgeGraph, Triple, normalize_entity
+from .kg_builder import SourceDocument, extract_entities
+from .kg_store import KnowledgeGraph, Triple
 
 log = logging.getLogger(__name__)
 
@@ -45,11 +46,8 @@ def render_candidates(triples: list[Triple]) -> str:
 
 def question_entities(question: str, gateway: Gateway) -> set[str]:
     """Normalized, deduplicated entity keys mentioned by the question."""
-    if not question.strip():
-        return set()
-    resp = gateway.complete(LLMRequest(PromptKind.EXTRACT_ENTITIES,
-                                       {"document": question}))
-    return {key for key in (normalize_entity(e) for e in resp.parsed) if key}
+    return {e.key for e in extract_entities(SourceDocument("question", question),
+                                            gateway)}
 
 
 def retrieve_context(question: str, graph: KnowledgeGraph, k: int,

@@ -152,8 +152,7 @@ def run_sequential(subsets: list[list[NewsItem]], base_graph: KnowledgeGraph,
         record, report, out_graph = run_detection(items, graph, config, gateway,
                                                   updates=with_updates)
         accuracy = report.accuracy if report else 0.0
-        population = sum(1 for r in record.results
-                         if r.error is None and r.gold is not None)
+        population = report.population if report else 0
         cells.append(SequentialCell(setting, accuracy, population, record))
         return out_graph
 

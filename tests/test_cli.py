@@ -115,6 +115,38 @@ class TestDetect:
         assert main(["evaluate", "--run", str(out)]) == 0
         assert "accuracy" in capsys.readouterr().out
 
+    def test_population_counts_only_labelled_claims(self, tmp_path, capsys):
+        facts, dataset, kg = self._setup(tmp_path)
+        _, items = tabled_world(num_real=2, num_fake=2)
+        for item in items[1::2]:
+            item.gold = None
+        save_dataset(items, str(dataset))
+        out = tmp_path / "run.jsonl"
+        main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+              "--backend", "oracle", "--facts", str(facts),
+              "--n", "3", "--height", "3", "--out", str(out)])
+        detected = capsys.readouterr().out
+        assert main(["evaluate", "--run", str(out)]) == 0
+        evaluated = capsys.readouterr().out
+        pattern = r"^population\s+2$"
+        assert re.search(pattern, detected, re.MULTILINE)
+        assert re.search(pattern, evaluated, re.MULTILINE)
+
+    def test_evaluate_skips_record_with_empty_error(self, tmp_path, capsys):
+        facts, dataset, kg = self._setup(tmp_path)
+        out = tmp_path / "run.jsonl"
+        main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+              "--backend", "oracle", "--facts", str(facts),
+              "--n", "3", "--height", "3", "--out", str(out)])
+        capsys.readouterr()
+        errored = {**json.loads(out.read_text().splitlines()[0]),
+                   "verdict": None, "error": ""}
+        with open(out, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(errored) + "\n")
+        assert main(["evaluate", "--run", str(out)]) == 0
+        assert re.search(r"^population\s+4$", capsys.readouterr().out,
+                         re.MULTILINE)
+
     def test_record_then_replay_same_digest(self, tmp_path, capsys):
         facts, dataset, kg = self._setup(tmp_path)
         transcript = tmp_path / "transcript.jsonl"

@@ -22,36 +22,36 @@ def make_tree(h=5, b=2, **kw):
 class TestLegalActions:
     def test_root(self):
         tree = make_tree()
-        assert legal_actions(tree, tree.root) == {ActionKind.A1, ActionKind.A3}
+        assert legal_actions(tree, tree.root) == [ActionKind.A1, ActionKind.A3]
 
     def test_after_a1_only_a2(self):
         tree = make_tree()
         node = tree.add_child(tree.root, ActionKind.A1, "q")
-        assert legal_actions(tree, node) == {ActionKind.A2}
+        assert legal_actions(tree, node) == [ActionKind.A2]
 
     def test_after_a2(self):
         tree = make_tree()
         a1 = tree.add_child(tree.root, ActionKind.A1, "q")
         a2 = tree.add_child(a1, ActionKind.A2, "a")
-        assert legal_actions(tree, a2) == {ActionKind.A1, ActionKind.A3}
+        assert legal_actions(tree, a2) == [ActionKind.A1, ActionKind.A3]
 
     def test_a3_terminal(self):
         tree = make_tree()
         a3 = tree.add_child(tree.root, ActionKind.A3, "v")
-        assert legal_actions(tree, a3) == set()
+        assert legal_actions(tree, a3) == []
 
     def test_depth_limit_restricts_to_a3(self):
         tree = make_tree(h=2)
         a1 = tree.add_child(tree.root, ActionKind.A1, "q")
         a2 = tree.add_child(a1, ActionKind.A2, "a")
         # a2 sits at depth h, so nothing further is legal under it
-        assert legal_actions(tree, a2) == set()
+        assert legal_actions(tree, a2) == []
         # an A2 node at depth h-1 may only produce verdict children
         tree3 = make_tree(h=3)
         a1b = tree3.add_child(tree3.root, ActionKind.A1, "q")
         a2b = tree3.add_child(a1b, ActionKind.A2, "a")
         assert a2b.depth == 2
-        assert legal_actions(tree3, a2b) == {ActionKind.A3}
+        assert legal_actions(tree3, a2b) == [ActionKind.A3]
 
 
 class TestUctScore:
@@ -215,6 +215,44 @@ def structural_check(tree, config):
     assert tree.root.v == len(tree.completed_paths)
 
 
+def subtree_expandable(tree, node):
+    """Reference for ``SearchNode.open``: a legal action without children
+    here or anywhere below."""
+    taken = {tree.node(cid).action for cid in node.children}
+    if set(legal_actions(tree, node)) - taken:
+        return True
+    return any(subtree_expandable(tree, tree.node(cid)) for cid in node.children)
+
+
+class TestBookkeeping:
+    def test_pending_and_open_match_the_recursive_definition(self, monkeypatch):
+        add_child = SearchTree.add_child
+        checked = []
+
+        def checked_add_child(tree, parent, action, text):
+            child = add_child(tree, parent, action, text)
+            for node in tree.nodes:
+                taken = {tree.node(cid).action for cid in node.children}
+                assert node.pending == [a for a in legal_actions(tree, node)
+                                        if a not in taken]
+                assert node.open == subtree_expandable(tree, node)
+            checked.append(child.id)
+            return child
+
+        monkeypatch.setattr(SearchTree, "add_child", checked_add_child)
+        table, items = tabled_world(4, 4)
+        gateway = Gateway(RuleBasedOracle(table))
+        rng = random.Random(10)
+        for _ in range(200):
+            config = EngineConfig(n=rng.randrange(1, 25), h=rng.randrange(2, 13),
+                                  b=rng.randrange(1, 4),
+                                  seed=rng.randrange(10_000))
+            item = rng.choice(items)
+            SearchEngine(gateway, config).search(item.claim, KnowledgeGraph(),
+                                                 claim_id=item.id)
+        assert len(checked) > 1000
+
+
 class TestSearch:
     def _gateway(self):
         table, items = tabled_world(3, 3)
@@ -375,7 +413,7 @@ class TestExpand:
         assert [tree.node(c).text for c in root.children
                 if tree.node(c).action is ActionKind.A1] == \
             ["alternative 1", "alternative 2"]
-        assert root.expanded == {ActionKind.A1, ActionKind.A3}
+        assert root.pending == []
         structural_check(tree, engine.config)
 
     def test_depth_limit_clones_ask_for_one_verdict(self):
