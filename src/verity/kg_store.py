@@ -5,6 +5,13 @@ internal whitespace collapsed). Relation strings are stored verbatim but
 normalized for the dedup identity. Each triple carries provenance: the id
 of the source it came from plus a monotonically increasing sequence number.
 
+A graph interns the strings its triples repeat. It keeps one ``Entity`` per
+surface string and one normalized key per relation string, so loading a
+100k-triple file with about 20k distinct names normalizes and stores each
+name once, not once per mention. The tables are keyed by the surface as
+written, not by its key: "Obama" and "obama" stay two entities that share
+one key, so every saved line and digest keeps each mention's own spelling.
+
 File format: one JSON object per line with fields subject, relation,
 object, source_id, seq. Lines starting with '#' are ignored. Saved lines
 and the content digest share one serialization,
@@ -16,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -24,8 +32,9 @@ from .jsonl import read_records, write_lines
 
 _WS_RUN = re.compile(r"\s+")
 _encode_str = json.encoder.encode_basestring
-# Triples serialized per content_digest_lines call when the digest catches up.
-_DIGEST_CHUNK = 4096
+# Triples serialized per content_digest_lines call when the digest catches
+# up, and per write when the graph is saved.
+_LINE_CHUNK = 4096
 
 
 def normalize_entity(surface: str) -> str:
@@ -33,23 +42,25 @@ def normalize_entity(surface: str) -> str:
     return _WS_RUN.sub(" ", surface.strip()).lower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     """A named entity as written in the source, with its normalized match key.
 
-    ``key`` is computed once at construction from the immutable ``surface``.
-    It takes no part in equality, hashing or repr, which depend on
-    ``surface`` alone.
+    ``key`` and ``encoded``, the surface as a JSON string literal, are
+    computed once at construction from the immutable ``surface``. They take
+    no part in equality, hashing or repr, which depend on ``surface`` alone.
     """
 
     surface: str
     key: str = field(init=False, repr=False, compare=False)
+    encoded: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", normalize_entity(self.surface))
+        object.__setattr__(self, "encoded", _encode_str(self.surface))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: Entity
     relation: str
@@ -69,6 +80,10 @@ class Triple:
             raise ValidationError("triple has an empty object key")
         if not self.relation.strip():
             raise ValidationError("triple has an empty relation")
+        # bool is a subclass of int, and int() would take 1.9 or "7"; a seq
+        # of any other type would not save back to the line it was read from.
+        if type(self.seq) is not int:
+            raise ValidationError(f"seq must be an integer, not {self.seq!r}")
 
     def as_record(self) -> dict:
         return {
@@ -85,11 +100,10 @@ class Triple:
         Byte-identical to ``json.dumps(self.as_record(), ensure_ascii=False,
         sort_keys=True)`` without building an encoder and a dict per triple.
         """
-        return '{"object": %s, "relation": %s, "seq": %d, "source_id": %s, ' \
-            '"subject": %s}' % (
-                _encode_str(self.object.surface), _encode_str(self.relation),
-                self.seq, _encode_str(self.source_id),
-                _encode_str(self.subject.surface))
+        return (f'{{"object": {self.object.encoded}, '
+                f'"relation": {_encode_str(self.relation)}, "seq": {self.seq:d}, '
+                f'"source_id": {_encode_str(self.source_id)}, '
+                f'"subject": {self.subject.encoded}}}')
 
 
 def make_triple(subject: str, relation: str, object: str,
@@ -108,6 +122,13 @@ class KnowledgeGraph:
     The graph is append-only: triples enter ``triples`` only through
     :meth:`insert_triple`, and none is ever changed or removed. The running
     content digest relies on this, since it hashes each triple once.
+
+    :meth:`load` and :meth:`add` take each triple's entities from a table
+    keyed by surface string, so triples that name the same surface share one
+    ``Entity``, and :meth:`insert_triple` takes relation keys from a table
+    keyed by relation string. Keying by surface rather than by normalized
+    key keeps case and spacing variants apart, as the saved file has them.
+    ``copy()`` carries both tables.
     """
 
     def __init__(self) -> None:
@@ -115,6 +136,9 @@ class KnowledgeGraph:
         self._identities: set[tuple[str, str, str]] = set()
         self._entity_index: dict[str, set[int]] = {}
         self._next_seq = 0
+        # Interning tables, keyed by the string exactly as written.
+        self._entities: dict[str, Entity] = {}
+        self._relation_keys: dict[str, str] = {}
         # sha256 over the canonical lines of triples[:_hashed], "\n"-joined.
         self._hasher = hashlib.sha256()
         self._hashed = 0
@@ -126,10 +150,15 @@ class KnowledgeGraph:
         """Insert unless the dedup identity is already present.
 
         Returns True when the triple was appended. Rejects empty-key or
-        empty-relation triples with :class:`ValidationError`.
+        empty-relation triples, and a ``seq`` that is not an ``int``, with
+        :class:`ValidationError`.
         """
         triple.validate()
-        identity = triple.identity
+        relation_key = self._relation_keys.get(triple.relation)
+        if relation_key is None:
+            relation_key = normalize_entity(triple.relation)
+            self._relation_keys[triple.relation] = relation_key
+        identity = (triple.subject.key, relation_key, triple.object.key)
         if identity in self._identities:
             return False
         idx = len(self.triples)
@@ -142,8 +171,16 @@ class KnowledgeGraph:
 
     def add(self, subject: str, relation: str, object: str, source_id: str = "") -> bool:
         """Build a triple with the next sequence number and insert it."""
-        return self.insert_triple(
-            make_triple(subject, relation, object, source_id, self._next_seq))
+        return self.insert_triple(Triple(
+            self._entity(subject), relation, self._entity(object), source_id,
+            self._next_seq))
+
+    def _entity(self, surface: str) -> Entity:
+        """The graph's one ``Entity`` for ``surface``, made on first use."""
+        entity = self._entities.get(surface)
+        if entity is None:
+            entity = self._entities[surface] = Entity(surface)
+        return entity
 
     def match_entities(self, query_keys: Iterable[str]) -> set[str]:
         """Exact intersection of normalized query keys with indexed keys."""
@@ -162,6 +199,8 @@ class KnowledgeGraph:
         snap._identities = set(self._identities)
         snap._entity_index = {k: set(v) for k, v in self._entity_index.items()}
         snap._next_seq = self._next_seq
+        snap._entities = dict(self._entities)
+        snap._relation_keys = dict(self._relation_keys)
         snap._hasher = self._hasher.copy()
         snap._hashed = self._hashed
         return snap
@@ -179,7 +218,7 @@ class KnowledgeGraph:
         """
         total = len(self.triples)
         while self._hashed < total:
-            stop = min(self._hashed + _DIGEST_CHUNK, total)
+            stop = min(self._hashed + _LINE_CHUNK, total)
             chunk = "\n".join(self.content_digest_lines(self._hashed, stop))
             if self._hashed:
                 chunk = "\n" + chunk
@@ -188,21 +227,33 @@ class KnowledgeGraph:
         return self._hasher.hexdigest()
 
     def save(self, path: str) -> None:
-        """Write one canonical line per triple, atomically (see ``write_lines``)."""
-        write_lines(path, (t.canonical_line() + "\n" for t in self.triples))
+        """Write one canonical line per triple, atomically (see ``write_lines``).
+
+        Lines are joined a chunk at a time, so the file gets one write per
+        chunk rather than one per line.
+        """
+        triples = self.triples
+        write_lines(path, ("\n".join([t.canonical_line() for t in
+                                      triples[i:i + _LINE_CHUNK]]) + "\n"
+                           for i in range(0, len(triples), _LINE_CHUNK)))
 
     @classmethod
     def load(cls, path: str) -> "KnowledgeGraph":
         graph = cls()
+        entity = graph._entity
         for lineno, record in read_records(path):
             try:
-                names = (record["subject"], record["relation"], record["object"],
-                         record.get("source_id", ""))
+                names = subject, relation, obj, source_id = (
+                    record["subject"], record["relation"], record["object"],
+                    record.get("source_id", ""))
                 if tuple(map(type, names)) != (str, str, str, str):
                     raise TypeError("subject, relation, object and source_id "
                                     "must be strings")
-                graph.insert_triple(
-                    make_triple(*names, int(record.get("seq", 0))))
-            except (KeyError, TypeError, ValueError, ValidationError) as exc:
+                # Relations and source ids come from small vocabularies;
+                # interning keeps one string per distinct value.
+                graph.insert_triple(Triple(
+                    entity(subject), sys.intern(relation), entity(obj),
+                    sys.intern(source_id), record.get("seq", 0)))
+            except (KeyError, TypeError, ValidationError) as exc:
                 raise FormatError(path, lineno, f"bad record: {exc}") from exc
         return graph

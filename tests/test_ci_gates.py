@@ -1,0 +1,93 @@
+"""Tier-1 copies of benchmark gates that otherwise run only in CI.
+
+The traced benchmark pass wraps program functions by name, and the
+hash-seed pass compares outputs under two ``PYTHONHASHSEED`` values. Both
+are cheap enough to check here on a small world.
+"""
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+# Importing any verity module loads the package, and with it every module
+# the tracer wraps.
+from verity.kg_store import KnowledgeGraph
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+KG_METHODS = ("load", "copy", "content_digest_lines", "one_hop_subgraph",
+              "match_entities", "add", "save")
+
+
+def _load_bench_module(name, monkeypatch):
+    """Import ``bench/<name>.py`` under its own name, as ``bench/run.py`` does."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_resolves_every_target(monkeypatch):
+    spans = _load_bench_module("spans", monkeypatch)
+    standin = _load_bench_module("standin", monkeypatch)
+    originals = {m: KnowledgeGraph.__dict__[m] for m in KG_METHODS}
+    generate = standin.StandInModel.generate
+    tracer = spans.Tracer()
+    try:
+        tracer.install(standin.StandInModel)
+        for method in KG_METHODS:
+            wrapped = KnowledgeGraph.__dict__[method]
+            assert wrapped is not originals[method]
+            inner = getattr(wrapped, "__func__", wrapped).__wrapped__
+            assert inner is getattr(originals[method], "__func__",
+                                    originals[method])
+        assert standin.StandInModel.generate.__wrapped__ is generate
+    finally:
+        tracer.uninstall()
+    assert {m: KnowledgeGraph.__dict__[m] for m in KG_METHODS} == originals
+    assert standin.StandInModel.generate is generate
+
+
+# Runs subset 1 with updates on an empty graph, saves it, reloads it and
+# runs subset 2, which only the carried knowledge decides, with updates on.
+_CARRYOVER_RUN = """
+import sys
+from synth import carryover_world
+from verity.gateway import Gateway
+from verity.kg_store import KnowledgeGraph
+from verity.mcts import EngineConfig
+from verity.oracle import RuleBasedOracle
+from verity.run import run_detection
+from verity.verdict import Verdict
+
+table, subset1, subset2 = carryover_world(num_linked=4)
+gateway = Gateway(RuleBasedOracle(table))
+config = EngineConfig(n=8, h=3, b=2, seed=1)
+first, _, grown = run_detection(subset1, KnowledgeGraph(), config, gateway)
+grown.save(sys.argv[1])
+carried, _, final = run_detection(
+    subset2, KnowledgeGraph.load(sys.argv[1]), config, gateway)
+final.save(sys.argv[1])
+real = sum(r.verdict == Verdict.REAL for r in carried.results)
+print(first.digest(), carried.digest(), len(final), real)
+"""
+
+
+def test_outputs_do_not_depend_on_hash_seed(tmp_path):
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    outputs = []
+    for seed in ("1", "2"):
+        graph = tmp_path / f"kg-{seed}.jsonl"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", _CARRYOVER_RUN, str(graph)], env=env,
+            capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, graph.read_bytes()))
+    assert outputs[0] == outputs[1]
+    triples, real = map(int, outputs[0][0].split()[2:])
+    # Updates wrote the graph, and subset 2 was decided from what they wrote.
+    assert triples > 0 and real == 4

@@ -104,6 +104,13 @@ class TestInsert:
         with pytest.raises(ValidationError):
             g.insert_triple(make_triple(s, r, o))
 
+    @pytest.mark.parametrize("seq", [1.5, True, "7", None])
+    def test_non_integer_seq_rejected(self, seq):
+        g = KnowledgeGraph()
+        with pytest.raises(ValidationError, match="seq must be an integer"):
+            g.insert_triple(make_triple("a", "r", "b", seq=seq))
+        assert len(g) == 0
+
 
 class TestQueries:
     def test_match_entities_is_intersection(self):
@@ -199,7 +206,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("field,value", [
         ("subject", 5), ("relation", None), ("object", ["b"]),
-        ("source_id", 7), ("seq", "first")])
+        ("source_id", 7), ("seq", "first"), ("seq", 1.5), ("seq", True),
+        ("seq", "7")])
     def test_ill_typed_field_reports_line(self, tmp_path, field, value):
         good = {"subject": "a", "relation": "r", "object": "b",
                 "source_id": "", "seq": 0}
@@ -213,6 +221,88 @@ class TestPersistence:
     def test_missing_file_is_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             KnowledgeGraph.load(str(tmp_path / "absent.jsonl"))
+
+
+class TestInterning:
+    """One ``Entity`` per surface string, never one per normalized key."""
+
+    ROWS = [("Obama", "met", "Merkel"), ("Merkel", "met", "obama"),
+            ("obama", "visited", "Berlin"), ("Obama", "toured", "Berlin "),
+            ("Berlin", "is in", "Germany")]
+
+    def _added(self):
+        g = KnowledgeGraph()
+        for i, (s, r, o) in enumerate(self.ROWS):
+            assert g.add(s, r, o, source_id=f"doc-{i % 2}")
+        return g
+
+    def _loaded(self, tmp_path, graph):
+        path = tmp_path / "kg.jsonl"
+        graph.save(str(path))
+        return KnowledgeGraph.load(str(path))
+
+    @staticmethod
+    def _by_surface(graph):
+        """Every Entity object of the graph's triples, grouped by surface."""
+        seen: dict[str, set[int]] = {}
+        objects = {}
+        for t in graph.triples:
+            for e in (t.subject, t.object):
+                seen.setdefault(e.surface, set()).add(id(e))
+                objects[e.surface] = e
+        return seen, objects
+
+    def test_shared_surface_is_one_entity(self, tmp_path):
+        added = self._added()
+        for graph in (added, self._loaded(tmp_path, added)):
+            seen, objects = self._by_surface(graph)
+            assert all(len(ids) == 1 for ids in seen.values()), seen
+            t = graph.triples
+            assert t[0].subject is t[3].subject       # "Obama"
+            assert t[0].object is t[1].subject        # "Merkel"
+
+    def test_case_variants_stay_distinct_with_one_key(self, tmp_path):
+        added = self._added()
+        for graph in (added, self._loaded(tmp_path, added)):
+            _, objects = self._by_surface(graph)
+            upper, lower = objects["Obama"], objects["obama"]
+            assert upper is not lower and upper != lower
+            assert upper.key == lower.key == "obama"
+            assert objects["Berlin"] is not objects["Berlin "]
+            hop = graph.one_hop_subgraph({"obama"})
+            assert [t.subject.surface for t in hop] == \
+                ["Obama", "Merkel", "obama", "Obama"]
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        self._added().save(str(first))
+        KnowledgeGraph.load(str(first)).save(str(second))
+        assert first.read_bytes() == second.read_bytes()
+        assert b'"subject": "obama"' in first.read_bytes()
+
+    def test_loaded_digest_equals_added_digest(self, tmp_path):
+        added = self._added()
+        loaded = self._loaded(tmp_path, added)
+        assert loaded.triples == added.triples
+        assert loaded.content_digest() == added.content_digest() \
+            == reference_digest(added)
+
+    def test_new_surface_in_a_copy_leaves_the_original(self):
+        g = self._added()
+        digest, triples = g.content_digest(), list(g.triples)
+        index = {k: set(v) for k, v in g._entity_index.items()}
+        snap = g.copy()
+        assert snap.add("Biden", "met", "OBAMA")
+        assert snap.add("obama", "met", "Biden")
+        assert g.triples == triples and len(g) == len(self.ROWS)
+        assert g._entity_index == index
+        assert g.match_entities({"biden"}) == set()
+        assert g.content_digest() == digest == reference_digest(g)
+        # The original makes its own Entity for a surface first seen in the copy.
+        assert g.add("Biden", "met", "Merkel")
+        assert g.triples[-1].subject is not snap.triples[-2].subject
+        assert snap.content_digest() == reference_digest(snap)
+
 
 
 def test_copy_is_independent():
@@ -247,7 +337,7 @@ class TestContentDigest:
            st.integers(min_value=1, max_value=5))
     def test_running_digest_equals_from_scratch(self, ops, chunk):
         # A small chunk makes short graphs cross chunk boundaries.
-        with mock.patch.object(kg_store, "_DIGEST_CHUNK", chunk):
+        with mock.patch.object(kg_store, "_LINE_CHUNK", chunk):
             graphs = [KnowledgeGraph()]
             for op, which, a, b in ops:
                 graph = graphs[which % len(graphs)]
@@ -303,6 +393,17 @@ class TestSave:
 
     def test_bytes_equal_per_line_json_dumps(self, tmp_path):
         g = self._graph()
+        path = tmp_path / "kg.jsonl"
+        g.save(str(path))
+        expected = "".join(reference_line(t) + "\n" for t in g.triples)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_chunked_write_keeps_every_line(self, tmp_path, monkeypatch,
+                                            chunk):
+        monkeypatch.setattr(kg_store, "_LINE_CHUNK", chunk)
+        g = self._graph()
+        g.add("c", "r", "d")
         path = tmp_path / "kg.jsonl"
         g.save(str(path))
         expected = "".join(reference_line(t) + "\n" for t in g.triples)
