@@ -4,6 +4,16 @@ Two complementary extraction modes run over every document: entity-centered
 relation extraction (the relation wording may be generated, not quoted) and
 event-centered triple extraction where subjects and objects can be
 multi-word phrases such as times and places.
+
+A document costs two model round-trips, in dependency order. The first
+batch asks for the entities and the event triples of every distinct chunk;
+the second asks for every chunk's relations, naming the entities the first
+found. A chunk that repeats is asked once. When a request fails for good,
+the batch raises the first failure in request order, entity requests
+before event ones, and no relation request is sent if the first batch
+failed. ``build_graph`` then skips the document and lists it in
+``docs_failed``; the knowledge update passes the error on, and its claim is
+abandoned.
 """
 
 from __future__ import annotations
@@ -11,9 +21,10 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, field
+from typing import Callable, Sequence
 
 from .errors import GatewayHardError, ValidationError
-from .gateway import Gateway, LLMRequest, PromptKind
+from .gateway import Gateway, LLMRequest, LLMResponse, PromptKind
 from .jsonl import write_lines
 from .kg_store import Entity, KnowledgeGraph, Triple
 
@@ -60,15 +71,33 @@ def _chunks(body: str) -> list[str]:
     return out
 
 
-def extract_entities(doc: SourceDocument, gateway: Gateway) -> list[Entity]:
-    """Deduplicated (by normalized key) entities in first-mention order."""
-    if not doc.body.strip():
-        return []
+def _request(kind: PromptKind, **slots: str) -> Callable[[str], LLMRequest]:
+    """Builds ``kind``'s request for one chunk, with the other slots fixed."""
+    return lambda chunk: LLMRequest(kind, {"document": chunk, **slots})
+
+
+def _wave(gateway: Gateway, chunks: list[str],
+          builders: Sequence[Callable[[str], LLMRequest]],
+          ) -> list[list[LLMResponse]]:
+    """Every builder's request for every distinct chunk, in one batch.
+
+    Returns, per builder, the responses for each chunk occurrence in order,
+    so a repeated chunk is asked once and parsed once per occurrence.
+    """
+    distinct = list(dict.fromkeys(chunks))
+    resps = iter(gateway.complete_all(
+        [build(chunk) for build in builders for chunk in distinct]))
+    out = []
+    for _ in builders:
+        by_chunk = {chunk: next(resps) for chunk in distinct}
+        out.append([by_chunk[chunk] for chunk in chunks])
+    return out
+
+
+def _parse_entities(resps: list[LLMResponse]) -> list[Entity]:
     entities: list[Entity] = []
     seen: set[str] = set()
-    for chunk in _chunks(doc.body):
-        resp = gateway.complete(LLMRequest(PromptKind.EXTRACT_ENTITIES,
-                                           {"document": chunk}))
+    for resp in resps:
         for surface in resp.parsed:
             entity = Entity(surface)
             if entity.key and entity.key not in seen:
@@ -77,23 +106,12 @@ def extract_entities(doc: SourceDocument, gateway: Gateway) -> list[Entity]:
     return entities
 
 
-def extract_entity_relations(doc: SourceDocument, entities: list[Entity],
-                             gateway: Gateway) -> tuple[list[Triple], int]:
-    """Relation triples between the supplied entities, repeats included.
-
-    Triples referencing entities outside the list are dropped; the second
-    return value counts the drops (plus malformed output lines).
-    """
-    if not entities:
-        raise ValidationError("entity list must be non-empty")
+def _parse_relations(doc: SourceDocument, entities: list[Entity],
+                     resps: list[LLMResponse]) -> tuple[list[Triple], int]:
     allowed = {e.key for e in entities}
-    entity_list = ", ".join(e.surface for e in entities)
     triples: list[Triple] = []
     dropped = 0
-    for chunk in _chunks(doc.body):
-        resp = gateway.complete(LLMRequest(
-            PromptKind.GENERATE_RELATIONS,
-            {"document": chunk, "entities": entity_list}))
+    for resp in resps:
         dropped += resp.warnings
         for s, r, o in resp.parsed:
             triple = Triple(Entity(s), r, Entity(o), source_id=doc.id)
@@ -106,34 +124,71 @@ def extract_entity_relations(doc: SourceDocument, entities: list[Entity],
     return triples, dropped
 
 
-def extract_event_triples(doc: SourceDocument,
-                          gateway: Gateway) -> tuple[list[Triple], int]:
-    """Event triples, repeats included; endpoints may be multi-word phrases."""
-    if not doc.body.strip():
-        return [], 0
+def _parse_events(doc: SourceDocument,
+                  resps: list[LLMResponse]) -> tuple[list[Triple], int]:
     triples: list[Triple] = []
     malformed = 0
-    for chunk in _chunks(doc.body):
-        resp = gateway.complete(LLMRequest(PromptKind.EXTRACT_EVENT_TRIPLES,
-                                           {"document": chunk}))
+    for resp in resps:
         malformed += resp.warnings
         triples += [Triple(Entity(s), r, Entity(o), source_id=doc.id)
                     for s, r, o in resp.parsed]
     return triples, malformed
 
 
+def extract_entities(doc: SourceDocument, gateway: Gateway) -> list[Entity]:
+    """Deduplicated (by normalized key) entities in first-mention order."""
+    if not doc.body.strip():
+        return []
+    [resps] = _wave(gateway, _chunks(doc.body),
+                    [_request(PromptKind.EXTRACT_ENTITIES)])
+    return _parse_entities(resps)
+
+
+def extract_entity_relations(doc: SourceDocument, entities: list[Entity],
+                             gateway: Gateway) -> tuple[list[Triple], int]:
+    """Relation triples between the supplied entities, repeats included.
+
+    Triples referencing entities outside the list are dropped; the second
+    return value counts the drops (plus malformed output lines).
+    """
+    if not entities:
+        raise ValidationError("entity list must be non-empty")
+    entity_list = ", ".join(e.surface for e in entities)
+    [resps] = _wave(gateway, _chunks(doc.body),
+                    [_request(PromptKind.GENERATE_RELATIONS,
+                              entities=entity_list)])
+    return _parse_relations(doc, entities, resps)
+
+
+def extract_event_triples(doc: SourceDocument,
+                          gateway: Gateway) -> tuple[list[Triple], int]:
+    """Event triples, repeats included; endpoints may be multi-word phrases."""
+    if not doc.body.strip():
+        return [], 0
+    [resps] = _wave(gateway, _chunks(doc.body),
+                    [_request(PromptKind.EXTRACT_EVENT_TRIPLES)])
+    return _parse_events(doc, resps)
+
+
 def extract_document(doc: SourceDocument,
                      gateway: Gateway) -> tuple[list[Triple], int]:
-    """Run both extraction modes over one document; keep each triple's first."""
-    entities = extract_entities(doc, gateway)
+    """Run both extraction modes over one document; keep each triple's first.
+
+    Two round-trips: entities and event triples for every chunk in one
+    batch, then the relations, which need the entity list, in a second.
+    """
+    if not doc.body.strip():
+        return [], 0
+    chunks = _chunks(doc.body)
+    entity_resps, event_resps = _wave(
+        gateway, chunks, [_request(PromptKind.EXTRACT_ENTITIES),
+                          _request(PromptKind.EXTRACT_EVENT_TRIPLES)])
+    entities = _parse_entities(entity_resps)
+    event_triples, dropped = _parse_events(doc, event_resps)
     triples: list[Triple] = []
-    dropped = 0
     if entities:
-        rel_triples, rel_dropped = extract_entity_relations(doc, entities, gateway)
-        triples.extend(rel_triples)
+        triples, rel_dropped = extract_entity_relations(doc, entities, gateway)
         dropped += rel_dropped
-    event_triples, malformed = extract_event_triples(doc, gateway)
-    dropped += malformed
     seen: set[tuple[str, str, str]] = set()
     unique = []
     for t in triples + event_triples:

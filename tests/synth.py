@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 
 from verity.dataset import NewsItem
+from verity.gateway import Gateway, PromptKind
 from verity.oracle import FactTable
 from verity.verdict import Verdict
 
@@ -29,6 +30,31 @@ def save_dataset(items: list[NewsItem], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for item in items:
             fh.write(json.dumps(news_record(item), ensure_ascii=False) + "\n")
+
+
+class BatchLog:
+    """The prompt kinds each ``complete_all`` batch sent to the backend.
+
+    Wraps one Gateway's ``complete_all`` in place; ``complete`` goes through
+    it too. A batch is logged as the set of kinds whose ``call_counts`` it
+    raised, so a batch the memo answered in full is not logged.
+    """
+
+    def __init__(self, gateway: Gateway):
+        self.batches: list[set[PromptKind]] = []
+        inner = gateway.complete_all
+
+        def complete_all(reqs):
+            before = dict(gateway.call_counts)
+            try:
+                return inner(reqs)
+            finally:
+                sent = {kind for kind, n in gateway.call_counts.items()
+                        if n > before[kind]}
+                if sent:
+                    self.batches.append(sent)
+
+        gateway.complete_all = complete_all
 
 
 def tabled_world(num_real: int = 25, num_fake: int = 25):

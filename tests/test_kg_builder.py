@@ -1,10 +1,14 @@
 import pytest
+from synth import BatchLog
 
-from verity.errors import ValidationError
-from verity.gateway import Gateway, LLMRequest, PromptKind, RecordingBackend
+from verity import kg_builder
+from verity.errors import GatewayHardError, TransportError, ValidationError
+from verity.gateway import (Gateway, LLMRequest, PromptKind, RecordingBackend,
+                            ScriptedBackend)
 from verity.kg_builder import (BuildReport, SourceDocument, build_graph,
-                               extract_entities, extract_entity_relations,
-                               extract_event_triples)
+                               extract_document, extract_entities,
+                               extract_entity_relations, extract_event_triples)
+from verity.kg_store import Entity, Triple
 from verity.oracle import RuleBasedOracle
 
 
@@ -146,3 +150,150 @@ class TestChunking:
         extract_entity_relations(doc(body), entities, gateway)
         relation_calls = calls.count(PromptKind.GENERATE_RELATIONS)
         assert relation_calls >= 2
+
+
+def sequential_extract(doc, gateway):
+    """``extract_document`` one request at a time: all entity requests,
+    then the relations, then the event triples, chunk by chunk."""
+    chunks = kg_builder._chunks(doc.body)
+    entities, keys = [], set()
+    for chunk in chunks:
+        resp = gateway.complete(LLMRequest(PromptKind.EXTRACT_ENTITIES,
+                                           {"document": chunk}))
+        for surface in resp.parsed:
+            entity = Entity(surface)
+            if entity.key and entity.key not in keys:
+                keys.add(entity.key)
+                entities.append(entity)
+    triples, dropped = [], 0
+    entity_list = ", ".join(e.surface for e in entities)
+    for chunk in chunks if entities else []:
+        resp = gateway.complete(LLMRequest(
+            PromptKind.GENERATE_RELATIONS,
+            {"document": chunk, "entities": entity_list}))
+        dropped += resp.warnings
+        for s, r, o in resp.parsed:
+            triple = Triple(Entity(s), r, Entity(o), source_id=doc.id)
+            if triple.subject.key in keys and triple.object.key in keys:
+                triples.append(triple)
+            else:
+                dropped += 1
+    for chunk in chunks:
+        resp = gateway.complete(LLMRequest(PromptKind.EXTRACT_EVENT_TRIPLES,
+                                           {"document": chunk}))
+        dropped += resp.warnings
+        triples += [Triple(Entity(s), r, Entity(o), source_id=doc.id)
+                    for s, r, o in resp.parsed]
+    first = {}
+    for triple in triples:
+        first.setdefault(triple.identity, triple)
+    return list(first.values()), dropped
+
+
+def noisy_oracle(table):
+    """The oracle, with a malformed line after every triple answer and a
+    relation to an entity no document names."""
+    oracle = RuleBasedOracle(table)
+
+    def generate(req, prompt):
+        raw = oracle.generate(req, prompt)
+        if req.kind is PromptKind.GENERATE_RELATIONS:
+            raw += "\n(Eisenhower | met | Nobody)"
+        if req.kind in (PromptKind.GENERATE_RELATIONS,
+                        PromptKind.EXTRACT_EVENT_TRIPLES):
+            raw += "\nnot a triple"
+        return raw
+
+    return ScriptedBackend(generate)
+
+
+def records(triples):
+    return [t.as_record() for t in triples]
+
+
+class TestExtractDocument:
+    SENTENCES = ("Eisenhower commanded Anderson.\n"
+                 "Anderson fought in Tunisia.\n"
+                 "The landing occurred in November 1942.\n")
+
+    def test_single_chunk_takes_two_round_trips(self, tunisia_table):
+        gateway = Gateway(noisy_oracle(tunisia_table))
+        log = BatchLog(gateway)
+        triples, dropped = extract_document(doc(self.SENTENCES), gateway)
+        gateway.close()
+        assert log.batches == [
+            {PromptKind.EXTRACT_ENTITIES, PromptKind.EXTRACT_EVENT_TRIPLES},
+            {PromptKind.GENERATE_RELATIONS}]
+        expected, expected_dropped = sequential_extract(
+            doc(self.SENTENCES), Gateway(noisy_oracle(tunisia_table)))
+        assert records(triples) == records(expected) and len(triples) == 4
+        assert dropped == expected_dropped == 3
+
+    def test_repeated_chunk_asked_once_counted_twice(self, tunisia_table,
+                                                     monkeypatch):
+        body = self.SENTENCES * 2
+        monkeypatch.setattr(kg_builder, "CHUNK_CHARS", len(self.SENTENCES))
+        assert kg_builder._chunks(body) == [self.SENTENCES] * 2
+        gateway = Gateway(noisy_oracle(tunisia_table))
+        triples, dropped = extract_document(doc(body), gateway)
+        gateway.close()
+        expected, expected_dropped = sequential_extract(
+            doc(body), Gateway(noisy_oracle(tunisia_table)))
+        assert records(triples) == records(expected)
+        assert dropped == expected_dropped == 6
+        assert sum(gateway.call_counts.values()) == 3
+
+    def test_empty_document_sends_nothing(self, oracle_gateway):
+        assert extract_document(doc(" \n"), oracle_gateway) == ([], 0)
+        assert sum(oracle_gateway.call_counts.values()) == 0
+
+
+def failing_gateway(table, kind, text=""):
+    """A gateway whose backend fails every ``kind`` request whose prompt
+    holds ``text``, with no retry, and the kinds it was asked, in order."""
+    oracle = RuleBasedOracle(table)
+    asked = []
+
+    def generate(req, prompt):
+        asked.append(req.kind)
+        if req.kind is kind and text in prompt:
+            raise TransportError("injected")
+        return oracle.generate(req, prompt)
+
+    return Gateway(ScriptedBackend(generate), max_retries=0), asked
+
+
+class TestExtractionFailure:
+    BODY = ("Eisenhower commanded Anderson. "
+            "The landing occurred in November 1942.")
+
+    def test_entities_failure_names_extract_entities(self, tunisia_table):
+        gateway, asked = failing_gateway(tunisia_table,
+                                         PromptKind.EXTRACT_ENTITIES)
+        with pytest.raises(GatewayHardError,
+                           match="^extract_entities failed after 1 "):
+            extract_document(doc(self.BODY), gateway)
+        gateway.close()
+        assert PromptKind.GENERATE_RELATIONS not in asked
+
+    def test_event_failure_sends_no_relations(self, tunisia_table):
+        gateway, asked = failing_gateway(tunisia_table,
+                                         PromptKind.EXTRACT_EVENT_TRIPLES)
+        with pytest.raises(GatewayHardError,
+                           match="^extract_event_triples failed after 1 "):
+            extract_document(doc(self.BODY), gateway)
+        gateway.close()
+        assert sorted(k.value for k in asked) == \
+            ["extract_entities", "extract_event_triples"]
+
+    def test_build_graph_skips_only_the_failing_document(self, tunisia_table):
+        gateway, _ = failing_gateway(tunisia_table,
+                                     PromptKind.EXTRACT_EVENT_TRIPLES,
+                                     "landing")
+        corpus = [doc("Eisenhower commanded Anderson.", id="a"),
+                  doc("The landing occurred in November 1942.", id="b"),
+                  doc("Anderson fought in Tunisia.", id="c")]
+        graph, report = build_graph(corpus, gateway)
+        gateway.close()
+        assert report.docs_failed == ["b"] and report.docs_processed == 2
+        assert {t.source_id for t in graph.triples} == {"a", "c"}

@@ -8,11 +8,12 @@ import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from synth import carryover_world, tabled_world
+from synth import BatchLog, carryover_world, tabled_world
 
 from verity.errors import GatewayHardError, TransportError, ValidationError
 from verity.gateway import (Gateway, PromptKind, RecordingBackend,
                             ReplayBackend, ScriptedBackend, request_hash)
+from verity.kg_builder import SourceDocument, build_graph
 from verity.kg_store import KnowledgeGraph, Triple
 from verity.mcts import EngineConfig
 from verity.oracle import RuleBasedOracle
@@ -28,11 +29,24 @@ import pytest
 SEQUENTIAL_DEEP_DIGEST = \
     "ca5102fbe0295d51c348583549441385538c986fd6a811f74edbc07f9d72c62a"
 
+# sha256 of the run digests of run_sequential over carryover_world(12) at
+# n8 h3 b2, seed 0, with updates, on the graph build_graph made from subset
+# 1's evidence, followed by the sha256 of the carried graph's canonical lines;
+# as computed when each document's three extraction requests went out one
+# after another.
+SEQUENTIAL_CARRYOVER_DIGEST = \
+    "8173d2071f8794ac69dc739243a838dcbd73736c4858b85a64736998b18dc72c"
+
 
 def from_scratch(graph):
     """sha256 of the graph's lines, serialized independently of kg_store."""
-    lines = [json.dumps(t.as_record(), ensure_ascii=False, sort_keys=True)
-             for t in graph.triples]
+    return records_digest(t.as_record() for t in graph.triples)
+
+
+def records_digest(records):
+    """sha256 of triple records written as a saved graph's lines."""
+    lines = [json.dumps(r, ensure_ascii=False, sort_keys=True)
+             for r in records]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
@@ -135,6 +149,44 @@ class TestRunDetection:
             ("HTTP 400", None, "")
         assert record.exclusions == 1 and metrics is None
         assert len(grown) == 0
+
+    def test_update_extraction_failure_leaves_no_verdict(self):
+        table, items = tabled_world(num_real=1, num_fake=0)
+        oracle = RuleBasedOracle(table)
+        asked = []
+
+        def fail_events(req, prompt):
+            asked.append(req.kind)
+            if req.kind is PromptKind.EXTRACT_EVENT_TRIPLES:
+                raise TransportError("injected")
+            return oracle.generate(req, prompt)
+
+        gateway = Gateway(ScriptedBackend(fail_events), max_retries=0)
+        record, metrics, grown = run_detection(items, KnowledgeGraph(),
+                                               small_config(), gateway)
+        gateway.close()
+        [result] = record.results
+        assert result.error == \
+            "extract_event_triples failed after 1 attempts: injected"
+        assert result.verdict is None and metrics is None and len(grown) == 0
+        assert PromptKind.GENERATE_RELATIONS not in asked
+
+    def test_update_takes_two_extraction_round_trips(self):
+        table, items = tabled_world(num_real=1, num_fake=0)
+        gateway = Gateway(RuleBasedOracle(table))
+        # Run once without updates, so that the memo answers every search
+        # request and only the update's batches reach the backend.
+        run_detection(items, KnowledgeGraph(), small_config(), gateway,
+                      updates=False)
+        log = BatchLog(gateway)
+        record, _, _ = run_detection(items, KnowledgeGraph(), small_config(),
+                                     gateway)
+        gateway.close()
+        [result] = record.results
+        assert result.verdict is Verdict.REAL and result.triples_added
+        assert log.batches == [
+            {PromptKind.EXTRACT_ENTITIES, PromptKind.EXTRACT_EVENT_TRIPLES},
+            {PromptKind.GENERATE_RELATIONS}]
 
     def test_record_round_trip(self, tmp_path):
         table, items = tabled_world(num_real=1, num_fake=1)
@@ -461,6 +513,30 @@ class TestRunSequential:
         assert by_setting["subset2"].accuracy == 0.0
         assert by_setting["subset2+kg1"].accuracy == 1.0
         assert all(c.population == 3 for c in cells)
+
+    def test_carryover_keeps_sequential_digest(self):
+        table, subset1, subset2 = carryover_world(num_linked=12)
+        gateway = Gateway(RuleBasedOracle(table))
+        # One document per evidence sentence, so that no document names a
+        # commander with their aide and only the updates add "superior of".
+        corpus = [SourceDocument(f"{item.id}-{i}", sentence)
+                  for item in subset1
+                  for i, sentence in enumerate(item.evidence)]
+        base, report = build_graph(corpus, gateway)
+        cells = run_sequential([subset1, subset2], base,
+                               small_config(n=8, h=3, b=2), gateway)
+        gateway.close()
+        assert report.docs_processed == len(corpus) == 24 and len(base) == 24
+        assert [c.accuracy for c in cells] == [1.0, 0.0, 1.0]
+        # The carried graph is the built one plus every update, in order.
+        carried = [t.as_record() for t in base.triples] + [
+            t for c in cells for r in c.record.results
+            for t in r.triples_added]
+        carried_digest = records_digest(carried)
+        assert carried_digest == cells[-1].record.kg_after
+        lines = [c.record.digest() for c in cells] + [carried_digest]
+        assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() \
+            == SEQUENTIAL_CARRYOVER_DIGEST
 
     def test_three_subset_tags(self):
         table, items = tabled_world(num_real=3, num_fake=0)
