@@ -115,9 +115,11 @@ class KnowledgeGraph:
     """Ordered triple collection with an entity index for one-hop lookups.
 
     Concurrent reads are safe; callers serialize writes, and
-    :meth:`content_digest` counts as a write. ``copy()`` gives a cheap
-    snapshot so a detection run can read a consistent graph while a previous
-    claim's updates commit elsewhere.
+    :meth:`content_digest` counts as a write. ``copy()`` gives a snapshot
+    so a detection run can read a consistent graph while a previous claim's
+    updates commit elsewhere. It is not cheap on a large graph: it copies
+    the triple list and the identity set and rebuilds one index set per
+    entity key, about 20k sets and tens of milliseconds at 100k triples.
 
     The graph is append-only: triples enter ``triples`` only through
     :meth:`insert_triple`, and none is ever changed or removed. The running

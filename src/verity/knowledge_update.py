@@ -2,8 +2,8 @@
 
 Extraction reuses both modes from :mod:`verity.kg_builder` over a composed
 text: the claim plus the Q&A steps of the reasoning paths that agreed with
-the Real verdict. Paths that concluded Fake are excluded so contradicted
-reasoning is not reintroduced.
+the Real verdict, each step once. Paths that concluded Fake are excluded so
+contradicted reasoning is not reintroduced.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ def extract_new_knowledge(claim_id: str, claim: str, paths: list[ReasoningPath],
 
     Callers invoke this only for claims whose final verdict is Real; an empty
     agreeing-path set degrades to extraction from the claim text alone.
+    Paths share their root-side steps, so the document keeps each line's
+    first occurrence only.
     """
     parts = [claim]
     for path in paths:
@@ -42,7 +44,7 @@ def extract_new_knowledge(claim_id: str, claim: str, paths: list[ReasoningPath],
         for action, text in path.steps:
             if action in (ActionKind.A1, ActionKind.A2):
                 parts.append(text)
-    doc = SourceDocument(id=claim_id, body="\n".join(parts), trusted=True)
+    doc = SourceDocument(id=claim_id, body="\n".join(dict.fromkeys(parts)), trusted=True)
     triples, dropped = extract_document(doc, gateway)
     if dropped:
         log.warning("claim %s: %d extraction drops during knowledge update",

@@ -5,6 +5,10 @@ verdict (A3). A2 only follows A1; A3 only follows the root or A2. Each
 search iteration is one select -> expand -> back-propagate round; leaves
 register reasoning paths, rewards follow the majority of completed-path
 verdicts, and the final verdict is a majority vote with ties broken to Fake.
+
+Claim latency is set by sequential model round-trips. The root's A3 verdict
+reads no answer, so it is asked in the same batch as the root's first A1
+sub-questions and used when the root's A3 is expanded, one iteration later.
 """
 
 from __future__ import annotations
@@ -87,6 +91,9 @@ class SearchTree:
         root.open = True
         self.nodes: list[SearchNode] = [root]
         self.completed_paths: list[ReasoningPath] = []
+        # The root's evidence-free verdict, asked in the root's A1 batch and
+        # used when the root's A3 is expanded.
+        self.root_verdict: Optional[LLMResponse] = None
 
     @property
     def root(self) -> SearchNode:
@@ -247,6 +254,21 @@ class SearchEngine:
         action leaves ``pending`` with its first child, so it is not asked
         again unless every branch failed. Children are attached, and leaves
         completed, in branch order.
+
+        When the search runs more than one iteration, the root's A1 batch
+        also carries the root's verdict request, last, while the root's A3
+        is pending and not yet asked. Its evidence-free transcript needs no
+        sub-question answer. The tree keeps the response, out of the A1
+        retry, and the root's A3 expansion uses it without asking again. So
+        a claim takes one round-trip fewer, with the same calls, children,
+        rng draws and votes. Calls differ only on failure paths:
+
+        - A root sub-question request fails hard: the verdict was sent and
+          counted, and the claim still ends with the sub-question's error.
+        - The verdict request fails hard: the claim ends at the root's A1
+          expansion, before that expansion's retries, not at its A3.
+        - Every root A1 branch fails until the search ends before the
+          root's A3: the verdict call goes unused.
         """
         if not node.pending:
             raise ValidationError("node has no expansion capacity")
@@ -271,7 +293,17 @@ class SearchEngine:
             }, seed=self.config.seed)]
         else:
             reqs = [self._verdict_request(tree, parent_path)]
-        resps = self.gateway.complete_all(reqs)
+        at_root = node.parent is None
+        if action == ActionKind.A3 and at_root and tree.root_verdict is not None:
+            resps = [tree.root_verdict]
+        elif (action == ActionKind.A1 and at_root and tree.config.n > 1
+                and ActionKind.A3 in node.pending and tree.root_verdict is None):
+            # Last in the batch, so a sub-question's failure is the one raised.
+            resps = self.gateway.complete_all(
+                reqs + [self._verdict_request(tree, parent_path)])
+            tree.root_verdict = resps.pop()
+        else:
+            resps = self.gateway.complete_all(reqs)
         if action != ActionKind.A3:
             # One retry for unparseable generations, then give up on the child.
             failed = [i for i, resp in enumerate(resps) if not resp.parse_ok]

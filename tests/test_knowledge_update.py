@@ -1,5 +1,6 @@
 import pytest
 
+from verity.gateway import Gateway, PromptKind, ScriptedBackend
 from verity.kg_store import KnowledgeGraph, make_triple
 from verity.knowledge_update import apply_update, extract_new_knowledge
 from verity.mcts import ActionKind, ReasoningPath
@@ -39,6 +40,25 @@ class TestExtractNewKnowledge:
                                         [], oracle_gateway)
         assert {t.identity for t in triples} >= \
             {("eisenhower", "commanded", "anderson")}
+
+    def test_shared_steps_written_once(self):
+        documents = []
+
+        def reply(req, prompt):
+            if req.kind is PromptKind.EXTRACT_ENTITIES:
+                documents.append(req.context["document"])
+            return ""
+
+        q1, a1 = (ActionKind.A1, "Q one?"), (ActionKind.A2, "A one.")
+        q2, a2 = (ActionKind.A1, "Q two?"), (ActionKind.A2, "A two.")
+        q3, a3 = (ActionKind.A1, "Q three?"), (ActionKind.A2, "A three.")
+        verdict = (ActionKind.A3, "Answer: Real")
+        paths = [path(Verdict.REAL, [q1, a1, q2, a2, verdict]),
+                 path(Verdict.REAL, [q1, a1, q3, a3, verdict])]
+        extract_new_knowledge("c", "The claim.", paths,
+                              Gateway(ScriptedBackend(reply)))
+        assert documents == ["The claim.\nQ one?\nA one.\nQ two?\nA two.\n"
+                             "Q three?\nA three."]
 
 
 class TestApplyUpdate:

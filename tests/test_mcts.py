@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from synth import tabled_world
-from verity.errors import ValidationError
+from synth import BatchLog, tabled_world
+from verity.errors import GatewayHardError, ValidationError
 from verity.gateway import (Gateway, PromptKind, ScriptedBackend,
                             request_hash)
 from verity.kg_store import KnowledgeGraph
@@ -12,6 +12,7 @@ from verity.mcts import (ActionKind, EngineConfig, ReasoningPath, SearchEngine,
                          SearchTree, backpropagate, legal_actions,
                          majority_verdict, path_reward, select, uct_score)
 from verity.oracle import FactTable, RuleBasedOracle
+from verity.run import run_detection
 from verity.verdict import Verdict
 
 
@@ -352,21 +353,29 @@ class TestExpand:
             return complete_all(reqs)
 
         engine.gateway.complete_all = spy
+        firsts = set()
         for item in items:
+            firsts.add(len(batches))
             _, _, tree = engine.search(item.claim, KnowledgeGraph(),
                                        claim_id=item.id)
             structural_check(tree, engine.config)
         engine.gateway.close()
-        for batch in batches:
+        for i, batch in enumerate(batches):
             hashes = [request_hash(r) for r in batch]
             assert len(set(hashes)) == len(hashes)
-            if {r.kind for r in batch} & {PromptKind.ANSWER_SUBQUESTION,
-                                          PromptKind.FINAL_VERDICT}:
+            if i in firsts:
+                # The root's sub-questions, then its evidence-free verdict.
+                assert [r.kind for r in batch] == \
+                    [PromptKind.GENERATE_SUBQUESTION] * 3 + \
+                    [PromptKind.FINAL_VERDICT]
+                assert batch[-1].context["transcript"] == "(none)"
+            elif {r.kind for r in batch} & {PromptKind.ANSWER_SUBQUESTION,
+                                            PromptKind.FINAL_VERDICT}:
                 assert len(batch) == 1
         kinds = [r.kind for batch in batches for r in batch]
         assert kinds.count(PromptKind.ANSWER_SUBQUESTION) > 0
-        assert kinds.count(PromptKind.FINAL_VERDICT) > 0
-        assert max(len(batch) for batch in batches) == 3
+        assert kinds.count(PromptKind.FINAL_VERDICT) > len(items)
+        assert max(len(batch) for batch in batches) == 4
 
     def test_unparseable_answer_is_retried_once_and_adds_no_child(self):
         engine, items, sent = self._engine(
@@ -434,3 +443,110 @@ class TestExpand:
         assert sent.count(PromptKind.FINAL_VERDICT) == 2
         assert [p.verdict for p in paths] == [Verdict.FAKE] * 6
         structural_check(tree, engine.config)
+
+
+class TestRootVerdictLookahead:
+    """The root's A3 verdict is asked in the root's first A1 batch."""
+
+    # tabled_world(25, 25) on an empty graph without updates. Calls, memo
+    # hits and the run digest are those of the search that asked the root's
+    # verdict in its own round-trip, which took 5.66 and 8.0 backend batches
+    # per claim.
+    @pytest.mark.parametrize("config, round_trips, calls, memo_hits, digest", [
+        (EngineConfig(), 4.66,
+         {PromptKind.EXTRACT_ENTITIES: 63, PromptKind.GENERATE_SUBQUESTION: 200,
+          PromptKind.ANSWER_SUBQUESTION: 63, PromptKind.FINAL_VERDICT: 57},
+         60, "754eec37d5421d71ef408750ae08cf9172aceae0c45cd678446ee95c930e500f"),
+        (EngineConfig(n=20, h=9, b=3), 7.0,
+         {PromptKind.EXTRACT_ENTITIES: 75, PromptKind.GENERATE_SUBQUESTION: 375,
+          PromptKind.ANSWER_SUBQUESTION: 75, PromptKind.FINAL_VERDICT: 125},
+         1440, "bf021130c4b19ce0ae20361ba638d43494ba0bb4632b8f9827e00e1ec07c0e68"),
+    ], ids=["defaults", "n20-h9-b3"])
+    def test_one_round_trip_fewer_same_calls(self, config, round_trips, calls,
+                                             memo_hits, digest):
+        table, items = tabled_world(25, 25)
+        gateway = Gateway(RuleBasedOracle(table))
+        log = BatchLog(gateway)
+        record, _, _ = run_detection(items, KnowledgeGraph(), config, gateway,
+                                     updates=False)
+        gateway.close()
+        assert len(log.batches) / len(items) == pytest.approx(round_trips)
+        assert {k: n for k, n in gateway.call_counts.items() if n} == calls
+        assert sum(gateway.memo_hits.values()) == memo_hits
+        assert record.digest() == digest
+
+    def test_first_batch_holds_subquestions_and_verdict(self):
+        table, items = tabled_world(3, 3)
+        gateway = Gateway(RuleBasedOracle(table))
+        log = BatchLog(gateway)
+        engine = SearchEngine(gateway, EngineConfig(n=20, h=9, b=3))
+        for item in items:
+            first = len(log.batches)
+            engine.search(item.claim, KnowledgeGraph(), claim_id=item.id)
+            assert log.batches[first] == {PromptKind.GENERATE_SUBQUESTION,
+                                          PromptKind.FINAL_VERDICT}
+        gateway.close()
+
+    def test_single_iteration_asks_no_verdict(self):
+        table, items = tabled_world(3, 3)
+        gateway = Gateway(RuleBasedOracle(table))
+        engine = SearchEngine(gateway, EngineConfig(n=1))
+        for item in items:
+            _, paths, tree = engine.search(item.claim, KnowledgeGraph(),
+                                           claim_id=item.id)
+            assert paths == [] and tree.root_verdict is None
+        assert gateway.call_counts[PromptKind.FINAL_VERDICT] == 0
+        assert gateway.call_counts[PromptKind.GENERATE_SUBQUESTION] == 12
+
+    @pytest.mark.parametrize("failures", [2, 1000])
+    def test_failed_root_subquestions_ask_verdict_once(self, failures):
+        """Each root branch fails its first ``failures`` asks: with 2 the
+        second root A1 expansion succeeds, and with 1000 none does."""
+        asked: dict[str, int] = {}
+        sent = []
+        verdict_transcripts = []
+
+        def reply(req, prompt):
+            sent.append(req.kind)
+            if req.kind is PromptKind.GENERATE_SUBQUESTION:
+                key = req.context["transcript"] + req.context["branch"]
+                asked[key] = asked.get(key, 0) + 1
+                if req.context["transcript"] == "(none)" and \
+                        asked[key] <= failures:
+                    return " "
+                return "sub " + req.context["branch"]
+            if req.kind is PromptKind.FINAL_VERDICT:
+                verdict_transcripts.append(req.context["transcript"])
+                return "Answer: Real"
+            return "yes"
+
+        engine = SearchEngine(Gateway(ScriptedBackend(reply)),
+                              EngineConfig(n=5, h=5, b=2))
+        _, paths, tree = engine.search("claim", KnowledgeGraph())
+        assert verdict_transcripts.count("(none)") == 1
+        root_votes = [p for p in paths if len(p.steps) == 1]
+        if failures == 2:
+            # The first expansion and its retry fail; the second succeeds,
+            # and the root's A3 uses the verdict the first batch asked.
+            assert [tree.node(c).action for c in tree.root.children][:2] == \
+                [ActionKind.A1, ActionKind.A1]
+            assert len(root_votes) == 2
+            assert all(p.verdict is Verdict.REAL for p in root_votes)
+        else:
+            assert tree.root.children == [] and paths == []
+            assert sent.count(PromptKind.GENERATE_SUBQUESTION) == 2 * 2 * 5
+        structural_check(tree, engine.config)
+
+    def test_hard_subquestion_failure_keeps_its_error(self):
+        def reply(req, prompt):
+            if req.kind is PromptKind.GENERATE_SUBQUESTION:
+                raise GatewayHardError("subquestion down")
+            return "Answer: Real"
+
+        gateway = Gateway(ScriptedBackend(reply))
+        engine = SearchEngine(gateway, EngineConfig(n=5, h=5, b=2))
+        with pytest.raises(GatewayHardError, match="subquestion down"):
+            engine.search("claim", KnowledgeGraph())
+        # The verdict went out in the same batch and is counted.
+        assert gateway.call_counts[PromptKind.FINAL_VERDICT] == 1
+        gateway.close()

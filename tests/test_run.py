@@ -37,6 +37,14 @@ SEQUENTIAL_DEEP_DIGEST = \
 SEQUENTIAL_CARRYOVER_DIGEST = \
     "8173d2071f8794ac69dc739243a838dcbd73736c4858b85a64736998b18dc72c"
 
+# sha256 of the run digest of tabled_world(6, 6) at the engine defaults,
+# seed 0, with updates, on a graph of eight filler triples around each claim
+# subject, so that every answer step ranks its candidates (bench's bigkg
+# shape), followed by the sha256 of the updated graph's canonical lines; as
+# computed when the root's verdict had a round-trip of its own.
+HUB_RANKING_DIGEST = \
+    "6a52102ea315ed11ef99cbc8fd7a835a867e7e71b1437c20acda66da52eb0b59"
+
 
 def from_scratch(graph):
     """sha256 of the graph's lines, serialized independently of kg_store."""
@@ -187,6 +195,22 @@ class TestRunDetection:
         assert log.batches == [
             {PromptKind.EXTRACT_ENTITIES, PromptKind.EXTRACT_EVENT_TRIPLES},
             {PromptKind.GENERATE_RELATIONS}]
+
+    def test_hub_ranking_keeps_digest(self):
+        table, items = tabled_world(6, 6)
+        graph = KnowledgeGraph()
+        for i in range(6):
+            for j in range(8):
+                graph.add(f"Alpha{i}", "mentioned", f"Filler{i}-{j}", "filler")
+        gateway = Gateway(RuleBasedOracle(table))
+        record, _, grown = run_detection(items, graph, EngineConfig(seed=0),
+                                         gateway, updates=True)
+        gateway.close()
+        assert gateway.call_counts[PromptKind.RANK_TRIPLES] == 11
+        assert len(grown) == len(graph) + 12
+        lines = [record.digest(), from_scratch(grown)]
+        assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() \
+            == HUB_RANKING_DIGEST
 
     def test_record_round_trip(self, tmp_path):
         table, items = tabled_world(num_real=1, num_fake=1)
