@@ -19,28 +19,43 @@ def _bad_json(exc: json.JSONDecodeError) -> str:
     return f"bad JSON: {exc.msg} (column {exc.colno})"
 
 
-def read_records(path: str) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, record)`` for each JSON object line of ``path``.
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, stripped line)`` for each data line of ``path``.
 
     Lines end at ``\\n``. Each is decoded and stripped on its own, so a UTF-8
     character cut in two is reported on its line. Blank and ``#`` lines are
-    skipped. A line that is not UTF-8, not JSON or not an object raises
-    :class:`FormatError`.
+    skipped. A line that is not UTF-8 raises :class:`FormatError`.
     """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8").strip()
-                if not line or line.startswith("#"):
-                    continue
-                record = json.loads(line)
             except UnicodeDecodeError as exc:
                 raise FormatError(path, lineno, f"not UTF-8: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise FormatError(path, lineno, _bad_json(exc)) from exc
-            if not isinstance(record, dict):
-                raise FormatError(path, lineno, "not a JSON object")
-            yield lineno, record
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def decode_record(path: str, lineno: int, line: str) -> dict:
+    """The JSON object on line ``lineno`` of ``path``, or FormatError."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(path, lineno, _bad_json(exc)) from exc
+    if not isinstance(record, dict):
+        raise FormatError(path, lineno, "not a JSON object")
+    return record
+
+
+def read_records(path: str) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, record)`` for each data line of ``path``.
+
+    Lines are read by :func:`read_lines` and decoded by
+    :func:`decode_record`, so a line that is not UTF-8, not JSON or not an
+    object raises :class:`FormatError`.
+    """
+    for lineno, line in read_lines(path):
+        yield lineno, decode_record(path, lineno, line)
 
 
 def read_object(path: str) -> dict:

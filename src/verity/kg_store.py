@@ -16,6 +16,12 @@ File format: one JSON object per line with fields subject, relation,
 object, source_id, seq. Lines starting with '#' are ignored. Saved lines
 and the content digest share one serialization,
 :meth:`Triple.canonical_line`.
+
+A loaded graph arrives digested. A line written the way ``save`` writes it
+is already its triple's canonical line, so ``load`` takes the fields from
+one pattern match, with no JSON decode, and hashes the line as it reads.
+Any other line is decoded as JSON and its triple's canonical line hashed.
+The digest of a freshly loaded graph is then one ``hexdigest``.
 """
 
 from __future__ import annotations
@@ -28,13 +34,23 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import FormatError, ValidationError
-from .jsonl import read_records, write_lines
+from .jsonl import decode_record, read_lines, write_lines
 
 _WS_RUN = re.compile(r"\s+")
 _encode_str = json.encoder.encode_basestring
-# Triples serialized per content_digest_lines call when the digest catches
-# up, and per write when the graph is saved.
+# Canonical lines hashed per sha256 update, when the digest catches up or a
+# graph is loaded, and written per write when the graph is saved.
 _LINE_CHUNK = 4096
+# A JSON string that _encode_str writes as is: no quote, backslash or
+# control character, so its text between the quotes is its value.
+_PLAIN_STR = r'"([^"\\\x00-\x1f]*)"'
+# A line that is its own triple's canonical_line(): the five keys in sorted
+# order with canonical_line's separators, plain strings, and a seq written
+# as "%d" writes it (so no "-0", no leading zero).
+_CANONICAL_LINE = re.compile(
+    r'\{"object": ' + _PLAIN_STR + r', "relation": ' + _PLAIN_STR
+    + r', "seq": (0|-?[1-9][0-9]*), "source_id": ' + _PLAIN_STR
+    + r', "subject": ' + _PLAIN_STR + r'\}')
 
 
 def normalize_entity(surface: str) -> str:
@@ -115,11 +131,13 @@ class KnowledgeGraph:
     """Ordered triple collection with an entity index for one-hop lookups.
 
     Concurrent reads are safe; callers serialize writes, and
-    :meth:`content_digest` counts as a write. ``copy()`` gives a snapshot
-    so a detection run can read a consistent graph while a previous claim's
-    updates commit elsewhere. It is not cheap on a large graph: it copies
-    the triple list and the identity set and rebuilds one index set per
-    entity key, about 20k sets and tens of milliseconds at 100k triples.
+    :meth:`content_digest` and :meth:`copy` count as writes. ``copy()``
+    gives a snapshot so a detection run can read a consistent graph while a
+    previous claim's updates commit elsewhere. It copies the triple list and
+    the identity set, but shares the entity index: the two graphs hold the
+    same index sets, and :meth:`insert_triple` copies a shared set on its
+    first write, on either side. At 100k triples a copy takes milliseconds,
+    not the tens it takes to rebuild about 20k sets.
 
     The graph is append-only: triples enter ``triples`` only through
     :meth:`insert_triple`, and none is ever changed or removed. The running
@@ -131,12 +149,18 @@ class KnowledgeGraph:
     keyed by relation string. Keying by surface rather than by normalized
     key keeps case and spacing variants apart, as the saved file has them.
     ``copy()`` carries both tables.
+
+    :meth:`load` hashes each line as it reads it, so a loaded graph's
+    :meth:`content_digest` serializes no triple.
     """
 
     def __init__(self) -> None:
         self.triples: list[Triple] = []
         self._identities: set[tuple[str, str, str]] = set()
         self._entity_index: dict[str, set[int]] = {}
+        # Index keys whose set no other graph holds; copy() empties it on
+        # both sides, so the next write to any key copies its set first.
+        self._owned: set[str] = set()
         self._next_seq = 0
         # Interning tables, keyed by the string exactly as written.
         self._entities: dict[str, Entity] = {}
@@ -166,8 +190,12 @@ class KnowledgeGraph:
         idx = len(self.triples)
         self.triples.append(triple)
         self._identities.add(identity)
-        self._entity_index.setdefault(triple.subject.key, set()).add(idx)
-        self._entity_index.setdefault(triple.object.key, set()).add(idx)
+        index, owned = self._entity_index, self._owned
+        for key in (triple.subject.key, triple.object.key):
+            if key not in owned:
+                index[key] = set(index.get(key, ()))
+                owned.add(key)
+            index[key].add(idx)
         self._next_seq = max(self._next_seq, triple.seq + 1)
         return True
 
@@ -199,7 +227,8 @@ class KnowledgeGraph:
         snap = KnowledgeGraph()
         snap.triples = list(self.triples)
         snap._identities = set(self._identities)
-        snap._entity_index = {k: set(v) for k, v in self._entity_index.items()}
+        snap._entity_index = dict(self._entity_index)
+        self._owned = set()
         snap._next_seq = self._next_seq
         snap._entities = dict(self._entities)
         snap._relation_keys = dict(self._relation_keys)
@@ -220,13 +249,18 @@ class KnowledgeGraph:
         """
         total = len(self.triples)
         while self._hashed < total:
-            stop = min(self._hashed + _LINE_CHUNK, total)
-            chunk = "\n".join(self.content_digest_lines(self._hashed, stop))
+            self._hash_lines(self.content_digest_lines(
+                self._hashed, min(self._hashed + _LINE_CHUNK, total)))
+        return self._hasher.hexdigest()
+
+    def _hash_lines(self, lines: list[str]) -> None:
+        """Hash the canonical lines of the next ``len(lines)`` triples."""
+        if lines:
+            chunk = "\n".join(lines)
             if self._hashed:
                 chunk = "\n" + chunk
             self._hasher.update(chunk.encode("utf-8"))
-            self._hashed = stop
-        return self._hasher.hexdigest()
+            self._hashed += len(lines)
 
     def save(self, path: str) -> None:
         """Write one canonical line per triple, atomically (see ``write_lines``).
@@ -241,21 +275,43 @@ class KnowledgeGraph:
 
     @classmethod
     def load(cls, path: str) -> "KnowledgeGraph":
+        """The graph of the triple file ``path``, digested as it is read.
+
+        A line that matches ``_CANONICAL_LINE`` gives its fields straight
+        from the match and is hashed as it stands; any other line is decoded
+        as JSON and its triple's canonical line hashed. A duplicate is not
+        inserted, so it is not hashed. A record that is not a valid triple
+        raises :class:`FormatError` naming its line.
+        """
         graph = cls()
         entity = graph._entity
-        for lineno, record in read_records(path):
+        lines: list[str] = []
+        for lineno, line in read_lines(path):
             try:
-                names = subject, relation, obj, source_id = (
-                    record["subject"], record["relation"], record["object"],
-                    record.get("source_id", ""))
-                if tuple(map(type, names)) != (str, str, str, str):
-                    raise TypeError("subject, relation, object and source_id "
-                                    "must be strings")
+                match = _CANONICAL_LINE.fullmatch(line)
+                if match:
+                    obj, relation, seq, source_id, subject = match.groups()
+                    seq = int(seq)
+                else:
+                    record = decode_record(path, lineno, line)
+                    names = subject, relation, obj, source_id = (
+                        record["subject"], record["relation"],
+                        record["object"], record.get("source_id", ""))
+                    if tuple(map(type, names)) != (str, str, str, str):
+                        raise TypeError("subject, relation, object and "
+                                        "source_id must be strings")
+                    seq = record.get("seq", 0)
                 # Relations and source ids come from small vocabularies;
                 # interning keeps one string per distinct value.
-                graph.insert_triple(Triple(
-                    entity(subject), sys.intern(relation), entity(obj),
-                    sys.intern(source_id), record.get("seq", 0)))
+                triple = Triple(entity(subject), sys.intern(relation),
+                                entity(obj), sys.intern(source_id), seq)
+                if not graph.insert_triple(triple):
+                    continue
             except (KeyError, TypeError, ValidationError) as exc:
                 raise FormatError(path, lineno, f"bad record: {exc}") from exc
+            lines.append(line if match else triple.canonical_line())
+            if len(lines) == _LINE_CHUNK:
+                graph._hash_lines(lines)
+                lines = []
+        graph._hash_lines(lines)
         return graph

@@ -70,6 +70,8 @@ def retrieve_context(question: str, graph: KnowledgeGraph, k: int,
         result.selected = [pool[i] for i in order[:k]]
         result.ranked_by_llm = True
     else:
-        log.warning("ranking output unusable; falling back to insertion order")
+        log.warning("ranking output unusable for sub-question %r (%d "
+                    "candidates ranked); falling back to insertion order",
+                    question, len(pool))
         result.selected = candidates[:k]
     return result

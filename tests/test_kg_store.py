@@ -32,6 +32,26 @@ awkward_text = st.text(alphabet=st.one_of(
     max_size=12)
 
 
+def json_only_load(path):
+    """Load ``path`` with ``json.loads`` on every line and no fast path."""
+    graph = KnowledgeGraph()
+    with open(path, "rb") as fh:
+        for raw in fh:
+            line = raw.decode("utf-8").strip()
+            if not line or line.startswith("#"):
+                continue
+            record = json.loads(line)
+            graph.insert_triple(Triple(
+                Entity(record["subject"]), record["relation"],
+                Entity(record["object"]), record.get("source_id", ""),
+                record.get("seq", 0)))
+    return graph
+
+
+def needs_no_escape(text):
+    return json.dumps(text, ensure_ascii=False) == f'"{text}"'
+
+
 def brute_force_one_hop(graph, keys):
     return [t for t in graph.triples
             if t.subject.key in keys or t.object.key in keys]
@@ -218,9 +238,108 @@ class TestPersistence:
             KnowledgeGraph.load(str(path))
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("field", ["subject", "relation", "object"])
+    def test_blank_field_on_canonical_line_reports_line(self, tmp_path, field):
+        good = {"subject": "a", "relation": "r", "object": "b",
+                "source_id": "", "seq": 0}
+        lines = [json.dumps(record, ensure_ascii=False, sort_keys=True)
+                 for record in (good, {**good, field: " ", "seq": 1})]
+        assert kg_store._CANONICAL_LINE.fullmatch(lines[1])
+        path = tmp_path / "kg.jsonl"
+        path.write_text("# header\n" + "\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="bad record") as err:
+            KnowledgeGraph.load(str(path))
+        assert err.value.line == 3
+
     def test_missing_file_is_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             KnowledgeGraph.load(str(tmp_path / "absent.jsonl"))
+
+
+# Names with case and spacing variants of one key, so identities repeat.
+load_names = st.one_of(
+    st.sampled_from(["Obama", "obama", " Obama", "Köln", 'Zoë "Q"', "a\\b",
+                     "x\u2028y", "tab\there", "\x7f"]),
+    awkward_text).filter(normalize_entity)
+load_relations = st.one_of(st.sampled_from(["met", "Met", "said\\wrote"]),
+                           awkward_text).filter(str.strip)
+load_seqs = st.one_of(st.just(0), st.integers(-5, 5),
+                      st.integers(-2**70, 2**70))
+
+
+def write_record(record, style):
+    """``record`` as one line, as ``save`` writes it or in another form."""
+    if style == "save":
+        return json.dumps(record, ensure_ascii=False, sort_keys=True)
+    if style == "ascii":
+        return json.dumps(record, sort_keys=True)
+    if style == "reordered":
+        return json.dumps(dict(sorted(record.items(), reverse=True)),
+                          ensure_ascii=False)
+    if style == "spaced":
+        return json.dumps(record, ensure_ascii=False, sort_keys=True,
+                          separators=(" ,  ", " : "))
+    if style == "padded":
+        return " \t" + json.dumps(record, ensure_ascii=False,
+                                   sort_keys=True) + "  "
+    assert style == "no_source_id"
+    return json.dumps({k: v for k, v in record.items() if k != "source_id"},
+                      ensure_ascii=False, sort_keys=True)
+
+
+class TestLoadFastPath:
+    """``load`` takes canonical lines from a pattern match, others by JSON."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        load_names, load_relations, load_names, awkward_text, load_seqs,
+        st.sampled_from(["save", "ascii", "reordered", "spaced", "padded",
+                         "no_source_id"]),
+        st.sampled_from(["", "", "", "# note", "   "])), max_size=25),
+        st.integers(min_value=1, max_value=4))
+    def test_equals_json_only_load(self, tmp_path_factory, rows, chunk):
+        lines = []
+        for subject, relation, obj, source_id, seq, style, extra in rows:
+            if extra:
+                lines.append(extra)
+            lines.append(write_record(
+                {"subject": subject, "relation": relation, "object": obj,
+                 "source_id": source_id, "seq": seq}, style))
+        path = tmp_path_factory.mktemp("load") / "kg.jsonl"
+        path.write_bytes("".join(line + "\n" for line in lines)
+                         .encode("utf-8"))
+        with mock.patch.object(kg_store, "_LINE_CHUNK", chunk):
+            loaded = KnowledgeGraph.load(str(path))
+        expected = json_only_load(str(path))
+        assert loaded.triples == expected.triples
+        assert [type(t.seq) for t in loaded.triples] == \
+            [int] * len(expected.triples)
+        assert loaded._hashed == len(loaded.triples)
+        assert loaded.content_digest() == reference_digest(expected)
+        assert loaded._entity_index == expected._entity_index
+
+    @settings(max_examples=200, deadline=None)
+    @given(awkward_text, awkward_text, awkward_text, awkward_text,
+           st.integers(min_value=-2**70, max_value=2**70))
+    def test_pattern_matches_exactly_the_unescaped_lines(
+            self, subject, relation, obj, source, seq):
+        triple = Triple(Entity(subject), relation, Entity(obj), source, seq)
+        match = kg_store._CANONICAL_LINE.fullmatch(triple.canonical_line())
+        plain = all(map(needs_no_escape, (subject, relation, obj, source)))
+        assert bool(match) == plain
+        if match:
+            assert match.groups() == (obj, relation, str(seq), source,
+                                      subject)
+
+    def test_negative_zero_seq_takes_json_path(self, tmp_path):
+        line = ('{"object": "b", "relation": "r", "seq": -0, '
+                '"source_id": "", "subject": "a"}')
+        assert not kg_store._CANONICAL_LINE.fullmatch(line)
+        path = tmp_path / "kg.jsonl"
+        path.write_text(line + "\n")
+        loaded = KnowledgeGraph.load(str(path))
+        assert loaded.triples == [make_triple("a", "r", "b", seq=0)]
+        assert loaded.content_digest() == reference_digest(loaded)
 
 
 class TestInterning:
@@ -303,6 +422,46 @@ class TestInterning:
         assert g.triples[-1].subject is not snap.triples[-2].subject
         assert snap.content_digest() == reference_digest(snap)
 
+
+
+class TestCopyOnWrite:
+    """A copy shares the entity index until a key is written on either side."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["add", "add", "add", "copy"]),
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from(["a", "A", "b", "c ", "d"]),
+        st.sampled_from(["r", "s"]),
+        st.sampled_from(["a", "b", "B", "e"])), max_size=40))
+    def test_each_graph_equals_its_rebuild(self, ops):
+        graphs, expected = [KnowledgeGraph()], [[]]
+        for op, which, subject, relation, obj in ops:
+            i = which % len(graphs)
+            if op == "copy":
+                graphs.append(graphs[i].copy())
+                expected.append(list(expected[i]))
+            elif graphs[i].add(subject, relation, obj):
+                expected[i].append(graphs[i].triples[-1])
+        # Each graph, the base included, equals a rebuild from its own
+        # triples: no write to another graph reached it.
+        keys = {normalize_entity(name) for name in "abcde"}
+        for graph, triples in zip(graphs, expected):
+            assert graph.triples == triples
+            rebuilt = KnowledgeGraph()
+            for t in triples:
+                assert rebuilt.insert_triple(t)
+            assert graph._entity_index == rebuilt._entity_index
+            for key in keys:
+                assert graph.one_hop_subgraph({key}) == \
+                    rebuilt.one_hop_subgraph({key})
+            assert graph.content_digest() == rebuilt.content_digest() \
+                == reference_digest(graph)
+            # A set a graph owns is held by no other graph.
+            for key in graph._owned:
+                assert not any(other._entity_index.get(key)
+                               is graph._entity_index[key]
+                               for other in graphs if other is not graph)
 
 
 def test_copy_is_independent():

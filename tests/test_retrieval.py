@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from verity.errors import ValidationError
@@ -73,6 +75,22 @@ class TestRetrieveContext:
         assert not result.ranked_by_llm
         assert [t.relation for t in result.selected] == \
             [f"relation {i}" for i in range(5)]
+
+    def test_ranking_fallback_warning_names_the_sub_question(self, caplog):
+        def script(req, prompt):
+            if req.kind == PromptKind.EXTRACT_ENTITIES:
+                return "Anderson"
+            return "not a ranking at all"
+
+        gateway = Gateway(ScriptedBackend(script))
+        with caplog.at_level(logging.WARNING, logger="verity.retrieval"):
+            retrieve_context("Who did Anderson serve?", graph_with(80), 5,
+                             gateway)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert "'Who did Anderson serve?'" in message
+        assert f"{RANK_CANDIDATE_CAP} candidates" in message
 
     def test_ranking_never_invents_triples(self):
         def script(req, prompt):

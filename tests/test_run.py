@@ -267,12 +267,16 @@ class TestRunDetection:
         loaded = KnowledgeGraph.load(str(path))
         table, items = tabled_world(num_real=2, num_fake=1)
         gateway = Gateway(RuleBasedOracle(table))
-        first, _, _ = run_detection(items, loaded, small_config(), gateway)
         inputs = {id(t) for t in loaded.triples}
         serialized = []
         real = Triple.canonical_line
         monkeypatch.setattr(Triple, "canonical_line",
                             lambda t: serialized.append(id(t)) or real(t))
+        # Every saved line is canonical, so load hashed it as read: not even
+        # the first run serializes an input triple for kg_before.
+        first, _, _ = run_detection(items, loaded, small_config(), gateway)
+        assert serialized and not inputs.intersection(serialized)
+        serialized.clear()
         second, _, grown = run_detection(items, loaded, small_config(),
                                          gateway)
         assert len(grown) > len(loaded)
