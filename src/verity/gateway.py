@@ -322,6 +322,22 @@ class Gateway:
     thread, in request order. A Gateway therefore serves one calling thread
     at a time. ``min_interval`` spaces backend calls across all threads.
 
+    ``send_ahead`` queues requests a later batch will ask for, "riders".
+    They leave with the next ``complete_all`` that sends anything, after
+    that batch's own requests; a rider that is memoized, in the batch or
+    already held is dropped. Each rider's outcome, its raw text or the
+    error left after its transport retries, is held, and never raised by
+    the batch that carried it. The first ``complete_all`` that asks for a
+    held request takes its outcome as if it had just sent the request:
+    it counts and parses it, memoizes it if it parses, and raises it in
+    request order if it is an error. That is not a memo hit. Against a
+    backend whose answer depends only on the request and how often it was
+    sent before, riders change the timing of calls and the order of
+    transcript lines, and nothing else, provided no request is asked
+    between its rider's send and its hand-off. ``drop_riders`` empties
+    the queue and the held outcomes; an outcome dropped unasked is never
+    counted.
+
     ``call_counts`` counts calls that reached the backend, by kind;
     ``memo_hits`` counts answers served from the memo.
     """
@@ -338,6 +354,9 @@ class Gateway:
         self._jitter = random.Random()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._memo: dict[str, str] = {}
+        # Riders by request hash: queued (request, prompt), then outcomes.
+        self._riders: dict[str, tuple[LLMRequest, str]] = {}
+        self._held: dict[str, str | Exception] = {}
         self.call_counts: dict[PromptKind, int] = {k: 0 for k in PromptKind}
         self.memo_hits: dict[PromptKind, int] = {k: 0 for k in PromptKind}
 
@@ -346,6 +365,17 @@ class Gateway:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
+
+    def send_ahead(self, reqs: Sequence[LLMRequest]) -> None:
+        """Queue ``reqs`` to ride along with the next batch that sends."""
+        for req in reqs:
+            prompt = render_prompt(req)
+            self._riders[request_hash(req, prompt)] = (req, prompt)
+
+    def drop_riders(self) -> None:
+        """Forget queued riders and every outcome not yet asked for."""
+        self._riders.clear()
+        self._held.clear()
 
     def _pace(self) -> None:
         if self.min_interval <= 0:
@@ -411,18 +441,32 @@ class Gateway:
         the batch raises ``ValidationError``: a caller that needs one answer
         several times asks once. If a backend call fails, the calls that
         succeeded are still counted and memoized, then the first failure in
-        request order is raised.
+        request order is raised. A held rider's outcome counts as sent.
         """
         prompts = [render_prompt(req) for req in reqs]
         keys = [request_hash(req, prompt) for req, prompt in zip(reqs, prompts)]
-        if len(set(keys)) < len(keys):
+        batch = set(keys)
+        if len(batch) < len(keys):
             raise ValidationError("complete_all needs distinct requests")
-        misses = [i for i, key in enumerate(keys) if key not in self._memo]
-        outcomes = self._send([(reqs[i], prompts[i]) for i in misses]) \
-            if misses else []
+        fresh = {i: self._held.pop(key) for i, key in enumerate(keys)
+                 if key in self._held}
+        misses = [i for i, key in enumerate(keys)
+                  if key not in self._memo and i not in fresh]
+        if misses:
+            riders = [(key, job) for key, job in self._riders.items()
+                      if key not in self._memo and key not in self._held
+                      and key not in batch]
+            self._riders.clear()
+            outcomes = self._send([(reqs[i], prompts[i]) for i in misses]
+                                  + [job for _, job in riders])
+            fresh.update(zip(misses, outcomes))
+            self._held.update(
+                (key, outcome) for (key, _), outcome in
+                zip(riders, outcomes[len(misses):]))
         sent: dict[int, LLMResponse] = {}
         error: Optional[Exception] = None
-        for i, outcome in zip(misses, outcomes):
+        for i in sorted(fresh):
+            outcome = fresh[i]
             if isinstance(outcome, Exception):
                 error = error or outcome
                 continue

@@ -9,6 +9,8 @@ verdicts, and the final verdict is a majority vote with ties broken to Fake.
 Claim latency is set by sequential model round-trips. The root's A3 verdict
 reads no answer, so it is asked in the same batch as the root's first A1
 sub-questions and used when the root's A3 is expanded, one iteration later.
+That opening batch reads only the claim and the seed, so a run can send it
+ahead, with the claim before (``SearchEngine.opening_requests``).
 """
 
 from __future__ import annotations
@@ -230,12 +232,34 @@ class SearchEngine:
             node_ids=[n.id for n in chain]))
         backpropagate(tree, leaf)
 
-    def _verdict_request(self, tree: SearchTree,
-                         path: list[SearchNode]) -> LLMRequest:
+    def _subquestion_requests(self, claim: str,
+                              transcript: str) -> list[LLMRequest]:
+        return [LLMRequest(PromptKind.GENERATE_SUBQUESTION, {
+            "claim": claim,
+            "transcript": transcript,
+            "branch": str(branch),
+        }, seed=self.config.seed) for branch in range(self.config.b)]
+
+    def _verdict_request(self, claim: str, transcript: str) -> LLMRequest:
         return LLMRequest(PromptKind.FINAL_VERDICT, {
-            "claim": tree.claim,
-            "transcript": _render_transcript(path),
+            "claim": claim,
+            "transcript": transcript,
         }, seed=self.config.seed)
+
+    def opening_requests(self, claim: str) -> list[LLMRequest]:
+        """The batch a search of ``claim`` sends first.
+
+        That is the root's ``b`` sub-questions and, when the search runs
+        more than one iteration, the root's verdict, last. They read only
+        the claim and the seed.
+        """
+        if not claim.strip():
+            raise ValidationError("claim must be non-empty")
+        transcript = _render_transcript([])
+        reqs = self._subquestion_requests(claim, transcript)
+        if self.config.n > 1:
+            reqs.append(self._verdict_request(claim, transcript))
+        return reqs
 
     @staticmethod
     def _verdict(resp: LLMResponse) -> Verdict:
@@ -255,9 +279,9 @@ class SearchEngine:
         again unless every branch failed. Children are attached, and leaves
         completed, in branch order.
 
-        When the search runs more than one iteration, the root's A1 batch
-        also carries the root's verdict request, last, while the root's A3
-        is pending and not yet asked. Its evidence-free transcript needs no
+        The root's first A1 expansion asks ``opening_requests``: when the
+        search runs more than one iteration, that batch also carries the
+        root's verdict request, last. Its evidence-free transcript needs no
         sub-question answer. The tree keeps the response, out of the A1
         retry, and the root's A3 expansion uses it without asking again. So
         a claim takes one round-trip fewer, with the same calls, children,
@@ -269,6 +293,12 @@ class SearchEngine:
           expansion, before that expansion's retries, not at its A3.
         - Every root A1 branch fails until the search ends before the
           root's A3: the verdict call goes unused.
+
+        ``run_detection`` may have sent the opening batch ahead, with the
+        claim before. Its outcomes are then handed over here as if sent
+        now, errors included, so children, votes, counts and failures are
+        the same. Only the time moves: the calls, and their transport
+        retries, ran during the claim before.
         """
         if not node.pending:
             raise ValidationError("node has no expansion capacity")
@@ -276,11 +306,7 @@ class SearchEngine:
         parent_path = tree.path_to(node)
         transcript = _render_transcript(parent_path)
         if action == ActionKind.A1:
-            reqs = [LLMRequest(PromptKind.GENERATE_SUBQUESTION, {
-                "claim": tree.claim,
-                "transcript": transcript,
-                "branch": str(branch),
-            }, seed=self.config.seed) for branch in range(tree.config.b)]
+            reqs = self._subquestion_requests(tree.claim, transcript)
         elif action == ActionKind.A2:
             # A2 answers with retrieved knowledge in context.
             result = retrieve_context(node.text, graph, self.config.top_k,
@@ -292,16 +318,17 @@ class SearchEngine:
                 "question": node.text,
             }, seed=self.config.seed)]
         else:
-            reqs = [self._verdict_request(tree, parent_path)]
+            reqs = [self._verdict_request(tree.claim, transcript)]
         at_root = node.parent is None
         if action == ActionKind.A3 and at_root and tree.root_verdict is not None:
             resps = [tree.root_verdict]
-        elif (action == ActionKind.A1 and at_root and tree.config.n > 1
-                and ActionKind.A3 in node.pending and tree.root_verdict is None):
-            # Last in the batch, so a sub-question's failure is the one raised.
+        elif action == ActionKind.A1 and at_root and tree.root_verdict is None:
+            # The verdict is last, so a sub-question's failure is the one
+            # raised.
             resps = self.gateway.complete_all(
-                reqs + [self._verdict_request(tree, parent_path)])
-            tree.root_verdict = resps.pop()
+                self.opening_requests(tree.claim))
+            if len(resps) > len(reqs):
+                tree.root_verdict = resps.pop()
         else:
             resps = self.gateway.complete_all(reqs)
         if action != ActionKind.A3:
@@ -325,7 +352,9 @@ class SearchEngine:
                 # Forced termination: depth-limit children carry a verdict,
                 # and the clones share one transcript, so they ask once.
                 verdict = self._verdict(self.gateway.complete(
-                    self._verdict_request(tree, tree.path_to(children[0]))))
+                    self._verdict_request(
+                        tree.claim,
+                        _render_transcript(tree.path_to(children[0])))))
             else:
                 continue
             for child in children:

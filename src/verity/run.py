@@ -8,7 +8,7 @@ import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .dataset import NewsItem
 from .errors import GatewayHardError, ValidationError
@@ -77,7 +77,7 @@ def _config_digest(config: EngineConfig, updates: bool) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
+def run_detection(items: Iterable[NewsItem], graph: KnowledgeGraph,
                   config: EngineConfig, gateway: Gateway,
                   updates: bool = True,
                   ) -> tuple[RunRecord, Optional[MetricsReport], KnowledgeGraph]:
@@ -87,6 +87,22 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
     knowledge update, are recorded with an error and no verdict and are
     excluded from metrics; the exclusion count is reported on the record.
 
+    The run pulls one item ahead of the claim it is deciding, and hands the
+    next claim's opening requests (``SearchEngine.opening_requests``) to
+    ``Gateway.send_ahead``. They read no graph and no answer, so they ride
+    along with the current claim's first backend batch, and the next claim
+    starts with its first round-trip done. Records, graphs, calls and memo
+    hits are those of a run without riders; a rider that fails hard ends
+    the claim it belongs to, not the claim whose batch carried it. The
+    riders left when the run returns or raises are dropped. On failure
+    paths a run differs from one without riders in these ways:
+
+    - A rider's transport retries delay the claim whose batch carried it.
+    - A blank claim raises ``ValidationError`` when it is pulled, before
+      the claim ahead of it is decided.
+    - A run that raises drops riders whose calls were made: the backend saw
+      them, and ``call_counts`` does not count them.
+
     The input graph's digest cache is updated before the run copies it, so
     a graph passed to several runs is hashed in full only once.
     """
@@ -95,27 +111,30 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
     engine = SearchEngine(gateway, config)
     record = RunRecord(config_digest=_config_digest(config, updates),
                        kg_before=kg_before)
-    for item in items:
-        result = ClaimResult(id=item.id, gold=item.gold)
-        try:
-            verdict, paths, _tree = engine.search(item.claim, graph,
-                                                  claim_id=item.id)
-            if updates and verdict == Verdict.REAL:
-                new_triples = extract_new_knowledge(item.id, item.claim, paths,
-                                                    gateway)
-                stats = apply_update(graph, new_triples, claim_id=item.id)
-                result.duplicates = stats.duplicates
-                # Only the actually-inserted triples land in the record.
-                result.triples_added = [
-                    t.as_record() for t in graph.triples[-stats.added:]
-                ] if stats.added else []
-            # An abandoned claim carries no verdict, so it is set last.
-            result.verdict = verdict
-            result.paths_digest = paths_digest(paths)
-        except GatewayHardError as exc:
-            log.warning("claim %s failed: %s", item.id, exc)
-            result.error = str(exc)
-        record.results.append(result)
+    try:
+        for item in _sending_ahead(items, engine, gateway):
+            result = ClaimResult(id=item.id, gold=item.gold)
+            try:
+                verdict, paths, _tree = engine.search(item.claim, graph,
+                                                      claim_id=item.id)
+                if updates and verdict == Verdict.REAL:
+                    new_triples = extract_new_knowledge(
+                        item.id, item.claim, paths, gateway)
+                    stats = apply_update(graph, new_triples, claim_id=item.id)
+                    result.duplicates = stats.duplicates
+                    # Only the actually-inserted triples land in the record.
+                    result.triples_added = [
+                        t.as_record() for t in graph.triples[-stats.added:]
+                    ] if stats.added else []
+                # An abandoned claim carries no verdict, so it is set last.
+                result.verdict = verdict
+                result.paths_digest = paths_digest(paths)
+            except GatewayHardError as exc:
+                log.warning("claim %s failed: %s", item.id, exc)
+                result.error = str(exc)
+            record.results.append(result)
+    finally:
+        gateway.drop_riders()
     record.kg_after = graph.content_digest()
     scored = [r for r in record.results if r.error is None and r.gold is not None]
     report = None
@@ -123,6 +142,18 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
         report = compute_metrics([r.verdict for r in scored],
                                  [r.gold for r in scored])
     return record, report, graph
+
+
+def _sending_ahead(items: Iterable[NewsItem], engine: SearchEngine,
+                   gateway: Gateway) -> Iterator[NewsItem]:
+    """Yield each item once the next one's opening requests are queued."""
+    ahead = iter(items)
+    upcoming = next(ahead, None)
+    while upcoming is not None:
+        item, upcoming = upcoming, next(ahead, None)
+        if upcoming is not None:
+            gateway.send_ahead(engine.opening_requests(upcoming.claim))
+        yield item
 
 
 @dataclass

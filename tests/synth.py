@@ -33,28 +33,25 @@ def save_dataset(items: list[NewsItem], path: str) -> None:
 
 
 class BatchLog:
-    """The prompt kinds each ``complete_all`` batch sent to the backend.
+    """The backend batches of one Gateway: the prompt kinds each sent, and
+    how many requests.
 
-    Wraps one Gateway's ``complete_all`` in place; ``complete`` goes through
-    it too. A batch is logged as the set of kinds whose ``call_counts`` it
-    raised, so a batch the memo answered in full is not logged.
+    Wraps the Gateway's backend send in place, so a batch the memo or held
+    riders answered in full is not logged, and a batch's riders are logged
+    with it.
     """
 
     def __init__(self, gateway: Gateway):
         self.batches: list[set[PromptKind]] = []
-        inner = gateway.complete_all
+        self.sizes: list[int] = []
+        inner = gateway._send
 
-        def complete_all(reqs):
-            before = dict(gateway.call_counts)
-            try:
-                return inner(reqs)
-            finally:
-                sent = {kind for kind, n in gateway.call_counts.items()
-                        if n > before[kind]}
-                if sent:
-                    self.batches.append(sent)
+        def send(jobs):
+            self.batches.append({req.kind for req, _ in jobs})
+            self.sizes.append(len(jobs))
+            return inner(jobs)
 
-        gateway.complete_all = complete_all
+        gateway._send = send
 
 
 def tabled_world(num_real: int = 25, num_fake: int = 25):

@@ -553,3 +553,106 @@ class TestCompleteAll:
         calls = sum(gw.call_counts.values())
         assert calls + sum(gw.memo_hits.values()) == requests
         assert calls == len(sent) == len(set(sent))
+
+
+class TestSendAhead:
+    """Riders leave with the next batch that sends, and wait to be asked."""
+
+    def _gateway(self, reply=_echo_branch, **kwargs):
+        gw = Gateway(ScriptedBackend(reply), **kwargs)
+        jobs = []
+        send = gw._send
+
+        def spy(batch):
+            jobs.append([req.context["claim"] + req.context["branch"]
+                         for req, _ in batch])
+            return send(batch)
+
+        gw._send = spy
+        return gw, jobs
+
+    def test_riders_follow_the_next_batch_that_sends(self):
+        gw, jobs = self._gateway()
+        gw.complete(_subquestion(0))
+        gw.send_ahead([_subquestion(0, "r"), _subquestion(1, "r")])
+        # A batch the memo answers in full carries no rider.
+        gw.complete(_subquestion(0))
+        assert jobs == [["c0"]]
+        gw.complete_all([_subquestion(1), _subquestion(2)])
+        gw.close()
+        assert jobs[1] == ["c1", "c2", "r0", "r1"]
+        # Riders are neither counted nor memoized until they are asked for.
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
+
+    def test_hand_off_counts_as_sent_not_as_a_memo_hit(self):
+        gw, jobs = self._gateway()
+        gw.send_ahead([_subquestion(0, "r")])
+        gw.complete(_subquestion(0))
+        resps = gw.complete_all([_subquestion(0, "r"), _subquestion(1, "r")])
+        assert [r.parsed for r in resps] == ["Q0 of r?", "Q1 of r?"]
+        assert jobs == [["c0", "r0"], ["r1"]]
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
+        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 0
+        # The handed-off answer parsed, so it is memoized now.
+        gw.complete(_subquestion(0, "r"))
+        gw.close()
+        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 1
+        assert len(jobs) == 2
+
+    def test_skipped_riders(self):
+        gw, jobs = self._gateway()
+        gw.complete(_subquestion(0, "m"))
+        # Memoized, in the carrying batch, queued twice: each goes out once
+        # at most.
+        gw.send_ahead([_subquestion(0, "m"), _subquestion(1), _subquestion(0),
+                       _subquestion(0)])
+        gw.complete_all([_subquestion(1)])
+        assert jobs[1] == ["c1", "c0"]
+        # A held rider queued again is not sent again.
+        gw.send_ahead([_subquestion(0)])
+        gw.complete(_subquestion(2))
+        assert jobs[2] == ["c2"]
+        gw.complete(_subquestion(0))
+        gw.close()
+        assert len(jobs) == 3
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 4
+
+    def test_rider_error_waits_for_its_request(self):
+        attempts = {}
+
+        def reply(req, prompt):
+            branch = req.context["branch"]
+            attempts[branch] = attempts.get(branch, 0) + 1
+            if req.context["claim"] == "r" and branch == "1":
+                raise GatewayHardError("r1 down")
+            if req.context["claim"] == "r" and attempts[branch] == 1:
+                raise TransportError("flaky")
+            if req.context["claim"] == "r" and branch == "2":
+                return " "
+            return _echo_branch(req, prompt)
+
+        gw, jobs = self._gateway(reply, max_retries=1, backoff=0.0)
+        gw.send_ahead([_subquestion(b, "r") for b in range(3)])
+        # The carrying batch does not raise its riders' errors.
+        assert gw.complete(_subquestion(9)).parsed == "Q9 of c?"
+        with pytest.raises(GatewayHardError, match="r1 down"):
+            gw.complete_all([_subquestion(b, "r") for b in (2, 1, 0)])
+        assert len(jobs) == 1
+        # The others were counted, and branch 0, after its transport retry,
+        # memoized; branch 2 did not parse, so it is asked again.
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
+        assert gw.complete(_subquestion(0, "r")).parsed == "Q0 of r?"
+        assert not gw.complete(_subquestion(2, "r")).parse_ok
+        gw.close()
+        assert jobs[1:] == [["r2"]]
+        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 1
+
+    def test_drop_riders(self):
+        gw, jobs = self._gateway()
+        gw.send_ahead([_subquestion(0, "r"), _subquestion(1, "r")])
+        gw.complete(_subquestion(0))
+        gw.send_ahead([_subquestion(2, "r")])
+        gw.drop_riders()
+        gw.complete_all([_subquestion(b, "r") for b in range(3)])
+        gw.close()
+        assert jobs == [["c0", "r0", "r1"], ["r0", "r1", "r2"]]

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -5,6 +7,7 @@ import os
 import tempfile
 import threading
 import time
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,8 @@ from verity.gateway import (Gateway, PromptKind, RecordingBackend,
                             ReplayBackend, ScriptedBackend, request_hash)
 from verity.kg_builder import SourceDocument, build_graph
 from verity.kg_store import KnowledgeGraph, Triple
-from verity.mcts import EngineConfig
+from verity.knowledge_update import apply_update, extract_new_knowledge
+from verity.mcts import EngineConfig, SearchEngine, paths_digest
 from verity.oracle import RuleBasedOracle
 from verity.run import (ClaimResult, format_cells, run_detection,
                         run_sequential)
@@ -408,6 +412,181 @@ class TestRunDetection:
         assert replayed.call_counts == recording.call_counts
 
 
+class TestSendAhead:
+    """Each claim's opening batch rides along with the claim before it."""
+
+    def _run(self, items, config, reply=None, updates=False):
+        table, _ = tabled_world(3, 3)
+        oracle = RuleBasedOracle(table)
+        gateway = Gateway(ScriptedBackend(reply or oracle.generate))
+        log = BatchLog(gateway)
+        record, _, _ = run_detection(items, KnowledgeGraph(), config, gateway,
+                                     updates=updates)
+        gateway.close()
+        return record, gateway, log
+
+    def test_opening_batch_leaves_with_the_claim_before(self):
+        table, items = tabled_world(3, 3)
+        oracle = RuleBasedOracle(table)
+        config = small_config(n=20, h=9, b=3)
+        engine = SearchEngine(Gateway(oracle), config)
+        opening = {request_hash(req): i for i, item in enumerate(items)
+                   for req in engine.opening_requests(item.claim)}
+        sent_in: dict[int, set[int]] = {}
+        marks = []
+
+        def reply(req, prompt):
+            claim = opening.get(request_hash(req, prompt))
+            if claim is not None:
+                sent_in.setdefault(claim, set()).add(len(log.batches) - 1)
+            return oracle.generate(req, prompt)
+
+        gateway = Gateway(ScriptedBackend(reply))
+        log = BatchLog(gateway)
+        search = SearchEngine.search
+
+        def marked(engine, *args, **kwargs):
+            marks.append(len(log.batches))
+            return search(engine, *args, **kwargs)
+
+        with mock.patch.object(SearchEngine, "search", marked):
+            record, _, _ = run_detection(items, KnowledgeGraph(), config,
+                                         gateway, updates=False)
+        gateway.close()
+        # Claim 0 sends its own opening batch, with claim 1's behind it;
+        # each later claim's first backend batch carries the next opening.
+        assert sent_in[0] == {0} and log.sizes[0] == 2 * (3 + 1)
+        for i in range(len(items) - 1):
+            assert sent_in[i + 1] == {marks[i]}
+        assert max(log.sizes) == 8
+        alone = Gateway(oracle)
+        results, _ = one_claim_at_a_time(items, KnowledgeGraph(), config,
+                                         alone, updates=False)
+        alone.close()
+        assert [r.as_record() for r in record.results] == results
+
+    def test_identical_consecutive_claims(self):
+        _, items = tabled_world(3, 3)
+        twice = [items[0], dataclasses.replace(items[0], id="real-0-again"),
+                 items[3], dataclasses.replace(items[3], id="fake-0-again")]
+        config = small_config(n=20, h=9, b=3)
+        record, gateway, _ = self._run(twice, config, updates=True)
+        table, _ = tabled_world(3, 3)
+        alone = Gateway(RuleBasedOracle(table))
+        results, _ = one_claim_at_a_time(twice, KnowledgeGraph(), config,
+                                         alone)
+        alone.close()
+        assert [r.as_record() for r in record.results] == results
+        assert record.exclusions == 0
+        assert gateway.call_counts == alone.call_counts
+        assert gateway.memo_hits == alone.memo_hits
+
+    def test_single_iteration_sends_no_verdict_rider(self):
+        _, items = tabled_world(3, 3)
+        record, gateway, log = self._run(items, small_config(n=1, b=2))
+        # A claim that rode along needs no batch of its own, so every other
+        # claim sends its opening batch with the next one's behind it.
+        assert log.sizes == [4, 4, 4]
+        assert all(kinds == {PromptKind.GENERATE_SUBQUESTION}
+                   for kinds in log.batches)
+        assert gateway.call_counts[PromptKind.FINAL_VERDICT] == 0
+        assert gateway.call_counts[PromptKind.GENERATE_SUBQUESTION] == 12
+        assert record.exclusions == 0
+
+    def test_last_claim_sends_no_riders(self):
+        table, items = tabled_world(3, 3)
+        gateway = Gateway(RuleBasedOracle(table))
+        queued = []
+        send_ahead = gateway.send_ahead
+
+        def spy(reqs):
+            queued.append({req.context["claim"] for req in reqs})
+            send_ahead(reqs)
+
+        gateway.send_ahead = spy
+        run_detection(items, KnowledgeGraph(), small_config(), gateway,
+                      updates=False)
+        assert queued == [{item.claim} for item in items[1:]]
+        # Nothing is left queued or held: a fresh request goes out alone.
+        log = BatchLog(gateway)
+        other = dataclasses.replace(items[0], claim="Alpha9 commanded Gamma9.")
+        gateway.complete_all(SearchEngine(gateway, small_config())
+                             .opening_requests(other.claim))
+        gateway.close()
+        assert log.sizes == [3]
+
+    def test_riders_dropped_when_the_run_raises(self):
+        table, items = tabled_world(3, 3)
+        oracle = RuleBasedOracle(table)
+
+        def reply(req, prompt):
+            if req.kind is PromptKind.ANSWER_SUBQUESTION:
+                raise RuntimeError("backend bug")
+            return oracle.generate(req, prompt)
+
+        gateway = Gateway(ScriptedBackend(reply))
+        with pytest.raises(RuntimeError, match="backend bug"):
+            run_detection(items, KnowledgeGraph(), small_config(), gateway)
+        # Claim 1's opening batch rode along, and its outcomes are gone.
+        log = BatchLog(gateway)
+        engine = SearchEngine(gateway, small_config())
+        gateway.complete_all(engine.opening_requests(items[1].claim))
+        gateway.close()
+        assert log.sizes == [3]
+        assert gateway.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 0
+
+    def test_hard_rider_failure_ends_its_own_claim(self):
+        table, items = tabled_world(2, 0)
+        oracle = RuleBasedOracle(table)
+        carried_by = []
+
+        def reply(req, prompt):
+            if (req.kind is PromptKind.FINAL_VERDICT
+                    and req.context["claim"] == items[1].claim
+                    and req.context["transcript"] == "(none)"):
+                carried_by.append(len(log.batches) - 1)
+                raise GatewayHardError("verdict down")
+            return oracle.generate(req, prompt)
+
+        gateway = Gateway(ScriptedBackend(reply))
+        log = BatchLog(gateway)
+        record, _, _ = run_detection(items, KnowledgeGraph(), small_config(),
+                                     gateway, updates=False)
+        gateway.close()
+        # Claim 0's first batch carried the failing request, once.
+        assert carried_by == [0]
+        first, second = record.results
+        assert first.error is None and first.verdict is Verdict.REAL
+        assert second.error == "verdict down" and second.verdict is None
+
+    def test_generator_pulled_at_most_one_ahead(self):
+        _, items = tabled_world(3, 3)
+        pulled = []
+        seen = []
+
+        def feed():
+            for item in items:
+                pulled.append(item.id)
+                yield item
+
+        search = SearchEngine.search
+
+        def marked(engine, claim, graph, claim_id=""):
+            seen.append(len(pulled))
+            return search(engine, claim, graph, claim_id)
+
+        with mock.patch.object(SearchEngine, "search", marked):
+            record, _, _ = self._run(feed(), small_config())
+        assert seen == [min(i + 2, len(items)) for i in range(len(items))]
+        assert [r.id for r in record.results] == [i.id for i in items]
+
+    def test_blank_claim_raises_when_pulled(self):
+        _, items = tabled_world(1, 0)
+        blank = dataclasses.replace(items[0], id="blank", claim="  ")
+        with pytest.raises(ValidationError, match="non-empty"):
+            self._run([items[0], blank], small_config())
+
+
 # Faults a backend call may meet; "garbage" is text no parser accepts.
 FAULTS = ("transport", "hard", "garbage")
 
@@ -434,6 +613,33 @@ def _fault_free_results() -> tuple[str, ...]:
                  for r in record.results)
 
 
+def one_claim_at_a_time(items, graph, config, gateway, updates=True):
+    """The result records and final graph digest ``run_detection`` gives,
+    computed by searching and updating one claim at a time, with nothing
+    sent ahead."""
+    graph = graph.copy()
+    engine = SearchEngine(gateway, config)
+    results = []
+    for item in items:
+        result = ClaimResult(id=item.id, gold=item.gold)
+        try:
+            verdict, paths, _ = engine.search(item.claim, graph,
+                                              claim_id=item.id)
+            if updates and verdict == Verdict.REAL:
+                stats = apply_update(graph, extract_new_knowledge(
+                    item.id, item.claim, paths, gateway), claim_id=item.id)
+                result.duplicates = stats.duplicates
+                result.triples_added = [
+                    t.as_record() for t in graph.triples[-stats.added:]
+                ] if stats.added else []
+            result.verdict = verdict
+            result.paths_digest = paths_digest(paths)
+        except GatewayHardError as exc:
+            result.error = str(exc)
+        results.append(result.as_record())
+    return results, graph.content_digest()
+
+
 class FaultyOracle:
     """The oracle behind injected faults, and the claims each fault hit.
 
@@ -448,13 +654,28 @@ class FaultyOracle:
         self.sent: dict[str, int] = {}
         self.hit: dict[str, set[str]] = {}
         self.claim = ""
+        self.opening: dict[str, str] = {}
         self._lock = threading.Lock()
 
-    def track(self, items):
-        """Iterate ``items``, noting which claim the calls belong to."""
-        for item in items:
-            self.claim = item.id
-            yield item
+    @contextlib.contextmanager
+    def track(self, items, config):
+        """Note the claim each call belongs to while the block runs.
+
+        A call belongs to the claim being searched or updated, except that
+        a claim's opening requests belong to that claim wherever they are
+        sent.
+        """
+        engine = SearchEngine(Gateway(self.oracle), config)
+        self.opening = {request_hash(req): item.id for item in items
+                        for req in engine.opening_requests(item.claim)}
+        search = SearchEngine.search
+
+        def tracked(engine, claim, graph, claim_id=""):
+            self.claim = claim_id
+            return search(engine, claim, graph, claim_id)
+
+        with mock.patch.object(SearchEngine, "search", tracked):
+            yield
 
     def generate(self, req, prompt):
         key = request_hash(req, prompt)
@@ -464,7 +685,8 @@ class FaultyOracle:
         if draw[0] * 100 < self.percent * 256:
             fault = self.kinds[draw[1] % len(self.kinds)]
             with self._lock:
-                self.hit.setdefault(fault, set()).add(self.claim)
+                self.hit.setdefault(fault, set()).add(
+                    self.opening.get(key, self.claim))
             if fault == "transport":
                 raise TransportError("injected")
             if fault == "hard":
@@ -490,10 +712,25 @@ class TestFaultInjection:
             gateway = Gateway(RecordingBackend(ScriptedBackend(backend.generate),
                                                transcript),
                               max_retries=1, backoff=0.0)
-            record, _, grown = run_detection(backend.track(items), graph,
-                                             config, gateway, updates=updates)
+            with backend.track(items, config):
+                record, _, grown = run_detection(items, graph, config, gateway,
+                                                 updates=updates)
             gateway.close()
             replay = ReplayBackend.from_path(transcript)
+        # Sending each claim's opening batch ahead changes nothing: the same
+        # faults hit the same claims, with the same record and counts.
+        alone = FaultyOracle(table, salt, percent, kinds)
+        one_by_one = Gateway(ScriptedBackend(alone.generate), max_retries=1,
+                             backoff=0.0)
+        with alone.track(items, config):
+            results, kg_after = one_claim_at_a_time(items, graph, config,
+                                                    one_by_one, updates)
+        one_by_one.close()
+        assert [r.as_record() for r in record.results] == results
+        assert record.kg_after == kg_after
+        assert alone.hit == backend.hit and alone.sent == backend.sent
+        assert one_by_one.call_counts == gateway.call_counts
+        assert one_by_one.memo_hits == gateway.memo_hits
         failed = {r.id for r in record.results if r.error is not None}
         assert record.exclusions == len(failed)
         # An abandoned claim carries no verdict.
