@@ -65,7 +65,10 @@ def _given(values: dict, params: dict) -> dict:
 def _engine_config(args, config: dict) -> EngineConfig:
     """Flags win over config values; unset ones keep EngineConfig's defaults."""
     flags = {key: value for key, value in vars(args).items() if value is not None}
-    return EngineConfig(**_given({**config, **flags}, ENGINE_KEYS))
+    engine = EngineConfig(**_given({**config, **flags}, ENGINE_KEYS))
+    # Checked before a backend starts, or a --record transcript is emptied.
+    engine.validate()
+    return engine
 
 
 def _build_backend(args, config: dict):

@@ -12,6 +12,7 @@ import email.utils
 import functools
 import hashlib
 import json
+import math
 import random
 import re
 import threading
@@ -192,6 +193,9 @@ class HttpChatBackend:
 
     def __init__(self, base_url: str, model: str, api_key: str = "",
                  timeout: float = 60.0, session: Optional[requests.Session] = None):
+        if not 0 < timeout < math.inf:
+            raise ValidationError("timeout must be a positive, finite number "
+                                  "of seconds")
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key
@@ -323,20 +327,21 @@ class Gateway:
     at a time. ``min_interval`` spaces backend calls across all threads.
 
     ``send_ahead`` queues requests a later batch will ask for, "riders".
-    They leave with the next ``complete_all`` that sends anything, after
-    that batch's own requests; a rider that is memoized, in the batch or
-    already held is dropped. Each rider's outcome, its raw text or the
-    error left after its transport retries, is held, and never raised by
-    the batch that carried it. The first ``complete_all`` that asks for a
-    held request takes its outcome as if it had just sent the request:
-    it counts and parses it, memoizes it if it parses, and raises it in
-    request order if it is an error. That is not a memo hit. Against a
-    backend whose answer depends only on the request and how often it was
-    sent before, riders change the timing of calls and the order of
-    transcript lines, and nothing else, provided no request is asked
-    between its rider's send and its hand-off. ``drop_riders`` empties
-    the queue and the held outcomes; an outcome dropped unasked is never
-    counted.
+    It skips a request already memoized or held, so a queued rider is never
+    either: one that a batch asks for is a miss there, and any send clears
+    the queue. Riders leave with the next ``complete_all`` that sends
+    anything, after that batch's own requests, less those the batch asks
+    itself. Each rider's outcome, its raw text or the error left after its
+    transport retries, is held, and never raised by the batch that carried
+    it. The first ``complete_all`` that asks for a held request takes its
+    outcome as if it had just sent the request: it counts and parses it,
+    memoizes it if it parses, and raises it in request order if it is an
+    error. That is not a memo hit. Against a backend whose answer depends
+    only on the request and how often it was sent before, riders change
+    the timing of calls and the order of transcript lines, and nothing
+    else, provided no request is asked between its rider's send and its
+    hand-off. ``drop_riders`` empties the queue and the held outcomes; an
+    outcome dropped unasked is never counted.
 
     ``call_counts`` counts calls that reached the backend, by kind;
     ``memo_hits`` counts answers served from the memo.
@@ -344,6 +349,8 @@ class Gateway:
 
     def __init__(self, backend: Backend, max_retries: int = 3,
                  backoff: float = 0.25, min_interval: float = 0.0):
+        if max_retries < 0:
+            raise ValidationError("max_retries must be >= 0")
         self.backend = backend
         self.max_retries = max_retries
         self.backoff = backoff
@@ -367,10 +374,13 @@ class Gateway:
             self._pool = None
 
     def send_ahead(self, reqs: Sequence[LLMRequest]) -> None:
-        """Queue ``reqs`` to ride along with the next batch that sends."""
+        """Queue ``reqs`` to ride along with the next batch that sends;
+        a request already memoized or held is skipped."""
         for req in reqs:
             prompt = render_prompt(req)
-            self._riders[request_hash(req, prompt)] = (req, prompt)
+            key = request_hash(req, prompt)
+            if key not in self._memo and key not in self._held:
+                self._riders[key] = (req, prompt)
 
     def drop_riders(self) -> None:
         """Forget queued riders and every outcome not yet asked for."""
@@ -454,8 +464,7 @@ class Gateway:
                   if key not in self._memo and i not in fresh]
         if misses:
             riders = [(key, job) for key, job in self._riders.items()
-                      if key not in self._memo and key not in self._held
-                      and key not in batch]
+                      if key not in batch]
             self._riders.clear()
             outcomes = self._send([(reqs[i], prompts[i]) for i in misses]
                                   + [job for _, job in riders])

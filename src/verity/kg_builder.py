@@ -160,16 +160,6 @@ def extract_entity_relations(doc: SourceDocument, entities: list[Entity],
     return _parse_relations(doc, entities, resps)
 
 
-def extract_event_triples(doc: SourceDocument,
-                          gateway: Gateway) -> tuple[list[Triple], int]:
-    """Event triples, repeats included; endpoints may be multi-word phrases."""
-    if not doc.body.strip():
-        return [], 0
-    [resps] = _wave(gateway, _chunks(doc.body),
-                    [_request(PromptKind.EXTRACT_EVENT_TRIPLES)])
-    return _parse_events(doc, resps)
-
-
 def extract_document(doc: SourceDocument,
                      gateway: Gateway) -> tuple[list[Triple], int]:
     """Run both extraction modes over one document; keep each triple's first.

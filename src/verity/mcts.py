@@ -6,11 +6,11 @@ search iteration is one select -> expand -> back-propagate round; leaves
 register reasoning paths, rewards follow the majority of completed-path
 verdicts, and the final verdict is a majority vote with ties broken to Fake.
 
-Claim latency is set by sequential model round-trips. The root's A3 verdict
-reads no answer, so it is asked in the same batch as the root's first A1
-sub-questions and used when the root's A3 is expanded, one iteration later.
-That opening batch reads only the claim and the seed, so a run can send it
-ahead, with the claim before (``SearchEngine.opening_requests``).
+Claim latency is set by sequential model round-trips. A search queues its
+claim's opening requests with ``Gateway.send_ahead``
+(``SearchEngine.opening_requests``), so the root's evidence-free verdict
+rides in the search's first backend batch and waits there until the root's
+A3 asks for it.
 """
 
 from __future__ import annotations
@@ -77,8 +77,10 @@ class EngineConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if min(self.n, self.b, self.top_k) < 1 or self.alpha < 0:
-            raise ValidationError("engine parameters must be positive")
+        if (min(self.n, self.b, self.top_k) < 1
+                or not 0 <= self.alpha < math.inf):
+            raise ValidationError("engine parameters must be positive, "
+                                  "and alpha finite and >= 0")
         if self.h < 2:
             raise ValidationError("height limit must be >= 2")
 
@@ -93,9 +95,6 @@ class SearchTree:
         root.open = True
         self.nodes: list[SearchNode] = [root]
         self.completed_paths: list[ReasoningPath] = []
-        # The root's evidence-free verdict, asked in the root's A1 batch and
-        # used when the root's A3 is expanded.
-        self.root_verdict: Optional[LLMResponse] = None
 
     @property
     def root(self) -> SearchNode:
@@ -247,11 +246,12 @@ class SearchEngine:
         }, seed=self.config.seed)
 
     def opening_requests(self, claim: str) -> list[LLMRequest]:
-        """The batch a search of ``claim`` sends first.
+        """The requests a search of ``claim`` can send before any step.
 
         That is the root's ``b`` sub-questions and, when the search runs
-        more than one iteration, the root's verdict, last. They read only
-        the claim and the seed.
+        more than one iteration, the root's evidence-free verdict. They read
+        only the claim and the seed, so ``search`` sends them ahead with its
+        first batch, and ``run_detection`` with the claim before.
         """
         if not claim.strip():
             raise ValidationError("claim must be non-empty")
@@ -279,26 +279,10 @@ class SearchEngine:
         again unless every branch failed. Children are attached, and leaves
         completed, in branch order.
 
-        The root's first A1 expansion asks ``opening_requests``: when the
-        search runs more than one iteration, that batch also carries the
-        root's verdict request, last. Its evidence-free transcript needs no
-        sub-question answer. The tree keeps the response, out of the A1
-        retry, and the root's A3 expansion uses it without asking again. So
-        a claim takes one round-trip fewer, with the same calls, children,
-        rng draws and votes. Calls differ only on failure paths:
-
-        - A root sub-question request fails hard: the verdict was sent and
-          counted, and the claim still ends with the sub-question's error.
-        - The verdict request fails hard: the claim ends at the root's A1
-          expansion, before that expansion's retries, not at its A3.
-        - Every root A1 branch fails until the search ends before the
-          root's A3: the verdict call goes unused.
-
-        ``run_detection`` may have sent the opening batch ahead, with the
-        claim before. Its outcomes are then handed over here as if sent
-        now, errors included, so children, votes, counts and failures are
-        the same. Only the time moves: the calls, and their transport
-        retries, ran during the claim before.
+        A request sent ahead (see ``search``) has its outcome handed over
+        here as if sent now, errors included, so children, votes, counts and
+        failures are the same. Only the time moves: the call, and its
+        transport retries, ran in an earlier batch.
         """
         if not node.pending:
             raise ValidationError("node has no expansion capacity")
@@ -319,18 +303,7 @@ class SearchEngine:
             }, seed=self.config.seed)]
         else:
             reqs = [self._verdict_request(tree.claim, transcript)]
-        at_root = node.parent is None
-        if action == ActionKind.A3 and at_root and tree.root_verdict is not None:
-            resps = [tree.root_verdict]
-        elif action == ActionKind.A1 and at_root and tree.root_verdict is None:
-            # The verdict is last, so a sub-question's failure is the one
-            # raised.
-            resps = self.gateway.complete_all(
-                self.opening_requests(tree.claim))
-            if len(resps) > len(reqs):
-                tree.root_verdict = resps.pop()
-        else:
-            resps = self.gateway.complete_all(reqs)
+        resps = self.gateway.complete_all(reqs)
         if action != ActionKind.A3:
             # One retry for unparseable generations, then give up on the child.
             failed = [i for i, resp in enumerate(resps) if not resp.parse_ok]
@@ -363,8 +336,16 @@ class SearchEngine:
 
     def search(self, claim: str, graph: KnowledgeGraph,
                claim_id: str = "") -> tuple[Verdict, list[ReasoningPath], SearchTree]:
-        if not claim.strip():
-            raise ValidationError("claim must be non-empty")
+        """Decide ``claim`` with ``n`` select/expand/back-propagate rounds.
+
+        First it queues ``opening_requests`` with ``Gateway.send_ahead``:
+        the root's verdict rides in the first backend batch and is held
+        until the root's A3 asks for it. With ``send_ahead`` a no-op there
+        is no lookahead, and children, votes, calls and memo hits are the
+        same. As with any rider, a hard verdict error ends the claim at the
+        root's A3, and a verdict sent but never asked is not counted.
+        """
+        self.gateway.send_ahead(self.opening_requests(claim))
         tree = SearchTree(claim, self.config)
         rng = self._rng_for(claim_id or claim)
         for _ in range(self.config.n):

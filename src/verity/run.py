@@ -89,19 +89,22 @@ def run_detection(items: Iterable[NewsItem], graph: KnowledgeGraph,
 
     The run pulls one item ahead of the claim it is deciding, and hands the
     next claim's opening requests (``SearchEngine.opening_requests``) to
-    ``Gateway.send_ahead``. They read no graph and no answer, so they ride
-    along with the current claim's first backend batch, and the next claim
-    starts with its first round-trip done. Records, graphs, calls and memo
-    hits are those of a run without riders; a rider that fails hard ends
-    the claim it belongs to, not the claim whose batch carried it. The
-    riders left when the run returns or raises are dropped. On failure
-    paths a run differs from one without riders in these ways:
+    ``Gateway.send_ahead``, as each search does with its own. They read no
+    graph and no answer, so they ride along with the current claim's first
+    backend batch, and the next claim starts with its first round-trip
+    done. Records, graphs, calls and memo hits are those of a run whose
+    ``send_ahead`` is a no-op, which has no lookahead at all; a rider that
+    fails hard ends the claim it belongs to, at the step that asks for it,
+    not the claim whose batch carried it. The riders left when the run
+    returns or raises are dropped. On failure paths a run differs from one
+    without riders in these ways:
 
     - A rider's transport retries delay the claim whose batch carried it.
     - A blank claim raises ``ValidationError`` when it is pulled, before
       the claim ahead of it is decided.
-    - A run that raises drops riders whose calls were made: the backend saw
-      them, and ``call_counts`` does not count them.
+    - A rider that is never asked, such as the verdict of a claim that
+      failed before its root's A3, or one dropped when the run raises, was
+      seen by the backend, and ``call_counts`` does not count it.
 
     The input graph's digest cache is updated before the run copies it, so
     a graph passed to several runs is hashed in full only once.

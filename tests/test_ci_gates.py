@@ -1,8 +1,9 @@
 """Tier-1 copies of benchmark gates that otherwise run only in CI.
 
-The traced benchmark pass wraps program functions by name, and the
-hash-seed pass compares outputs under two ``PYTHONHASHSEED`` values. Both
-are cheap enough to check here on a small world.
+The traced benchmark pass wraps program functions by name, the hash-seed
+pass compares outputs under two ``PYTHONHASHSEED`` values, and the claim
+clock times each claim from one search call to the next. All are cheap
+enough to check here on a small world.
 """
 
 import importlib.util
@@ -10,10 +11,18 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
+
+from synth import tabled_world
 
 # Importing any verity module loads the package, and with it every module
 # the tracer wraps.
+from verity.errors import GatewayHardError
+from verity.gateway import Gateway, ScriptedBackend
 from verity.kg_store import KnowledgeGraph
+from verity.mcts import EngineConfig, SearchEngine
+from verity.oracle import RuleBasedOracle
+from verity.run import run_detection
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -91,3 +100,33 @@ def test_outputs_do_not_depend_on_hash_seed(tmp_path):
     triples, real = map(int, outputs[0][0].split()[2:])
     # Updates wrote the graph, and subset 2 was decided from what they wrote.
     assert triples > 0 and real == 4
+
+
+def test_search_is_called_once_per_claim_in_order():
+    """``bench/workloads.py::ClaimClock`` stamps each ``SearchEngine.search``
+    call and times a claim up to the next one, so ``claim_s_p50`` and
+    ``claim_s_p90`` hold only while ``run_detection`` calls ``search`` once
+    per item, in dataset order, a claim that fails hard included."""
+    table, items = tabled_world(num_real=2, num_fake=2)
+    oracle = RuleBasedOracle(table)
+    doomed = items[1].claim
+
+    def reply(req, prompt):
+        if req.context.get("claim") == doomed:
+            raise GatewayHardError("down")
+        return oracle.generate(req, prompt)
+
+    searched = []
+    search = SearchEngine.search
+
+    def stamped(engine, claim, graph, claim_id=""):
+        searched.append(claim_id)
+        return search(engine, claim, graph, claim_id)
+
+    gateway = Gateway(ScriptedBackend(reply), max_retries=0)
+    with mock.patch.object(SearchEngine, "search", stamped):
+        record, _, _ = run_detection(items, KnowledgeGraph(),
+                                     EngineConfig(n=8, h=3, b=2), gateway)
+    gateway.close()
+    assert searched == [item.id for item in items]
+    assert [r.id for r in record.results if r.error] == [items[1].id]

@@ -351,7 +351,8 @@ class TestMalformedInput:
 
 
 class TestIllTypedInput:
-    """An ill-typed field stops the command with one error line, exit 2."""
+    """An ill-typed or out-of-range field stops the command with one error
+    line, exit 2."""
 
     def _assert_error(self, code, capsys, *words):
         err = capsys.readouterr().err
@@ -386,3 +387,34 @@ class TestIllTypedInput:
         code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
                      "--config", str(config)])
         self._assert_error(code, capsys, "base_url")
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_alpha_must_be_finite(self, tmp_path, capsys, alpha):
+        facts, dataset, kg = TestDetect()._setup(tmp_path)
+        record = tmp_path / "transcript.jsonl"
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--backend", "oracle", "--facts", str(facts),
+                     "--alpha", alpha, "--record", str(record)])
+        self._assert_error(code, capsys, "alpha")
+        assert not record.exists()
+
+    def test_max_retries_must_not_be_negative(self, tmp_path, capsys):
+        facts, dataset, kg = TestDetect()._setup(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text('{"max_retries": -1}')
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--backend", "oracle", "--facts", str(facts),
+                     "--config", str(config)])
+        self._assert_error(code, capsys, "max_retries")
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "NaN", "Infinity"])
+    def test_timeout_must_be_positive_and_finite(self, tmp_path, capsys,
+                                                 timeout):
+        _, dataset, kg = TestDetect()._setup(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text('{"timeout": %s, "base_url": "http://127.0.0.1:9"}'
+                          % timeout)
+        # The live backend is refused before it sends anything.
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--config", str(config)])
+        self._assert_error(code, capsys, "timeout")

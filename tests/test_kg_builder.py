@@ -7,7 +7,7 @@ from verity.gateway import (Gateway, LLMRequest, PromptKind, RecordingBackend,
                             ScriptedBackend)
 from verity.kg_builder import (BuildReport, SourceDocument, build_graph,
                                extract_document, extract_entities,
-                               extract_entity_relations, extract_event_triples)
+                               extract_entity_relations)
 from verity.kg_store import Entity, Triple
 from verity.oracle import RuleBasedOracle
 
@@ -58,17 +58,20 @@ class TestExtractEntityRelations:
 
 
 class TestExtractEventTriples:
+    """Event triples, whose endpoints may be multi-word phrases, as the
+    document extraction returns them."""
+
     def test_event_sentence(self, oracle_gateway):
-        triples, _ = extract_event_triples(
+        triples, _ = extract_document(
             doc("The landing occurred in November 1942."), oracle_gateway)
         assert [t.identity for t in triples] == \
             [("the landing", "occurred in", "november 1942")]
 
     def test_empty(self, oracle_gateway):
-        assert extract_event_triples(doc(""), oracle_gateway) == ([], 0)
+        assert extract_document(doc(""), oracle_gateway) == ([], 0)
 
     def test_no_event(self, oracle_gateway):
-        triples, _ = extract_event_triples(doc("Quiet day."), oracle_gateway)
+        triples, _ = extract_document(doc("Quiet day."), oracle_gateway)
         assert triples == []
 
 

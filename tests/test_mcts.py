@@ -345,6 +345,7 @@ class TestExpand:
 
     def test_search_batches_hold_distinct_requests(self):
         engine, items, _ = self._engine()
+        log = BatchLog(engine.gateway)
         batches = []
         complete_all = engine.gateway.complete_all
 
@@ -356,18 +357,22 @@ class TestExpand:
         firsts = set()
         for item in items:
             firsts.add(len(batches))
+            sent_before = len(log.batches)
             _, _, tree = engine.search(item.claim, KnowledgeGraph(),
                                        claim_id=item.id)
             structural_check(tree, engine.config)
+            # The evidence-free verdict rides in the first backend batch.
+            assert log.batches[sent_before] == \
+                {PromptKind.GENERATE_SUBQUESTION, PromptKind.FINAL_VERDICT}
+            assert log.sizes[sent_before] == 4
         engine.gateway.close()
         for i, batch in enumerate(batches):
             hashes = [request_hash(r) for r in batch]
             assert len(set(hashes)) == len(hashes)
             if i in firsts:
-                # The root's sub-questions, then its evidence-free verdict.
+                # The root's sub-questions.
                 assert [r.kind for r in batch] == \
-                    [PromptKind.GENERATE_SUBQUESTION] * 3 + \
-                    [PromptKind.FINAL_VERDICT]
+                    [PromptKind.GENERATE_SUBQUESTION] * 3
                 assert batch[-1].context["transcript"] == "(none)"
             elif {r.kind for r in batch} & {PromptKind.ANSWER_SUBQUESTION,
                                             PromptKind.FINAL_VERDICT}:
@@ -375,7 +380,7 @@ class TestExpand:
         kinds = [r.kind for batch in batches for r in batch]
         assert kinds.count(PromptKind.ANSWER_SUBQUESTION) > 0
         assert kinds.count(PromptKind.FINAL_VERDICT) > len(items)
-        assert max(len(batch) for batch in batches) == 4
+        assert max(len(batch) for batch in batches) == 3
 
     def test_unparseable_answer_is_retried_once_and_adds_no_child(self):
         engine, items, sent = self._engine(
@@ -495,7 +500,7 @@ class TestRootVerdictLookahead:
         for item in items:
             _, paths, tree = engine.search(item.claim, KnowledgeGraph(),
                                            claim_id=item.id)
-            assert paths == [] and tree.root_verdict is None
+            assert paths == []
         assert gateway.call_counts[PromptKind.FINAL_VERDICT] == 0
         assert gateway.call_counts[PromptKind.GENERATE_SUBQUESTION] == 12
 
@@ -539,7 +544,10 @@ class TestRootVerdictLookahead:
         structural_check(tree, engine.config)
 
     def test_hard_subquestion_failure_keeps_its_error(self):
+        sent = []
+
         def reply(req, prompt):
+            sent.append(req.kind)
             if req.kind is PromptKind.GENERATE_SUBQUESTION:
                 raise GatewayHardError("subquestion down")
             return "Answer: Real"
@@ -548,6 +556,8 @@ class TestRootVerdictLookahead:
         engine = SearchEngine(gateway, EngineConfig(n=5, h=5, b=2))
         with pytest.raises(GatewayHardError, match="subquestion down"):
             engine.search("claim", KnowledgeGraph())
-        # The verdict went out in the same batch and is counted.
-        assert gateway.call_counts[PromptKind.FINAL_VERDICT] == 1
+        # The verdict went out in the same batch, but was never asked for,
+        # so it is not counted.
+        assert sent.count(PromptKind.FINAL_VERDICT) == 1
+        assert gateway.call_counts[PromptKind.FINAL_VERDICT] == 0
         gateway.close()

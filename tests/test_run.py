@@ -506,7 +506,10 @@ class TestSendAhead:
         gateway.send_ahead = spy
         run_detection(items, KnowledgeGraph(), small_config(), gateway,
                       updates=False)
-        assert queued == [{item.claim} for item in items[1:]]
+        # Each search queues its own claim, after the run queues the next.
+        assert queued == [{claim} for item, after in zip(items, items[1:])
+                          for claim in (after.claim, item.claim)] + \
+            [{items[-1].claim}]
         # Nothing is left queued or held: a fresh request goes out alone.
         log = BatchLog(gateway)
         other = dataclasses.replace(items[0], claim="Alpha9 commanded Gamma9.")
@@ -603,10 +606,10 @@ def _fault_world():
 
 
 @functools.cache
-def _fault_free_results() -> tuple[str, ...]:
+def _fault_free_results(n: int) -> tuple[str, ...]:
     table, items, graph = _fault_world()
     gateway = Gateway(RuleBasedOracle(table))
-    record, _, _ = run_detection(items, graph, small_config(n=20, h=9, b=3),
+    record, _, _ = run_detection(items, graph, small_config(n=n, h=9, b=3),
                                  gateway, updates=False)
     gateway.close()
     return tuple(json.dumps(r.as_record(), sort_keys=True)
@@ -615,8 +618,8 @@ def _fault_free_results() -> tuple[str, ...]:
 
 def one_claim_at_a_time(items, graph, config, gateway, updates=True):
     """The result records and final graph digest ``run_detection`` gives,
-    computed by searching and updating one claim at a time, with nothing
-    sent ahead."""
+    computed by searching and updating one claim at a time, with no claim's
+    requests sent with the claim before."""
     graph = graph.copy()
     engine = SearchEngine(gateway, config)
     results = []
@@ -696,17 +699,19 @@ class FaultyOracle:
 
 
 class TestFaultInjection:
-    @settings(max_examples=30, deadline=None)
+    # One iteration sends no verdict rider, and two ask the root's verdict
+    # in the second.
+    @settings(max_examples=60, deadline=None)
     @given(salt=st.integers(0, 2**32), percent=st.integers(0, 25),
            kinds=st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3,
                           unique=True),
-           updates=st.booleans())
+           updates=st.booleans(), n=st.sampled_from((1, 2, 20)))
     def test_faults_stay_with_their_claims(self, salt, percent, kinds,
-                                           updates):
+                                           updates, n):
         table, items, graph = _fault_world()
         before = [t.canonical_line() for t in graph.triples]
         backend = FaultyOracle(table, salt, percent, kinds)
-        config = small_config(n=20, h=9, b=3)
+        config = small_config(n=n, h=9, b=3)
         with tempfile.TemporaryDirectory() as scratch:
             transcript = os.path.join(scratch, "transcript.jsonl")
             gateway = Gateway(RecordingBackend(ScriptedBackend(backend.generate),
@@ -731,6 +736,19 @@ class TestFaultInjection:
         assert alone.hit == backend.hit and alone.sent == backend.sent
         assert one_by_one.call_counts == gateway.call_counts
         assert one_by_one.memo_hits == gateway.memo_hits
+        # With send_ahead a no-op there is no lookahead at all: each request
+        # goes out when a step asks for it, with the same record and counts.
+        plain = Gateway(ScriptedBackend(
+            FaultyOracle(table, salt, percent, kinds).generate),
+            max_retries=1, backoff=0.0)
+        plain.send_ahead = lambda reqs: None
+        unsent, _, _ = run_detection(items, graph, config, plain,
+                                     updates=updates)
+        plain.close()
+        assert [r.as_record() for r in unsent.results] == results
+        assert unsent.kg_after == record.kg_after
+        assert plain.call_counts == gateway.call_counts
+        assert plain.memo_hits == gateway.memo_hits
         failed = {r.id for r in record.results if r.error is not None}
         assert record.exclusions == len(failed)
         # An abandoned claim carries no verdict.
@@ -760,7 +778,7 @@ class TestFaultInjection:
         assert after == before
         # Without updates, a claim no fault reached decides as if none had.
         touched = set().union(*hit.values())
-        for result, clean in zip(record.results, _fault_free_results()):
+        for result, clean in zip(record.results, _fault_free_results(n)):
             if result.id not in touched:
                 assert json.dumps(result.as_record(), sort_keys=True) == clean
 
