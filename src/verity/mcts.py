@@ -9,8 +9,8 @@ verdicts, and the final verdict is a majority vote with ties broken to Fake.
 Claim latency is set by sequential model round-trips. A search queues its
 claim's opening requests with ``Gateway.send_ahead``
 (``SearchEngine.opening_requests``), so the root's evidence-free verdict
-rides in the search's first backend batch and waits there until the root's
-A3 asks for it.
+rides in the search's first backend batch, and the gateway holds its
+outcome until the root's A3 asks for it.
 """
 
 from __future__ import annotations
