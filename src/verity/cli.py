@@ -51,14 +51,20 @@ def _load_config(path: str | None) -> dict:
 
 
 def _given(values: dict, params: dict) -> dict:
-    """Cast keyword arguments for the keys of ``params`` set in ``values``."""
+    """Cast keyword arguments for the keys of ``params`` set in ``values``;
+    a boolean, or a fraction that ``int`` would truncate, is refused."""
     kwargs = {}
     for key, (name, cast) in params.items():
-        if values.get(key) is not None:
-            try:
-                kwargs[name] = cast(values[key])
-            except (TypeError, ValueError) as exc:
-                raise VerityError(f"bad value for {key}: {exc}") from exc
+        value = values.get(key)
+        if value is None:
+            continue
+        try:
+            if isinstance(value, bool) or (cast is int and isinstance(
+                    value, float) and not value.is_integer()):
+                raise ValueError(f"{value!r} is not a valid {cast.__name__}")
+            kwargs[name] = cast(value)
+        except (TypeError, ValueError) as exc:
+            raise VerityError(f"bad value for {key}: {exc}") from exc
     return kwargs
 
 

@@ -225,9 +225,14 @@ class HttpChatBackend:
         if resp.status_code != 200:
             raise GatewayHardError(f"HTTP {resp.status_code}: {resp.text[:500]}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"content is {type(content).__name__}, not text")
+            # A lone surrogate fails here, not in a later request's hash.
+            content.encode("utf-8")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GatewayHardError(f"malformed completion response: {exc}") from exc
+        return content
 
 
 class ScriptedBackend:
@@ -351,6 +356,9 @@ class Gateway:
                  backoff: float = 0.25, min_interval: float = 0.0):
         if max_retries < 0:
             raise ValidationError("max_retries must be >= 0")
+        if not 0 <= min_interval < math.inf:
+            raise ValidationError("min_interval must be a finite number of "
+                                  "seconds >= 0")
         self.backend = backend
         self.max_retries = max_retries
         self.backoff = backoff

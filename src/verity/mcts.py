@@ -6,11 +6,10 @@ search iteration is one select -> expand -> back-propagate round; leaves
 register reasoning paths, rewards follow the majority of completed-path
 verdicts, and the final verdict is a majority vote with ties broken to Fake.
 
-Claim latency is set by sequential model round-trips. A search queues its
-claim's opening requests with ``Gateway.send_ahead``
-(``SearchEngine.opening_requests``), so the root's evidence-free verdict
-rides in the search's first backend batch, and the gateway holds its
-outcome until the root's A3 asks for it.
+The search sends nothing ahead: each step asks for its requests when it
+needs them. ``run_detection`` sends each claim's opening requests
+(``SearchEngine.opening_requests``) ahead of the claim's search, and the
+gateway holds an answer that came early until a step asks for it.
 """
 
 from __future__ import annotations
@@ -250,8 +249,8 @@ class SearchEngine:
 
         That is the root's ``b`` sub-questions and, when the search runs
         more than one iteration, the root's evidence-free verdict. They read
-        only the claim and the seed, so ``search`` sends them ahead with its
-        first batch, and ``run_detection`` with the claim before.
+        only the claim and the seed, so ``run_detection`` sends them ahead
+        of the search.
         """
         if not claim.strip():
             raise ValidationError("claim must be non-empty")
@@ -278,11 +277,6 @@ class SearchEngine:
         action leaves ``pending`` with its first child, so it is not asked
         again unless every branch failed. Children are attached, and leaves
         completed, in branch order.
-
-        A request sent ahead (see ``search``) has its outcome handed over
-        here as if sent now, errors included, so children, votes, counts and
-        failures are the same. Only the time moves: the call, and its
-        transport retries, ran in an earlier batch.
         """
         if not node.pending:
             raise ValidationError("node has no expansion capacity")
@@ -338,14 +332,10 @@ class SearchEngine:
                claim_id: str = "") -> tuple[Verdict, list[ReasoningPath], SearchTree]:
         """Decide ``claim`` with ``n`` select/expand/back-propagate rounds.
 
-        First it queues ``opening_requests`` with ``Gateway.send_ahead``:
-        the root's verdict rides in the first backend batch and is held
-        until the root's A3 asks for it. With ``send_ahead`` a no-op there
-        is no lookahead, and children, votes, calls and memo hits are the
-        same. As with any rider, a hard verdict error ends the claim at the
-        root's A3, and a verdict sent but never asked is not counted.
+        A blank claim raises ``ValidationError`` before anything is sent.
         """
-        self.gateway.send_ahead(self.opening_requests(claim))
+        if not claim.strip():
+            raise ValidationError("claim must be non-empty")
         tree = SearchTree(claim, self.config)
         rng = self._rng_for(claim_id or claim)
         for _ in range(self.config.n):

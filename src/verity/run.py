@@ -8,7 +8,7 @@ import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from .dataset import NewsItem
 from .errors import GatewayHardError, ValidationError
@@ -77,7 +77,7 @@ def _config_digest(config: EngineConfig, updates: bool) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def run_detection(items: Iterable[NewsItem], graph: KnowledgeGraph,
+def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
                   config: EngineConfig, gateway: Gateway,
                   updates: bool = True,
                   ) -> tuple[RunRecord, Optional[MetricsReport], KnowledgeGraph]:
@@ -87,20 +87,20 @@ def run_detection(items: Iterable[NewsItem], graph: KnowledgeGraph,
     knowledge update, are recorded with an error and no verdict and are
     excluded from metrics; the exclusion count is reported on the record.
 
-    The run pulls one item ahead of the claim it is deciding, and hands the
-    next claim's opening requests (``SearchEngine.opening_requests``) to
-    ``Gateway.send_ahead``, as each search does with its own. They read no
-    graph and no answer, so they ride along with the current claim's first
-    backend batch, and the next claim starts with its first round-trip
-    done. Records, graphs, calls and memo hits are those of a run whose
-    ``send_ahead`` is a no-op, which has no lookahead at all; a rider that
-    fails hard ends the claim it belongs to, at the step that asks for it,
-    not the claim whose batch carried it. The riders left when the run
+    The run is the one place that sends requests ahead. It queues claim 0's
+    and claim 1's opening requests (``SearchEngine.opening_requests``) with
+    ``Gateway.send_ahead`` before the first search, and claim i+1's before
+    claim i's. They read no graph and no answer, so they ride along with the
+    next backend batch: claim 0's verdict with its own sub-questions, and
+    each later claim's opening with the first batch of the claim before.
+    Records, graphs, calls and memo hits are those of a run whose
+    ``send_ahead`` is a no-op; a rider that fails hard ends the claim it
+    belongs to, at the step that asks for it. The riders left when the run
     returns or raises are dropped. On failure paths a run differs from one
     without riders in these ways:
 
     - A rider's transport retries delay the claim whose batch carried it.
-    - A blank claim raises ``ValidationError`` when it is pulled, before
+    - A blank claim raises ``ValidationError`` when it is queued, before
       the claim ahead of it is decided.
     - A rider that is never asked, such as the verdict of a claim that
       failed before its root's A3, or one dropped when the run raises, was
@@ -115,7 +115,11 @@ def run_detection(items: Iterable[NewsItem], graph: KnowledgeGraph,
     record = RunRecord(config_digest=_config_digest(config, updates),
                        kg_before=kg_before)
     try:
-        for item in _sending_ahead(items, engine, gateway):
+        if items:
+            gateway.send_ahead(engine.opening_requests(items[0].claim))
+        for i, item in enumerate(items):
+            if i + 1 < len(items):
+                gateway.send_ahead(engine.opening_requests(items[i + 1].claim))
             result = ClaimResult(id=item.id, gold=item.gold)
             try:
                 verdict, paths, _tree = engine.search(item.claim, graph,
@@ -145,18 +149,6 @@ def run_detection(items: Iterable[NewsItem], graph: KnowledgeGraph,
         report = compute_metrics([r.verdict for r in scored],
                                  [r.gold for r in scored])
     return record, report, graph
-
-
-def _sending_ahead(items: Iterable[NewsItem], engine: SearchEngine,
-                   gateway: Gateway) -> Iterator[NewsItem]:
-    """Yield each item once the next one's opening requests are queued."""
-    ahead = iter(items)
-    upcoming = next(ahead, None)
-    while upcoming is not None:
-        item, upcoming = upcoming, next(ahead, None)
-        if upcoming is not None:
-            gateway.send_ahead(engine.opening_requests(upcoming.claim))
-        yield item
 
 
 @dataclass

@@ -407,6 +407,32 @@ class TestIllTypedInput:
                      "--config", str(config)])
         self._assert_error(code, capsys, "max_retries")
 
+    @pytest.mark.parametrize("interval", ["-1", "NaN", "Infinity"])
+    def test_min_interval_must_be_finite_and_not_negative(self, tmp_path,
+                                                          capsys, interval):
+        facts, dataset, kg = TestDetect()._setup(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text('{"min_interval": %s}' % interval)
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--backend", "oracle", "--facts", str(facts),
+                     "--config", str(config)])
+        self._assert_error(code, capsys, "min_interval")
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", "2.7"), ("height", "3.5"), ("branch", "2.5"), ("topk", "1.9"),
+        ("seed", "0.5"), ("max_retries", "1.5"), ("n", "Infinity"),
+        ("n", "true"), ("seed", "false"), ("alpha", "true"),
+        ("min_interval", "false")])
+    def test_numeric_keys_take_numbers_of_their_type(self, tmp_path, capsys,
+                                                     key, value):
+        facts, dataset, kg = TestDetect()._setup(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text('{"%s": %s}' % (key, value))
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--backend", "oracle", "--facts", str(facts),
+                     "--config", str(config)])
+        self._assert_error(code, capsys, f"bad value for {key}")
+
     @pytest.mark.parametrize("timeout", ["0", "-1", "NaN", "Infinity"])
     def test_timeout_must_be_positive_and_finite(self, tmp_path, capsys,
                                                  timeout):

@@ -7,6 +7,7 @@ from email.utils import format_datetime
 
 import pytest
 
+from synth import tabled_world
 from verity.errors import (FormatError, GatewayHardError, ReplayMissError,
                            TransportError, ValidationError)
 from verity.gateway import (MAX_IN_FLIGHT, Gateway, HttpChatBackend,
@@ -14,6 +15,9 @@ from verity.gateway import (MAX_IN_FLIGHT, Gateway, HttpChatBackend,
                             ReplayBackend, ScriptedBackend, parse_entities,
                             parse_ranking, parse_triples, parse_verdict,
                             render_prompt, request_hash)
+from verity.kg_store import KnowledgeGraph
+from verity.mcts import EngineConfig
+from verity.run import run_detection
 from verity.verdict import Verdict
 
 # The {name} slots of each prompt kind's template.
@@ -347,6 +351,34 @@ class TestHttpBackend:
         backend = HttpChatBackend("http://api.test", "m", session=session)
         with pytest.raises(GatewayHardError):
             backend.generate(self._req(), "p")
+
+    # JSON text of a completion's content: not a string, or a lone surrogate.
+    @pytest.mark.parametrize("content", ["null", "5", '["x"]', '"\\ud800"'])
+    def test_content_that_is_not_text_is_hard(self, content):
+        payload = json.loads('{"choices": [{"message": {"content": %s}}]}'
+                             % content)
+        session = _FakeSession([_FakeResponse(200, payload)])
+        backend = HttpChatBackend("http://api.test", "m", session=session)
+        with pytest.raises(GatewayHardError,
+                           match="malformed completion response"):
+            backend.generate(self._req(), "p")
+
+    def test_content_that_is_not_text_ends_its_claim(self, tmp_path):
+        """Behind the recorder too, the run goes on, and each claim it
+        reached is recorded with the error."""
+        table, items = tabled_world(1, 1)
+        payload = json.loads(
+            '{"choices": [{"message": {"content": "\\ud800"}}]}')
+        session = _FakeSession([_FakeResponse(200, payload)] * 100)
+        gateway = Gateway(RecordingBackend(
+            HttpChatBackend("http://api.test", "m", session=session),
+            str(tmp_path / "transcript.jsonl")))
+        record, _, _ = run_detection(items, KnowledgeGraph(),
+                                     EngineConfig(n=2, h=3), gateway)
+        gateway.close()
+        assert [r.verdict for r in record.results] == [None, None]
+        assert all(r.error.startswith("malformed completion response")
+                   for r in record.results)
 
     def test_rate_limit_carries_retry_after(self):
         later = datetime.now(timezone.utc) + timedelta(seconds=30)

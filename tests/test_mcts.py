@@ -1,9 +1,11 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 
 from synth import BatchLog, tabled_world
+from verity.dataset import NewsItem
 from verity.errors import GatewayHardError, ValidationError
 from verity.gateway import (Gateway, PromptKind, ScriptedBackend,
                             request_hash)
@@ -18,6 +20,24 @@ from verity.verdict import Verdict
 
 def make_tree(h=5, b=2, **kw):
     return SearchTree("claim", EngineConfig(h=h, b=b, **kw))
+
+
+def detect_one(item, config, gateway):
+    """``run_detection`` over ``[item]`` without updates, which sends the
+    claim's opening requests ahead: the claim's result and the tree its
+    search grew, or None if the search failed."""
+    trees = []
+    search = SearchEngine.search
+
+    def kept(engine, *args, **kwargs):
+        verdict, paths, tree = search(engine, *args, **kwargs)
+        trees.append(tree)
+        return verdict, paths, tree
+
+    with mock.patch.object(SearchEngine, "search", kept):
+        record, _, _ = run_detection([item], KnowledgeGraph(), config, gateway,
+                                     updates=False)
+    return record.results[0], (trees[0] if trees else None)
 
 
 class TestLegalActions:
@@ -324,6 +344,19 @@ class TestSearch:
         with pytest.raises(ValidationError):
             engine.search("  ", KnowledgeGraph())
 
+    def test_search_sends_nothing_ahead(self):
+        gateway, items = self._gateway()
+        queued = []
+        gateway.send_ahead = queued.append
+        log = BatchLog(gateway)
+        engine = SearchEngine(gateway, EngineConfig(n=20, h=9, b=3))
+        engine.search(items[0].claim, KnowledgeGraph(), claim_id=items[0].id)
+        gateway.close()
+        assert queued == []
+        # The first backend batch holds the root's sub-questions alone.
+        assert log.batches[0] == {PromptKind.GENERATE_SUBQUESTION}
+        assert log.sizes[0] == 3
+
 
 class TestExpand:
     """Only A1 requests carry a branch; A2 and A3 children share one answer."""
@@ -358,10 +391,10 @@ class TestExpand:
         for item in items:
             firsts.add(len(batches))
             sent_before = len(log.batches)
-            _, _, tree = engine.search(item.claim, KnowledgeGraph(),
-                                       claim_id=item.id)
+            _, tree = detect_one(item, engine.config, engine.gateway)
             structural_check(tree, engine.config)
-            # The evidence-free verdict rides in the first backend batch.
+            # The evidence-free verdict, sent ahead by the run, rides in the
+            # first backend batch.
             assert log.batches[sent_before] == \
                 {PromptKind.GENERATE_SUBQUESTION, PromptKind.FINAL_VERDICT}
             assert log.sizes[sent_before] == 4
@@ -451,13 +484,13 @@ class TestExpand:
 
 
 class TestRootVerdictLookahead:
-    """The root's A3 verdict is asked in the root's first A1 batch."""
+    """In a run, the root's A3 verdict rides in the root's first A1 batch."""
 
-    # tabled_world(25, 25) on an empty graph without updates. Calls, memo
-    # hits and the run digest are those of the search that asked the root's
-    # verdict in its own round-trip, which took 5.66 and 8.0 backend batches
-    # per claim, and 4.66 and 7.0 before each claim's opening batch rode
-    # along with the claim before it.
+    # tabled_world(25, 25) on an empty graph without updates. The pins are
+    # the backend batches per claim of a run that sends each claim's opening
+    # batch ahead, and the calls, memo hits and run digest, which are those
+    # of a run that sends nothing ahead and asks each request when a step
+    # needs it.
     @pytest.mark.parametrize("config, round_trips, calls, memo_hits, digest", [
         (EngineConfig(), 3.68,
          {PromptKind.EXTRACT_ENTITIES: 63, PromptKind.GENERATE_SUBQUESTION: 200,
@@ -485,10 +518,9 @@ class TestRootVerdictLookahead:
         table, items = tabled_world(3, 3)
         gateway = Gateway(RuleBasedOracle(table))
         log = BatchLog(gateway)
-        engine = SearchEngine(gateway, EngineConfig(n=20, h=9, b=3))
         for item in items:
             first = len(log.batches)
-            engine.search(item.claim, KnowledgeGraph(), claim_id=item.id)
+            detect_one(item, EngineConfig(n=20, h=9, b=3), gateway)
             assert log.batches[first] == {PromptKind.GENERATE_SUBQUESTION,
                                           PromptKind.FINAL_VERDICT}
         gateway.close()
@@ -526,9 +558,12 @@ class TestRootVerdictLookahead:
                 return "Answer: Real"
             return "yes"
 
-        engine = SearchEngine(Gateway(ScriptedBackend(reply)),
-                              EngineConfig(n=5, h=5, b=2))
-        _, paths, tree = engine.search("claim", KnowledgeGraph())
+        config = EngineConfig(n=5, h=5, b=2)
+        gateway = Gateway(ScriptedBackend(reply))
+        _, tree = detect_one(NewsItem(id="claim", claim="claim"), config,
+                             gateway)
+        gateway.close()
+        paths = tree.completed_paths
         assert verdict_transcripts.count("(none)") == 1
         root_votes = [p for p in paths if len(p.steps) == 1]
         if failures == 2:
@@ -541,7 +576,7 @@ class TestRootVerdictLookahead:
         else:
             assert tree.root.children == [] and paths == []
             assert sent.count(PromptKind.GENERATE_SUBQUESTION) == 2 * 2 * 5
-        structural_check(tree, engine.config)
+        structural_check(tree, config)
 
     def test_hard_subquestion_failure_keeps_its_error(self):
         sent = []
@@ -553,11 +588,11 @@ class TestRootVerdictLookahead:
             return "Answer: Real"
 
         gateway = Gateway(ScriptedBackend(reply))
-        engine = SearchEngine(gateway, EngineConfig(n=5, h=5, b=2))
-        with pytest.raises(GatewayHardError, match="subquestion down"):
-            engine.search("claim", KnowledgeGraph())
+        result, tree = detect_one(NewsItem(id="claim", claim="claim"),
+                                  EngineConfig(n=5, h=5, b=2), gateway)
+        gateway.close()
+        assert result.error == "subquestion down" and tree is None
         # The verdict went out in the same batch, but was never asked for,
         # so it is not counted.
         assert sent.count(PromptKind.FINAL_VERDICT) == 1
         assert gateway.call_counts[PromptKind.FINAL_VERDICT] == 0
-        gateway.close()

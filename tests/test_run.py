@@ -497,19 +497,27 @@ class TestSendAhead:
         table, items = tabled_world(3, 3)
         gateway = Gateway(RuleBasedOracle(table))
         queued = []
+        seen = []
         send_ahead = gateway.send_ahead
 
         def spy(reqs):
             queued.append({req.context["claim"] for req in reqs})
             send_ahead(reqs)
 
+        search = SearchEngine.search
+
+        def marked(engine, claim, graph, claim_id=""):
+            seen.append(len(queued))
+            return search(engine, claim, graph, claim_id)
+
         gateway.send_ahead = spy
-        run_detection(items, KnowledgeGraph(), small_config(), gateway,
-                      updates=False)
-        # Each search queues its own claim, after the run queues the next.
-        assert queued == [{claim} for item, after in zip(items, items[1:])
-                          for claim in (after.claim, item.claim)] + \
-            [{items[-1].claim}]
+        with mock.patch.object(SearchEngine, "search", marked):
+            run_detection(items, KnowledgeGraph(), small_config(), gateway,
+                          updates=False)
+        # One queue per claim: claims 0 and 1 before the first search, and
+        # each later claim before the search of the claim ahead of it.
+        assert queued == [{item.claim} for item in items]
+        assert seen == [min(i + 2, len(items)) for i in range(len(items))]
         # Nothing is left queued or held: a fresh request goes out alone.
         log = BatchLog(gateway)
         other = dataclasses.replace(items[0], claim="Alpha9 commanded Gamma9.")
@@ -562,27 +570,6 @@ class TestSendAhead:
         assert first.error is None and first.verdict is Verdict.REAL
         assert second.error == "verdict down" and second.verdict is None
 
-    def test_generator_pulled_at_most_one_ahead(self):
-        _, items = tabled_world(3, 3)
-        pulled = []
-        seen = []
-
-        def feed():
-            for item in items:
-                pulled.append(item.id)
-                yield item
-
-        search = SearchEngine.search
-
-        def marked(engine, claim, graph, claim_id=""):
-            seen.append(len(pulled))
-            return search(engine, claim, graph, claim_id)
-
-        with mock.patch.object(SearchEngine, "search", marked):
-            record, _, _ = self._run(feed(), small_config())
-        assert seen == [min(i + 2, len(items)) for i in range(len(items))]
-        assert [r.id for r in record.results] == [i.id for i in items]
-
     def test_blank_claim_raises_when_pulled(self):
         _, items = tabled_world(1, 0)
         blank = dataclasses.replace(items[0], id="blank", claim="  ")
@@ -619,12 +606,15 @@ def _fault_free_results(n: int) -> tuple[str, ...]:
 def one_claim_at_a_time(items, graph, config, gateway, updates=True):
     """The result records and final graph digest ``run_detection`` gives,
     computed by searching and updating one claim at a time, with no claim's
-    requests sent with the claim before."""
+    requests sent with the claim before. Each claim's opening requests are
+    queued just before its search, so its verdict rides with its
+    sub-questions."""
     graph = graph.copy()
     engine = SearchEngine(gateway, config)
     results = []
     for item in items:
         result = ClaimResult(id=item.id, gold=item.gold)
+        gateway.send_ahead(engine.opening_requests(item.claim))
         try:
             verdict, paths, _ = engine.search(item.claim, graph,
                                               claim_id=item.id)
