@@ -108,10 +108,14 @@ def _print_model_calls(gateway: Gateway) -> None:
 def _load_corpus(path: str) -> list[SourceDocument]:
     docs = []
     for lineno, record in read_records(path):
-        if "id" not in record or not isinstance(record.get("body"), str):
-            raise FormatError(path, lineno, "needs an id and a string body")
+        trusted = record.get("trusted", True)
+        if (type(record.get("id")) not in (str, int)
+                or not isinstance(record.get("body"), str)
+                or not isinstance(trusted, bool)):
+            raise FormatError(path, lineno, "needs a string or integer id, a "
+                              "string body and, if any, a boolean trusted")
         docs.append(SourceDocument(id=str(record["id"]), body=record["body"],
-                                   trusted=bool(record.get("trusted", True))))
+                                   trusted=trusted))
     return docs
 
 

@@ -19,6 +19,24 @@ def _bad_json(exc: json.JSONDecodeError) -> str:
     return f"bad JSON: {exc.msg} (column {exc.colno})"
 
 
+def _reject_lone_surrogates(path: str, lineno: int, text: str) -> None:
+    """Raise FormatError if a string of the valid JSON ``text``, from line
+    ``lineno`` of ``path`` on, holds a lone surrogate escape (``\\ud800``),
+    which decodes but cannot be encoded as UTF-8. Outside its strings,
+    valid JSON holds no ``"``.
+    """
+    if "\\u" not in text:
+        return
+    end = 0
+    while (start := text.find('"', end)) >= 0:
+        value, end = json.decoder.scanstring(text, start + 1)
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise FormatError(path, lineno + text.count("\n", 0, start),
+                              f"lone surrogate escape: {exc.reason}") from exc
+
+
 def read_lines(path: str) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, stripped line)`` for each data line of ``path``.
 
@@ -44,6 +62,7 @@ def decode_record(path: str, lineno: int, line: str) -> dict:
         raise FormatError(path, lineno, _bad_json(exc)) from exc
     if not isinstance(record, dict):
         raise FormatError(path, lineno, "not a JSON object")
+    _reject_lone_surrogates(path, lineno, line)
     return record
 
 
@@ -63,7 +82,8 @@ def read_object(path: str) -> dict:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        record = json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        record = json.loads(text)
     except UnicodeDecodeError as exc:
         raise FormatError(path, data.count(b"\n", 0, exc.start) + 1,
                           f"not UTF-8: {exc}") from exc
@@ -71,6 +91,7 @@ def read_object(path: str) -> dict:
         raise FormatError(path, exc.lineno, _bad_json(exc)) from exc
     if not isinstance(record, dict):
         raise FormatError(path, 1, "not a JSON object")
+    _reject_lone_surrogates(path, 1, text)
     return record
 
 

@@ -7,13 +7,13 @@ multi-word phrases such as times and places.
 
 A document costs two model round-trips, in dependency order. The first
 batch asks for the entities and the event triples of every distinct chunk;
-the second asks for every chunk's relations, naming the entities the first
-found. A chunk that repeats is asked once. When a request fails for good,
-the batch raises the first failure in request order, entity requests
-before event ones, and no relation request is sent if the first batch
-failed. ``build_graph`` then skips the document and lists it in
-``docs_failed``; the knowledge update passes the error on, and its claim is
-abandoned.
+the second, sent only if some entity was found, asks for every chunk's
+relations, naming those entities. A chunk that repeats is asked once. When
+a request fails for good, the batch raises the first failure in request
+order, entity requests before event ones, and no relation request is sent
+if the first batch failed. ``build_graph`` then skips the document and
+lists it in ``docs_failed``; the knowledge update passes the error on, and
+its claim is abandoned.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import GatewayHardError, ValidationError
 from .gateway import Gateway, LLMRequest, LLMResponse, PromptKind
@@ -71,24 +71,20 @@ def _chunks(body: str) -> list[str]:
     return out
 
 
-def _request(kind: PromptKind, **slots: str) -> Callable[[str], LLMRequest]:
-    """Builds ``kind``'s request for one chunk, with the other slots fixed."""
-    return lambda chunk: LLMRequest(kind, {"document": chunk, **slots})
+def _wave(gateway: Gateway, chunks: list[str], kinds: Sequence[PromptKind],
+          **slots: str) -> list[list[LLMResponse]]:
+    """Every kind's request, with ``slots``, for every distinct chunk, in
+    one batch.
 
-
-def _wave(gateway: Gateway, chunks: list[str],
-          builders: Sequence[Callable[[str], LLMRequest]],
-          ) -> list[list[LLMResponse]]:
-    """Every builder's request for every distinct chunk, in one batch.
-
-    Returns, per builder, the responses for each chunk occurrence in order,
-    so a repeated chunk is asked once and parsed once per occurrence.
+    Returns, per kind, the responses for each chunk occurrence in order, so
+    a repeated chunk is asked once and parsed once per occurrence.
     """
     distinct = list(dict.fromkeys(chunks))
     resps = iter(gateway.complete_all(
-        [build(chunk) for build in builders for chunk in distinct]))
+        [LLMRequest(kind, {"document": chunk, **slots})
+         for kind in kinds for chunk in distinct]))
     out = []
-    for _ in builders:
+    for _ in kinds:
         by_chunk = {chunk: next(resps) for chunk in distinct}
         out.append([by_chunk[chunk] for chunk in chunks])
     return out
@@ -106,26 +102,9 @@ def _parse_entities(resps: list[LLMResponse]) -> list[Entity]:
     return entities
 
 
-def _parse_relations(doc: SourceDocument, entities: list[Entity],
-                     resps: list[LLMResponse]) -> tuple[list[Triple], int]:
-    allowed = {e.key for e in entities}
-    triples: list[Triple] = []
-    dropped = 0
-    for resp in resps:
-        dropped += resp.warnings
-        for s, r, o in resp.parsed:
-            triple = Triple(Entity(s), r, Entity(o), source_id=doc.id)
-            if triple.subject.key not in allowed or triple.object.key not in allowed:
-                dropped += 1
-                continue
-            triples.append(triple)
-    if dropped:
-        log.warning("doc %s: dropped %d relation triples", doc.id, dropped)
-    return triples, dropped
-
-
-def _parse_events(doc: SourceDocument,
-                  resps: list[LLMResponse]) -> tuple[list[Triple], int]:
+def _parse_triples(doc: SourceDocument,
+                   resps: list[LLMResponse]) -> tuple[list[Triple], int]:
+    """The triples of ``resps`` from ``doc``, and the malformed lines."""
     triples: list[Triple] = []
     malformed = 0
     for resp in resps:
@@ -139,25 +118,8 @@ def extract_entities(doc: SourceDocument, gateway: Gateway) -> list[Entity]:
     """Deduplicated (by normalized key) entities in first-mention order."""
     if not doc.body.strip():
         return []
-    [resps] = _wave(gateway, _chunks(doc.body),
-                    [_request(PromptKind.EXTRACT_ENTITIES)])
+    [resps] = _wave(gateway, _chunks(doc.body), [PromptKind.EXTRACT_ENTITIES])
     return _parse_entities(resps)
-
-
-def extract_entity_relations(doc: SourceDocument, entities: list[Entity],
-                             gateway: Gateway) -> tuple[list[Triple], int]:
-    """Relation triples between the supplied entities, repeats included.
-
-    Triples referencing entities outside the list are dropped; the second
-    return value counts the drops (plus malformed output lines).
-    """
-    if not entities:
-        raise ValidationError("entity list must be non-empty")
-    entity_list = ", ".join(e.surface for e in entities)
-    [resps] = _wave(gateway, _chunks(doc.body),
-                    [_request(PromptKind.GENERATE_RELATIONS,
-                              entities=entity_list)])
-    return _parse_relations(doc, entities, resps)
 
 
 def extract_document(doc: SourceDocument,
@@ -165,27 +127,35 @@ def extract_document(doc: SourceDocument,
     """Run both extraction modes over one document; keep each triple's first.
 
     Two round-trips: entities and event triples for every chunk in one
-    batch, then the relations, which need the entity list, in a second.
+    batch, then the relations between the entities found in a second. The
+    count returned is of malformed lines and of relations naming an entity
+    outside that list, which are dropped.
     """
     if not doc.body.strip():
         return [], 0
     chunks = _chunks(doc.body)
     entity_resps, event_resps = _wave(
-        gateway, chunks, [_request(PromptKind.EXTRACT_ENTITIES),
-                          _request(PromptKind.EXTRACT_EVENT_TRIPLES)])
+        gateway, chunks,
+        [PromptKind.EXTRACT_ENTITIES, PromptKind.EXTRACT_EVENT_TRIPLES])
     entities = _parse_entities(entity_resps)
-    event_triples, dropped = _parse_events(doc, event_resps)
-    triples: list[Triple] = []
+    event_triples, dropped = _parse_triples(doc, event_resps)
+    relations: list[Triple] = []
     if entities:
-        triples, rel_dropped = extract_entity_relations(doc, entities, gateway)
+        [resps] = _wave(gateway, chunks, [PromptKind.GENERATE_RELATIONS],
+                        entities=", ".join(e.surface for e in entities))
+        found, malformed = _parse_triples(doc, resps)
+        allowed = {e.key for e in entities}
+        relations = [t for t in found if t.subject.key in allowed
+                     and t.object.key in allowed]
+        rel_dropped = malformed + len(found) - len(relations)
+        if rel_dropped:
+            log.warning("doc %s: dropped %d relation triples", doc.id,
+                        rel_dropped)
         dropped += rel_dropped
-    seen: set[tuple[str, str, str]] = set()
-    unique = []
-    for t in triples + event_triples:
-        if t.identity not in seen:
-            seen.add(t.identity)
-            unique.append(t)
-    return unique, dropped
+    first: dict[tuple[str, str, str], Triple] = {}
+    for t in relations + event_triples:
+        first.setdefault(t.identity, t)
+    return list(first.values()), dropped
 
 
 def build_graph(corpus: list[SourceDocument],

@@ -252,8 +252,6 @@ class SearchEngine:
         only the claim and the seed, so ``run_detection`` sends them ahead
         of the search.
         """
-        if not claim.strip():
-            raise ValidationError("claim must be non-empty")
         transcript = _render_transcript([])
         reqs = self._subquestion_requests(claim, transcript)
         if self.config.n > 1:

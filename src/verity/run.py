@@ -100,15 +100,18 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
     without riders in these ways:
 
     - A rider's transport retries delay the claim whose batch carried it.
-    - A blank claim raises ``ValidationError`` when it is queued, before
-      the claim ahead of it is decided.
     - A rider that is never asked, such as the verdict of a claim that
       failed before its root's A3, or one dropped when the run raises, was
       seen by the backend, and ``call_counts`` does not count it.
 
-    The input graph's digest cache is updated before the run copies it, so
-    a graph passed to several runs is hashed in full only once.
+    A blank claim raises ``ValidationError``, naming its item, before
+    anything is sent. The input graph's digest cache is updated before the
+    run copies it, so a graph passed to several runs is hashed in full only
+    once.
     """
+    for item in items:
+        if not item.claim.strip():
+            raise ValidationError(f"item {item.id}: claim must be non-empty")
     kg_before = graph.content_digest()
     graph = graph.copy()
     engine = SearchEngine(gateway, config)

@@ -10,6 +10,7 @@ import json
 
 from verity.dataset import NewsItem
 from verity.gateway import Gateway, PromptKind
+from verity.kg_builder import SourceDocument
 from verity.oracle import FactTable
 from verity.verdict import Verdict
 
@@ -80,6 +81,24 @@ def tabled_world(num_real: int = 25, num_fake: int = 25):
     table = FactTable(entities=entities, facts=facts,
                       relations=["commanded", "served in"])
     return table, items
+
+
+def closed_book_world():
+    """``tabled_world(25, 25)``'s facts, known to the graph and not to the
+    model.
+
+    The oracle's table holds no fact, so it answers "Yes" to a sub-question
+    only when the retrieved triples hold its fact. It can still extract
+    every fact, from a corpus of one trusted sentence per fact. Returns the
+    table, the claims and the corpus.
+    """
+    table, items = tabled_world(25, 25)
+    closed = FactTable(entities=table.entities, facts=[],
+                       extraction_facts=table.facts,
+                       relations=table.relations)
+    corpus = [SourceDocument(f"fact-{i}", f"{s} {r} {o}.")
+              for i, (s, r, o) in enumerate(table.facts)]
+    return closed, items, corpus
 
 
 def carryover_world(num_linked: int = 12):

@@ -278,7 +278,12 @@ class TestMalformedInput:
         ('{"id": "d1", "body": "Alpha0 commanded Gamma0."}\n'
          '{"id": "d2", "body": "Beta1 serv', 2),
         ('{"id": "d1", "text": "Alpha0 commanded Gamma0."}\n', 1),
-    ], ids=["cut", "no-body"])
+        ('{"id": 1, "body": "Alpha0 commanded Gamma0."}\n'
+         '{"id": "d2", "body": "Beta1 served in Gamma1.",'
+         ' "trusted": "false"}\n', 2),
+        ('{"id": "d1", "body": "Alpha0 commanded Gamma0.", "trusted": true}\n'
+         '{"id": {"x": 1}, "body": "Beta1 served in Gamma1."}\n', 2),
+    ], ids=["cut", "no-body", "trusted-not-boolean", "id-not-string-or-int"])
     def test_build_kg_corpus(self, tmp_path, capsys, content, line):
         table, _ = tabled_world(num_real=2, num_fake=0)
         facts = tmp_path / "facts.json"
@@ -341,6 +346,36 @@ class TestMalformedInput:
                      "--backend", "oracle", "--facts", str(facts),
                      "--config", str(config)])
         self._assert_error(code, capsys, config, 3)
+
+    @pytest.mark.parametrize("target", ["dataset", "transcript", "facts"])
+    def test_lone_surrogate_escape(self, tmp_path, capsys, target):
+        facts, dataset, kg = TestDetect()._setup(tmp_path)
+        transcript = tmp_path / "transcript.jsonl"
+        main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+              "--backend", "oracle", "--facts", str(facts),
+              "--n", "3", "--height", "3", "--record", str(transcript)])
+        capsys.readouterr()
+        if target == "facts":
+            table = json.loads(facts.read_text())
+            table["relations"][-1] = "\udc00"
+            text = json.dumps(table, indent=2)
+            facts.write_text(text)
+            path, line = facts, text[:text.index("\\udc00")].count("\n") + 1
+        else:
+            path, field = {"dataset": (dataset, "claim"),
+                           "transcript": (transcript, "response")}[target]
+            lines = path.read_text().splitlines()
+            record = json.loads(lines[1])
+            record[field] = "\ud800" + record[field]
+            lines[1] = json.dumps(record)
+            path.write_text("\n".join(lines) + "\n")
+            line = 2
+        backend = (["--backend", "replay", "--transcript", str(transcript)]
+                   if target == "transcript" else
+                   ["--backend", "oracle", "--facts", str(facts)])
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     *backend])
+        self._assert_error(code, capsys, path, line)
 
     def test_detect_facts(self, tmp_path, capsys):
         facts, dataset, kg = TestDetect()._setup(tmp_path)

@@ -40,6 +40,20 @@ class TestReadRecords:
         with pytest.raises(FormatError, match=r"line 2: not a JSON object"):
             list(read_records(str(path)))
 
+    def test_lone_surrogate_escape_names_its_line(self, tmp_path):
+        # A surrogate pair, an escaped backslash before "u" and an escaped
+        # quote are text; a lone surrogate, in a key or a value, is not.
+        path = tmp_path / "r.jsonl"
+        good = r'{"a": "\ud83d\ude00", "b": "\\ud800", "\"c": "\\\"\\udc00"}'
+        path.write_text(good + "\n")
+        assert list(read_records(str(path))) == [
+            (1, {"a": "\U0001f600", "b": "\\ud800", '"c': '\\"\\udc00'})]
+        for bad in (r'{"a": "x\ud800"}', r'{"\udc00": 1}',
+                    r'{"a": ["ok", {"b": "\ude00\ud83d"}]}'):
+            path.write_text(good + "\n" + bad + "\n")
+            with pytest.raises(FormatError, match="line 2: lone surrogate"):
+                list(read_records(str(path)))
+
 
 class TestReadObject:
     def test_reads_object(self, tmp_path):
@@ -60,6 +74,13 @@ class TestReadObject:
         with pytest.raises(FormatError, match="not UTF-8") as err:
             read_object(str(path))
         assert err.value.line == 2
+
+    def test_lone_surrogate_escape_names_its_line(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{\n  "n": 3,\n  "model": "\\udc00"\n}\n')
+        with pytest.raises(FormatError, match="lone surrogate") as err:
+            read_object(str(path))
+        assert err.value.line == 3
 
     def test_non_object(self, tmp_path):
         path = tmp_path / "c.json"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from synth import BatchLog
 
@@ -6,8 +8,7 @@ from verity.errors import GatewayHardError, TransportError, ValidationError
 from verity.gateway import (Gateway, LLMRequest, PromptKind, RecordingBackend,
                             ScriptedBackend)
 from verity.kg_builder import (BuildReport, SourceDocument, build_graph,
-                               extract_document, extract_entities,
-                               extract_entity_relations)
+                               extract_document, extract_entities)
 from verity.kg_store import Entity, Triple
 from verity.oracle import RuleBasedOracle
 
@@ -35,26 +36,20 @@ class TestExtractEntities:
 class TestExtractEntityRelations:
     def test_relation_found(self, oracle_gateway):
         d = doc("Eisenhower commanded Anderson in Tunisia.")
-        entities = extract_entities(d, oracle_gateway)
-        triples, dropped = extract_entity_relations(d, entities, oracle_gateway)
+        triples, dropped = extract_document(d, oracle_gateway)
         identities = {t.identity for t in triples}
         assert ("eisenhower", "commanded", "anderson") in identities
 
-    def test_unknown_entity_triples_dropped(self, oracle_gateway):
-        # The oracle can see Anderson/Tunisia in the text and emits their
-        # relation, but the caller restricted the entity list to Eisenhower
-        # and Anderson, so the Tunisia triple must be dropped.
+    def test_unknown_entity_triples_dropped(self, tunisia_table):
+        # The oracle still emits the Anderson/Tunisia relation, but it does
+        # not extract Tunisia as an entity, so the relation must be dropped.
+        table = replace(tunisia_table, entities=[
+            e for e in tunisia_table.entities if e != "Tunisia"])
         d = doc("Eisenhower commanded Anderson. Anderson fought in Tunisia.")
-        entities = [e for e in extract_entities(d, oracle_gateway)
-                    if e.key != "tunisia"]
-        triples, dropped = extract_entity_relations(d, entities, oracle_gateway)
+        triples, dropped = extract_document(d, Gateway(RuleBasedOracle(table)))
         assert dropped >= 1
         assert all(t.subject.key != "anderson" or t.object.key != "tunisia"
                    for t in triples)
-
-    def test_empty_entity_list_rejected(self, oracle_gateway):
-        with pytest.raises(ValidationError):
-            extract_entity_relations(doc("text"), [], oracle_gateway)
 
 
 class TestExtractEventTriples:
@@ -149,8 +144,7 @@ class TestChunking:
 
         gateway = Gateway(CountingOracle(tunisia_table))
         body = ("Eisenhower commanded Anderson. " * 300).strip()
-        entities = extract_entities(doc(body), gateway)
-        extract_entity_relations(doc(body), entities, gateway)
+        extract_document(doc(body), gateway)
         relation_calls = calls.count(PromptKind.GENERATE_RELATIONS)
         assert relation_calls >= 2
 

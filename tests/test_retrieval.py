@@ -1,12 +1,15 @@
 import logging
 
 import pytest
+from synth import closed_book_world
 
 from verity.errors import ValidationError
-from verity.gateway import Gateway, PromptKind, ScriptedBackend
-from verity.kg_store import KnowledgeGraph
+from verity.gateway import Gateway, LLMRequest, PromptKind, ScriptedBackend
+from verity.kg_builder import build_graph
+from verity.kg_store import Entity, KnowledgeGraph, Triple
+from verity.oracle import RuleBasedOracle
 from verity.retrieval import (RANK_CANDIDATE_CAP, question_entities,
-                              retrieve_context)
+                              render_triples, retrieve_context)
 
 
 def graph_with(n):
@@ -128,3 +131,34 @@ class TestRetrieveContext:
         assert len(result.selected) == 2
         assert set(t.identity for t in result.selected) <= \
             set(t.identity for t in result.candidates)
+
+
+class TestClosedBookWorld:
+    """Only the graph knows the facts, so retrieval is what lets the model
+    affirm one."""
+
+    def test_answers_need_the_retrieved_facts(self):
+        table, _, corpus = closed_book_world()
+        facts = table.extraction_facts
+        assert len(facts) == 50 and not table.facts
+        gateway = Gateway(RuleBasedOracle(table))
+        graph, report = build_graph(corpus, gateway)
+        assert report.docs_failed == [] and report.triples_dropped == 0
+        assert sorted(t.identity for t in graph.triples) == sorted(
+            Triple(Entity(s), r, Entity(o)).identity for s, r, o in facts)
+
+        def affirmed(fact, triples):
+            question = "Is it true that {} {} {}?".format(*fact)
+            resp = gateway.complete(LLMRequest(
+                PromptKind.ANSWER_SUBQUESTION,
+                {"claim": "{} {} {}.".format(*fact), "transcript": "(none)",
+                 "triples": triples, "question": question}))
+            return resp.raw.startswith("Yes")
+
+        def retrieved(fact):
+            question = "Is it true that {} {} {}?".format(*fact)
+            return render_triples(
+                retrieve_context(question, graph, 5, gateway).selected)
+
+        assert all(affirmed(fact, retrieved(fact)) for fact in facts)
+        assert not any(affirmed(fact, "(none)") for fact in facts)

@@ -571,10 +571,19 @@ class TestSendAhead:
         assert second.error == "verdict down" and second.verdict is None
 
     def test_blank_claim_raises_when_pulled(self):
-        _, items = tabled_world(1, 0)
+        table, items = tabled_world(2, 0)
         blank = dataclasses.replace(items[0], id="blank", claim="  ")
-        with pytest.raises(ValidationError, match="non-empty"):
-            self._run([items[0], blank], small_config())
+        oracle = RuleBasedOracle(table)
+        asked = []
+
+        def reply(req, prompt):
+            asked.append(req.kind)
+            return oracle.generate(req, prompt)
+
+        with pytest.raises(ValidationError,
+                           match="blank: claim must be non-empty"):
+            self._run([items[0], items[1], blank], small_config(), reply)
+        assert asked == []
 
 
 # Faults a backend call may meet; "garbage" is text no parser accepts.
