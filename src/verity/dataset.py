@@ -1,6 +1,7 @@
 """Claim dataset loading, label normalization, and sequential-subset splits.
 
-One JSON object per line with fields id, claim, label (optional), evidence
+One JSON object per line with fields id (a string or an integer; the line
+number names an item without one), claim, label (optional), evidence
 (optional list) and group (optional). Labels may use any of the native,
 HoVer or FEVEROUS tokens. An evidence entry is a sentence text or a dict
 with its ``text``; an item whose evidence holds a dict typed other than
@@ -78,6 +79,9 @@ def load_dataset(path: str) -> LoadReport:
         claim = record.get("claim", "")
         if not isinstance(claim, str) or not claim.strip():
             raise FormatError(path, lineno, "missing or empty claim")
+        item_id = record.get("id", f"item-{lineno}")
+        if type(item_id) not in (str, int):
+            raise FormatError(path, lineno, "id must be a string or an integer")
         group = record.get("group")
         if group is not None and not isinstance(group, str):
             raise FormatError(path, lineno, "group must be a string")
@@ -92,7 +96,7 @@ def load_dataset(path: str) -> LoadReport:
             dropped += 1
             continue
         items.append(NewsItem(
-            id=str(record.get("id", f"item-{lineno}")),
+            id=str(item_id),
             claim=claim,
             gold=gold,
             evidence=evidence,

@@ -95,20 +95,26 @@ def read_object(path: str) -> dict:
     return record
 
 
-def write_lines(path: str, lines: Iterable[str]) -> None:
+def write_lines(path: str, lines: Iterable[str | bytes]) -> None:
     """Write ``lines`` (each with its own newline) to ``path`` atomically.
 
+    A ``str`` is written as UTF-8 and ``bytes`` as they are, so a caller can
+    copy another file's bytes a chunk at a time. Nothing is translated: a
+    ``"\\n"`` is written as one ``\\n`` byte on every platform.
+
     The lines go to a temp file in the directory of ``path``, which replaces
-    ``path`` only once every line is written. If writing fails, the temp file
-    is removed and ``path`` keeps its old content. This guards against a
-    crash of the writing process, not against power loss: nothing is synced
-    to disk.
+    ``path`` only once every line is written. If writing fails, or ``lines``
+    raises, the temp file is removed and ``path`` keeps its old content.
+    This guards against a crash of the writing process, not against power
+    loss: nothing is synced to disk.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            fh.writelines(lines)
+        with open(tmp, "xb") as fh:
+            for line in lines:
+                fh.write(line.encode("utf-8") if isinstance(line, str)
+                         else line)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

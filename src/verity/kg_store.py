@@ -22,12 +22,23 @@ is already its triple's canonical line, so ``load`` takes the fields from
 one pattern match, with no JSON decode, and hashes the line as it reads.
 Any other line is decoded as JSON and its triple's canonical line hashed.
 The digest of a freshly loaded graph is then one ``hexdigest``.
+
+A loaded graph saves by copying its file. When every data line was
+inserted and is its triple's canonical line, ``load`` records the sha256
+the file has if it holds just those lines: the running digest with one
+more ``"\\n"``. ``save`` then copies the file, checking that hash on the
+bytes it writes, and serializes only the triples added since. If the
+check fails (a comment, a blank line or a ``\\r`` in the file, an edit
+since the load, a file gone or unreadable), it serializes every triple.
+The saved bytes are the same either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -41,6 +52,9 @@ _encode_str = json.encoder.encode_basestring
 # Canonical lines hashed per sha256 update, when the digest catches up or a
 # graph is loaded, and written per write when the graph is saved.
 _LINE_CHUNK = 4096
+# Bytes of a loaded graph's source file copied per read and write by save;
+# bounded so a save never holds the whole file.
+_COPY_CHUNK = 256 * 1024
 # A JSON string that _encode_str writes as is: no quote, backslash or
 # control character, so its text between the quotes is its value.
 _PLAIN_STR = r'"([^"\\\x00-\x1f]*)"'
@@ -51,6 +65,10 @@ _CANONICAL_LINE = re.compile(
     r'\{"object": ' + _PLAIN_STR + r', "relation": ' + _PLAIN_STR
     + r', "seq": (0|-?[1-9][0-9]*), "source_id": ' + _PLAIN_STR
     + r', "subject": ' + _PLAIN_STR + r'\}')
+
+
+class _StaleSource(Exception):
+    """A loaded graph's source file is gone, unreadable or changed."""
 
 
 def normalize_entity(surface: str) -> str:
@@ -151,7 +169,8 @@ class KnowledgeGraph:
     ``copy()`` carries both tables.
 
     :meth:`load` hashes each line as it reads it, so a loaded graph's
-    :meth:`content_digest` serializes no triple.
+    :meth:`content_digest` serializes no triple, and :meth:`save` copies
+    the file it read rather than serializing the triples that came from it.
     """
 
     def __init__(self) -> None:
@@ -168,6 +187,9 @@ class KnowledgeGraph:
         # sha256 over the canonical lines of triples[:_hashed], "\n"-joined.
         self._hasher = hashlib.sha256()
         self._hashed = 0
+        # (path, count, sha256 digest) of the file load() read, when its bytes
+        # are the canonical lines of triples[:count], each ending in "\n".
+        self._origin: tuple[str, int, bytes] | None = None
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -224,6 +246,11 @@ class KnowledgeGraph:
         return [self.triples[i] for i in sorted(hit)]
 
     def copy(self) -> "KnowledgeGraph":
+        """A snapshot that later inserts on either side do not reach.
+
+        It saves by copying the file ``load`` read, as the original does:
+        the graph is append-only, so that file's triples come first in both.
+        """
         snap = KnowledgeGraph()
         snap.triples = list(self.triples)
         snap._identities = set(self._identities)
@@ -234,6 +261,7 @@ class KnowledgeGraph:
         snap._relation_keys = dict(self._relation_keys)
         snap._hasher = self._hasher.copy()
         snap._hashed = self._hashed
+        snap._origin = self._origin
         return snap
 
     def content_digest_lines(self, start: int = 0,
@@ -265,13 +293,51 @@ class KnowledgeGraph:
     def save(self, path: str) -> None:
         """Write one canonical line per triple, atomically (see ``write_lines``).
 
-        Lines are joined a chunk at a time, so the file gets one write per
-        chunk rather than one per line.
+        A graph that :meth:`load` read from a file of canonical lines, or a
+        copy of one, copies that file's bytes and serializes only the
+        triples added since, so a save costs its growth. The copied bytes
+        are hashed as they are written; if they are not the bytes ``load``
+        read, or the file is gone or cannot be read, every triple is
+        serialized instead. ``path`` may be the file the graph was loaded
+        from. A failure to write ``path`` is raised, and ``path`` keeps its
+        old content.
         """
+        if self._origin is not None:
+            chunks = self._source_then_growth()
+            try:
+                with contextlib.closing(chunks):
+                    write_lines(path, chunks)
+                return
+            except _StaleSource:
+                pass
+        write_lines(path, self._canonical_chunks(0))
+
+    def _canonical_chunks(self, start: int):
+        """Canonical lines of ``triples[start:]``, each ending in "\\n",
+        joined a chunk at a time, so the file gets one write per chunk."""
         triples = self.triples
-        write_lines(path, ("\n".join([t.canonical_line() for t in
-                                      triples[i:i + _LINE_CHUNK]]) + "\n"
-                           for i in range(0, len(triples), _LINE_CHUNK)))
+        for i in range(start, len(triples), _LINE_CHUNK):
+            yield "\n".join([t.canonical_line()
+                             for t in triples[i:i + _LINE_CHUNK]]) + "\n"
+
+    def _source_then_growth(self):
+        """The bytes of the file ``load`` read, then the added triples' lines.
+
+        Raises :class:`_StaleSource`, before any added line, if that file
+        cannot be read or its bytes do not hash to what ``load`` read.
+        """
+        source, count, digest = self._origin
+        hasher = hashlib.sha256()
+        try:
+            with open(source, "rb") as fh:
+                while chunk := fh.read(_COPY_CHUNK):
+                    hasher.update(chunk)
+                    yield chunk
+        except OSError as exc:
+            raise _StaleSource(source) from exc
+        if hasher.digest() != digest:
+            raise _StaleSource(source)
+        yield from self._canonical_chunks(count)
 
     @classmethod
     def load(cls, path: str) -> "KnowledgeGraph":
@@ -282,10 +348,14 @@ class KnowledgeGraph:
         as JSON and its triple's canonical line hashed. A duplicate is not
         inserted, so it is not hashed. A record that is not a valid triple
         raises :class:`FormatError` naming its line.
+
+        If every line was inserted and is its triple's canonical line, the
+        graph records the file as its origin, which :meth:`save` copies.
         """
         graph = cls()
         entity = graph._entity
         lines: list[str] = []
+        exact = True
         for lineno, line in read_lines(path):
             try:
                 match = _CANONICAL_LINE.fullmatch(line)
@@ -306,12 +376,22 @@ class KnowledgeGraph:
                 triple = Triple(entity(subject), sys.intern(relation),
                                 entity(obj), sys.intern(source_id), seq)
                 if not graph.insert_triple(triple):
+                    exact = False
                     continue
             except (KeyError, TypeError, ValidationError) as exc:
                 raise FormatError(path, lineno, f"bad record: {exc}") from exc
-            lines.append(line if match else triple.canonical_line())
+            if not match:
+                canonical = triple.canonical_line()
+                exact = exact and canonical == line
+                line = canonical
+            lines.append(line)
             if len(lines) == _LINE_CHUNK:
                 graph._hash_lines(lines)
                 lines = []
         graph._hash_lines(lines)
+        if exact:
+            hasher = graph._hasher.copy()
+            hasher.update(b"\n")
+            graph._origin = (os.path.abspath(path), len(graph.triples),
+                             hasher.digest())
         return graph

@@ -33,6 +33,17 @@ def save_dataset(items: list[NewsItem], path: str) -> None:
             fh.write(json.dumps(news_record(item), ensure_ascii=False) + "\n")
 
 
+def write_facts(path, table: FactTable) -> None:
+    """``table`` as a ``--facts`` file at the ``pathlib.Path`` ``path``."""
+    path.write_text(json.dumps({
+        "entities": table.entities,
+        "facts": [list(f) for f in table.facts],
+        "extraction_facts": [list(f) for f in table.extraction_facts],
+        "event_facts": [list(f) for f in table.event_facts],
+        "relations": table.relations,
+    }))
+
+
 class BatchLog:
     """The backend batches of one Gateway: the prompt kinds each sent, and
     how many requests.

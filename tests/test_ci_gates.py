@@ -1,22 +1,26 @@
 """Tier-1 copies of benchmark gates that otherwise run only in CI.
 
 The traced benchmark pass wraps program functions by name, the hash-seed
-pass compares outputs under two ``PYTHONHASHSEED`` values, and the claim
-clock times each claim from one search call to the next. All are cheap
-enough to check here on a small world.
+pass compares outputs under two ``PYTHONHASHSEED`` values, the claim clock
+times each claim from one search call to the next, and the pinned ``bigkg``
+output digest hashes a graph saved by copying its loaded file. All are
+cheap enough to check here on a small world.
 """
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
 
-from synth import tabled_world
+from synth import (carryover_world, save_dataset, tabled_world,
+                   write_facts)
 
 # Importing any verity module loads the package, and with it every module
 # the tracer wraps.
+from verity.cli import main
 from verity.errors import GatewayHardError
 from verity.gateway import Gateway, ScriptedBackend
 from verity.kg_store import KnowledgeGraph
@@ -130,3 +134,36 @@ def test_search_is_called_once_per_claim_in_order():
     gateway.close()
     assert searched == [item.id for item in items]
     assert [r.id for r in record.results if r.error] == [items[1].id]
+
+
+def test_kg_out_equals_a_full_reserialization(tmp_path, capsys):
+    """``detect --kg-out`` saves a loaded graph by copying the ``--kg`` file
+    and serializing only what the updates added; the saved file must hold
+    the bytes a full serialization of its own reload gives, whether it is a
+    new file or the ``--kg`` file itself."""
+    table, subset1, _ = carryover_world(num_linked=3)
+    facts, corpus = tmp_path / "facts.json", tmp_path / "corpus.jsonl"
+    write_facts(facts, table)
+    corpus.write_text("".join(
+        json.dumps({"id": item.id, "body": " ".join(item.evidence)}) + "\n"
+        for item in subset1[:2]))
+    dataset = tmp_path / "claims.jsonl"
+    save_dataset(subset1, str(dataset))
+    backend = ["--backend", "oracle", "--facts", str(facts)]
+    kg = tmp_path / "kg.jsonl"
+    assert main(["build-kg", "--corpus", str(corpus), "--out", str(kg),
+                 *backend]) == 0
+    built = len(KnowledgeGraph.load(str(kg)))
+    saved = []
+    for out in (tmp_path / "kg-out.jsonl", kg):
+        assert main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--updates", "on", "--kg-out", str(out), "--n", "8",
+                     "--height", "3", "--branch", "2", *backend]) == 0
+        reloaded = KnowledgeGraph.load(str(out))
+        assert out.read_bytes() == "".join(
+            line + "\n" for line in reloaded.content_digest_lines()
+        ).encode("utf-8")
+        saved.append((len(reloaded), out.read_bytes()))
+    capsys.readouterr()
+    # The third claim's update grew the graph, and both saves agree.
+    assert built > 0 and saved[0][0] > built and saved[0] == saved[1]

@@ -3,7 +3,7 @@ import json
 import re
 
 import pytest
-from synth import save_dataset, tabled_world
+from synth import save_dataset, tabled_world, write_facts
 
 from verity.cli import _build_backend, _engine_config, build_parser, main
 from verity.dataset import load_dataset
@@ -13,16 +13,6 @@ from verity.kg_store import KnowledgeGraph
 from verity.mcts import EngineConfig
 from verity.oracle import RuleBasedOracle
 from verity.run import run_detection
-
-
-def write_facts(path, table):
-    path.write_text(json.dumps({
-        "entities": table.entities,
-        "facts": [list(f) for f in table.facts],
-        "extraction_facts": [list(f) for f in table.extraction_facts],
-        "event_facts": [list(f) for f in table.event_facts],
-        "relations": table.relations,
-    }))
 
 
 def write_corpus(path, docs):
@@ -376,6 +366,18 @@ class TestMalformedInput:
         code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
                      *backend])
         self._assert_error(code, capsys, path, line)
+
+    @pytest.mark.parametrize("item_id", [{"x": 1}, True, 1.5],
+                             ids=["object", "boolean", "fraction"])
+    def test_dataset_id_must_be_string_or_int(self, tmp_path, capsys,
+                                              item_id):
+        facts, dataset, kg = TestDetect()._setup(tmp_path)
+        lines = dataset.read_text().splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "id": item_id})
+        dataset.write_text("\n".join(lines) + "\n")
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--backend", "oracle", "--facts", str(facts)])
+        self._assert_error(code, capsys, dataset, 2)
 
     def test_detect_facts(self, tmp_path, capsys):
         facts, dataset, kg = TestDetect()._setup(tmp_path)

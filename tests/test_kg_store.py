@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verity import kg_store
+from verity import jsonl, kg_store
 from verity.errors import FormatError, ValidationError
 from verity.kg_store import (Entity, KnowledgeGraph, Triple, make_triple,
                              normalize_entity)
@@ -46,6 +46,12 @@ def json_only_load(path):
                 Entity(record["object"]), record.get("source_id", ""),
                 record.get("seq", 0)))
     return graph
+
+
+def reference_bytes(graph):
+    """What ``save`` must write: each triple's reference line, in order."""
+    return "".join(reference_line(t) + "\n"
+                   for t in graph.triples).encode("utf-8")
 
 
 def needs_no_escape(text):
@@ -265,6 +271,10 @@ load_relations = st.one_of(st.sampled_from(["met", "Met", "said\\wrote"]),
                            awkward_text).filter(str.strip)
 load_seqs = st.one_of(st.just(0), st.integers(-5, 5),
                       st.integers(-2**70, 2**70))
+line_styles = st.sampled_from(["save", "ascii", "reordered", "spaced",
+                               "padded", "no_source_id"])
+# What may precede a line: mostly nothing, else a comment or a blank line.
+line_extras = st.sampled_from(["", "", "", "# note", "   "])
 
 
 def write_record(record, style):
@@ -287,27 +297,31 @@ def write_record(record, style):
                       ensure_ascii=False, sort_keys=True)
 
 
+def graph_file_bytes(rows):
+    """A triple file of ``(subject, relation, object, source_id, seq, style,
+    extra)`` rows, each line in its ``write_record`` style after its
+    ``extra`` line, if any."""
+    lines = []
+    for subject, relation, obj, source_id, seq, style, extra in rows:
+        if extra:
+            lines.append(extra)
+        lines.append(write_record(
+            {"subject": subject, "relation": relation, "object": obj,
+             "source_id": source_id, "seq": seq}, style))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 class TestLoadFastPath:
     """``load`` takes canonical lines from a pattern match, others by JSON."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(
         load_names, load_relations, load_names, awkward_text, load_seqs,
-        st.sampled_from(["save", "ascii", "reordered", "spaced", "padded",
-                         "no_source_id"]),
-        st.sampled_from(["", "", "", "# note", "   "])), max_size=25),
+        line_styles, line_extras), max_size=25),
         st.integers(min_value=1, max_value=4))
     def test_equals_json_only_load(self, tmp_path_factory, rows, chunk):
-        lines = []
-        for subject, relation, obj, source_id, seq, style, extra in rows:
-            if extra:
-                lines.append(extra)
-            lines.append(write_record(
-                {"subject": subject, "relation": relation, "object": obj,
-                 "source_id": source_id, "seq": seq}, style))
         path = tmp_path_factory.mktemp("load") / "kg.jsonl"
-        path.write_bytes("".join(line + "\n" for line in lines)
-                         .encode("utf-8"))
+        path.write_bytes(graph_file_bytes(rows))
         with mock.patch.object(kg_store, "_LINE_CHUNK", chunk):
             loaded = KnowledgeGraph.load(str(path))
         expected = json_only_load(str(path))
@@ -606,3 +620,207 @@ class TestSave:
         g.save(str(path))
         assert KnowledgeGraph.load(str(path)).triples == g.triples
         assert os.listdir(tmp_path) == ["kg.jsonl"]
+
+    # -- a loaded graph saves by copying its source file ----------------------
+
+    @staticmethod
+    def _source(tmp_path, graph=None):
+        """A file of canonical lines, as ``save`` writes them."""
+        if graph is None:
+            graph = KnowledgeGraph()
+            for i in range(6):
+                graph.add(f"e{i}", "r", f"e{i + 1}", "doc")
+        path = tmp_path / "kg.jsonl"
+        graph.save(str(path))
+        return path
+
+    @staticmethod
+    def _grow(graph):
+        graph.add("Zoë \"Q\"", "quoted\\in\t", "東京", "doc\x01")
+        graph.add("new", "r", "e0")
+
+    @staticmethod
+    def _count_lines(monkeypatch):
+        """The triples whose ``canonical_line`` runs from now on."""
+        real = Triple.canonical_line
+        calls = []
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Triple, "canonical_line", counted)
+        return calls
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(
+        load_names, load_relations, load_names, awkward_text, load_seqs,
+        line_styles, line_extras), max_size=12),
+        st.booleans(),
+        st.lists(st.tuples(load_names, load_relations, load_names,
+                           awkward_text), max_size=6),
+        st.integers(min_value=1, max_value=64))
+    def test_loaded_and_grown_saves_the_reference_bytes(
+            self, tmp_path_factory, rows, canonical, added, chunk):
+        if canonical:
+            rows = [row[:5] + ("save", "") for row in rows]
+        directory = tmp_path_factory.mktemp("save")
+        source = directory / "kg.jsonl"
+        source.write_bytes(graph_file_bytes(rows))
+        g = KnowledgeGraph.load(str(source))
+        for subject, relation, obj, source_id in added:
+            g.add(subject, relation, obj, source_id)
+        out = directory / "out.jsonl"
+        with mock.patch.object(kg_store, "_COPY_CHUNK", chunk):
+            g.save(str(out))
+        assert out.read_bytes() == reference_bytes(g)
+
+    @pytest.mark.parametrize("escaped", [False, True],
+                             ids=["plain", "escaped"])
+    def test_loaded_graph_serializes_only_its_growth(
+            self, tmp_path, monkeypatch, escaped):
+        # Escaped strings take load's JSON path, but their lines are
+        # canonical, so the file is still copied.
+        source = self._source(tmp_path, self._graph() if escaped else None)
+        monkeypatch.setattr(kg_store, "_COPY_CHUNK", 16)
+        g = KnowledgeGraph.load(str(source)).copy()
+        self._grow(g)
+        calls = self._count_lines(monkeypatch)
+        out = tmp_path / "out.jsonl"
+        g.save(str(out))
+        assert calls == g.triples[-2:]
+        assert out.read_bytes() == reference_bytes(g)
+
+    def test_save_onto_the_source_copies_it(self, tmp_path, monkeypatch):
+        source = self._source(tmp_path)
+        g = KnowledgeGraph.load(str(source))
+        self._grow(g)
+        calls = self._count_lines(monkeypatch)
+        g.save(str(source))
+        assert calls == g.triples[-2:]
+        assert source.read_bytes() == reference_bytes(g)
+        assert os.listdir(tmp_path) == ["kg.jsonl"]
+
+    @pytest.mark.parametrize("mangle", [
+        lambda text: "# header\n" + text,
+        lambda text: text.replace("\n", "\n\n", 1),
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: " " + text,
+        lambda text: text + text.splitlines(keepends=True)[2],
+        lambda text: text[:-1],
+    ], ids=["comment", "blank", "crlf", "padded", "duplicate",
+            "no-final-newline"])
+    def test_source_not_in_canonical_form_is_reserialized(
+            self, tmp_path, monkeypatch, mangle):
+        source = self._source(tmp_path)
+        source.write_text(mangle(source.read_text()), newline="")
+        g = KnowledgeGraph.load(str(source))
+        self._grow(g)
+        calls = self._count_lines(monkeypatch)
+        out = tmp_path / "out.jsonl"
+        g.save(str(out))
+        assert len(calls) == len(g.triples) == 8
+        assert out.read_bytes() == reference_bytes(g)
+
+    def test_source_edited_after_load_is_reserialized(self, tmp_path,
+                                                      monkeypatch):
+        source = self._source(tmp_path)
+        g = KnowledgeGraph.load(str(source))
+        data = source.read_bytes()
+        assert data.count(b'"e3"') == 2
+        # Same length, one byte changed.
+        source.write_bytes(data.replace(b'"e3"', b'"e9"', 1))
+        self._grow(g)
+        calls = self._count_lines(monkeypatch)
+        out = tmp_path / "out.jsonl"
+        g.save(str(out))
+        assert len(calls) == len(g.triples)
+        assert out.read_bytes() == reference_bytes(g)
+
+    def test_source_deleted_after_load_is_reserialized(self, tmp_path):
+        source = self._source(tmp_path)
+        g = KnowledgeGraph.load(str(source))
+        source.unlink()
+        self._grow(g)
+        out = tmp_path / "out.jsonl"
+        g.save(str(out))
+        assert out.read_bytes() == reference_bytes(g)
+        assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    @staticmethod
+    def _flaky_opens(monkeypatch, module, modes, fail_at):
+        """Make ``module``'s ``open`` in any of ``modes`` return a file whose
+        ``fail_at``-th read or write raises OSError; returns those files."""
+        opened = []
+
+        def flaky_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            if mode not in modes:
+                return fh
+            opened.append(FlakyFile(fh, fail_at))
+            return opened[-1]
+
+        monkeypatch.setattr(module, "open", flaky_open, raising=False)
+        return opened
+
+    @pytest.mark.parametrize("onto_source", [False, True],
+                             ids=["new-path", "source-path"])
+    def test_write_failure_mid_copy_keeps_old_target(
+            self, tmp_path, monkeypatch, onto_source):
+        source = self._source(tmp_path)
+        target = source if onto_source else tmp_path / "out.jsonl"
+        if not onto_source:
+            target.write_text("old\n")
+        before, names = target.read_bytes(), sorted(os.listdir(tmp_path))
+        g = KnowledgeGraph.load(str(source))
+        self._grow(g)
+        monkeypatch.setattr(kg_store, "_COPY_CHUNK", 16)
+        writes = self._flaky_opens(monkeypatch, jsonl, ("xb",), fail_at=3)
+        reads = self._flaky_opens(monkeypatch, kg_store, ("rb",), fail_at=0)
+        with pytest.raises(OSError, match="injected") as raised:
+            g.save(str(target))
+        # Both files are closed by the time save raises, though the
+        # traceback still holds save's frame.
+        assert raised.tb is not None
+        assert all(f.fh.closed for f in writes + reads)
+        assert [f.calls for f in writes] == [3] and reads[0].calls >= 3
+        assert target.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == names
+
+    def test_read_failure_mid_copy_falls_back(self, tmp_path, monkeypatch):
+        source = self._source(tmp_path)
+        g = KnowledgeGraph.load(str(source))
+        self._grow(g)
+        monkeypatch.setattr(kg_store, "_COPY_CHUNK", 16)
+        reads = self._flaky_opens(monkeypatch, kg_store, ("rb",), fail_at=3)
+        out = tmp_path / "out.jsonl"
+        g.save(str(out))
+        assert out.read_bytes() == reference_bytes(g)
+        assert sorted(os.listdir(tmp_path)) == ["kg.jsonl", "out.jsonl"]
+        assert [f.calls for f in reads] == [3] and reads[0].fh.closed
+
+
+class FlakyFile:
+    """A file whose ``fail_at``-th read or write raises OSError; 0 never."""
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.fail_at, self.calls = fh, fail_at, 0
+
+    def _tick(self):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise OSError("injected failure")
+
+    def read(self, size):
+        self._tick()
+        return self.fh.read(size)
+
+    def write(self, data):
+        self._tick()
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
