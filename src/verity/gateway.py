@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from importlib import resources
-from typing import Any, Callable, Optional, Protocol, Sequence
+from typing import Any, Callable, Generator, Optional, Protocol, Sequence
 
 import requests
 
@@ -330,26 +330,12 @@ class Gateway:
     transport retries; counting, the memo and parsing stay on the calling
     thread, in request order. A Gateway therefore serves one calling thread
     at a time. ``min_interval`` spaces backend calls across all threads.
-
-    ``send_ahead`` queues requests a later batch will ask for, "riders".
-    It skips a request already memoized or held, so a queued rider is never
-    either: one that a batch asks for is a miss there, and any send clears
-    the queue. Riders leave with the next ``complete_all`` that sends
-    anything, after that batch's own requests, less those the batch asks
-    itself. Each rider's outcome, its raw text or the error left after its
-    transport retries, is held, and never raised by the batch that carried
-    it. The first ``complete_all`` that asks for a held request takes its
-    outcome as if it had just sent the request: it counts and parses it,
-    memoizes it if it parses, and raises it in request order if it is an
-    error. That is not a memo hit. Against a backend whose answer depends
-    only on the request and how often it was sent before, riders change
-    the timing of calls and the order of transcript lines, and nothing
-    else, provided no request is asked between its rider's send and its
-    hand-off. ``drop_riders`` empties the queue and the held outcomes; an
-    outcome dropped unasked is never counted.
+    ``complete_riding`` lets a second caller's step ride along with a
+    batch, in the same backend round-trip.
 
     ``call_counts`` counts calls that reached the backend, by kind;
-    ``memo_hits`` counts answers served from the memo.
+    ``memo_hits`` counts answers served from the memo; ``round_trips``
+    counts backend batches.
     """
 
     def __init__(self, backend: Backend, max_retries: int = 3,
@@ -369,31 +355,15 @@ class Gateway:
         self._jitter = random.Random()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._memo: dict[str, str] = {}
-        # Riders by request hash: queued (request, prompt), then outcomes.
-        self._riders: dict[str, tuple[LLMRequest, str]] = {}
-        self._held: dict[str, str | Exception] = {}
         self.call_counts: dict[PromptKind, int] = {k: 0 for k in PromptKind}
         self.memo_hits: dict[PromptKind, int] = {k: 0 for k in PromptKind}
+        self.round_trips = 0
 
     def close(self) -> None:
         """Stop the worker threads; a later batch starts new ones."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-
-    def send_ahead(self, reqs: Sequence[LLMRequest]) -> None:
-        """Queue ``reqs`` to ride along with the next batch that sends;
-        a request already memoized or held is skipped."""
-        for req in reqs:
-            prompt = render_prompt(req)
-            key = request_hash(req, prompt)
-            if key not in self._memo and key not in self._held:
-                self._riders[key] = (req, prompt)
-
-    def drop_riders(self) -> None:
-        """Forget queued riders and every outcome not yet asked for."""
-        self._riders.clear()
-        self._held.clear()
 
     def _pace(self) -> None:
         if self.min_interval <= 0:
@@ -459,27 +429,69 @@ class Gateway:
         the batch raises ``ValidationError``: a caller that needs one answer
         several times asks once. If a backend call fails, the calls that
         succeeded are still counted and memoized, then the first failure in
-        request order is raised. A held rider's outcome counts as sent.
+        request order is raised.
         """
-        prompts = [render_prompt(req) for req in reqs]
-        keys = [request_hash(req, prompt) for req, prompt in zip(reqs, prompts)]
-        batch = set(keys)
-        if len(batch) < len(keys):
+        outcome, _ = self.complete_riding(reqs)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def complete_riding(self, reqs: Sequence[LLMRequest],
+                        rider: Optional[Sequence[LLMRequest]] = None,
+                        ) -> tuple[Any, Any]:
+        """The outcomes of ``reqs`` and of ``rider``, a later step that rides
+        along with them.
+
+        The rider is answered when the memo holds all of its answers, or
+        when ``reqs`` misses the memo and shares none of the rider's misses:
+        then those misses go to the backend in the same batch, after the
+        misses of ``reqs``. An outcome is the step's responses in order, or
+        the first error in request order among its calls; it is returned,
+        never raised. The rider's outcome is None when it was not answered,
+        and then nothing of it was sent or counted. Each step is checked,
+        counted and memoized as ``complete_all`` would do it alone, so a
+        rider's error is its own and never the batch's.
+        """
+        steps = [self._jobs(reqs)]
+        if rider is not None:
+            ride = self._jobs(rider)
+            misses = {key for _, _, key in ride if key not in self._memo}
+            own = {key for _, _, key in steps[0]}
+            if not misses or (misses.isdisjoint(own) and any(
+                    key not in self._memo for key in own)):
+                steps.append(ride)
+        outcomes = self._complete(steps)
+        return outcomes[0], outcomes[1] if len(outcomes) > 1 else None
+
+    @staticmethod
+    def _jobs(reqs: Sequence[LLMRequest]) -> list[tuple[LLMRequest, str, str]]:
+        """Each request with its prompt and key; the keys must be distinct."""
+        jobs = []
+        for req in reqs:
+            prompt = render_prompt(req)
+            jobs.append((req, prompt, request_hash(req, prompt)))
+        if len({key for _, _, key in jobs}) < len(jobs):
             raise ValidationError("complete_all needs distinct requests")
-        fresh = {i: self._held.pop(key) for i, key in enumerate(keys)
-                 if key in self._held}
-        misses = [i for i, key in enumerate(keys)
-                  if key not in self._memo and i not in fresh]
+        return jobs
+
+    def _complete(self, steps: list[list[tuple[LLMRequest, str, str]]]) -> list:
+        """Each step's outcome, every memo miss sent in one backend batch."""
+        misses = [(s, i) for s, jobs in enumerate(steps)
+                  for i, (_, _, key) in enumerate(jobs)
+                  if key not in self._memo]
+        fresh: dict[tuple[int, int], Any] = {}
         if misses:
-            riders = [(key, job) for key, job in self._riders.items()
-                      if key not in batch]
-            self._riders.clear()
-            outcomes = self._send([(reqs[i], prompts[i]) for i in misses]
-                                  + [job for _, job in riders])
-            fresh.update(zip(misses, outcomes))
-            self._held.update(
-                (key, outcome) for (key, _), outcome in
-                zip(riders, outcomes[len(misses):]))
+            self.round_trips += 1
+            outcomes = self._send([steps[s][i][:2] for s, i in misses])
+            fresh = dict(zip(misses, outcomes))
+        return [self._settle(jobs, {i: fresh[s, i] for i in range(len(jobs))
+                                    if (s, i) in fresh})
+                for s, jobs in enumerate(steps)]
+
+    def _settle(self, jobs: list[tuple[LLMRequest, str, str]],
+                fresh: dict[int, Any]) -> list[LLMResponse] | Exception:
+        """Count and memoize one step's backend answers, then read the rest
+        from the memo; the first failed call's error if any failed."""
         sent: dict[int, LLMResponse] = {}
         error: Optional[Exception] = None
         for i in sorted(fresh):
@@ -487,18 +499,91 @@ class Gateway:
             if isinstance(outcome, Exception):
                 error = error or outcome
                 continue
-            kind = reqs[i].kind
-            self.call_counts[kind] += 1
-            resp = sent[i] = _parse_payload(kind, outcome)
+            req, _, key = jobs[i]
+            self.call_counts[req.kind] += 1
+            resp = sent[i] = _parse_payload(req.kind, outcome)
             if resp.parse_ok:
-                self._memo[keys[i]] = outcome
+                self._memo[key] = outcome
         if error is not None:
-            raise error
+            return error
         out: list[LLMResponse] = []
-        for i, (req, key) in enumerate(zip(reqs, keys)):
+        for i, (req, _, key) in enumerate(jobs):
             if i in sent:
                 out.append(sent[i])
             else:
                 self.memo_hits[req.kind] += 1
                 out.append(_parse_payload(req.kind, self._memo[key]))
         return out
+
+
+# ---------------------------------------------------------------------------
+# Step generators
+#
+# Search, retrieval and extraction are written as generators that hold no
+# Gateway: each yields a list of distinct requests, receives their
+# responses (or has the batch's error raised at that yield), and returns
+# its result. Whoever drives one owns the round-trips, so a driver can send
+# the steps of two generators in one batch.
+
+# Yielded just before a step generator reads the knowledge graph, which an
+# earlier claim's update may still change; the generator receives None.
+GRAPH_READ = object()
+
+Steps = Generator[Any, Any, Any]
+
+
+class Stepper:
+    """A step generator driven one step at a time.
+
+    ``step`` is what the generator waits on: a list of requests,
+    ``GRAPH_READ``, or None once it has ended, with its ``result`` or with
+    the ``error`` it raised.
+    """
+
+    def __init__(self, steps: Steps):
+        self._steps = steps
+        self.step: Any = None
+        self.result: Any = None
+        self.error: Optional[Exception] = None
+        self.advance(None)
+
+    @property
+    def pending(self) -> Optional[list[LLMRequest]]:
+        """The requests the generator waits on, if it waits on requests."""
+        return None if self.step is GRAPH_READ else self.step
+
+    def advance(self, outcome: Any) -> None:
+        """Resume the generator with ``outcome``: the responses to its
+        requests, None, or an error to raise at its yield."""
+        try:
+            if isinstance(outcome, Exception):
+                self.step = self._steps.throw(outcome)
+            else:
+                self.step = self._steps.send(outcome)
+        except StopIteration as stop:
+            self.step, self.result = None, stop.value
+        except Exception as exc:
+            # Held, not raised: a claim run ahead fails at its own search,
+            # not in the batch of the claim that carried its step.
+            self.step, self.error = None, exc
+
+
+def drive(steps: "Steps | Stepper", gateway: Gateway) -> Any:
+    """Run ``steps`` to its result, asking ``gateway.complete_all`` for each
+    batch it yields; ``steps`` may be a ``Stepper`` part of the way through.
+
+    An error the generator does not catch is raised here.
+    """
+    walk = steps if isinstance(steps, Stepper) else Stepper(steps)
+    while walk.step is not None:
+        outcome: Any = None
+        if walk.pending is not None:
+            try:
+                outcome = gateway.complete_all(walk.pending)
+            except Exception as exc:
+                # Raised inside the generator, at the yield that asked.
+                outcome = exc
+        walk.advance(outcome)
+    if walk.error is not None:
+        raise walk.error
+    return walk.result

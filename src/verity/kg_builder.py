@@ -14,6 +14,11 @@ order, entity requests before event ones, and no relation request is sent
 if the first batch failed. ``build_graph`` then skips the document and
 lists it in ``docs_failed``; the knowledge update passes the error on, and
 its claim is abandoned.
+
+The extractions are step generators (``entity_steps``, ``document_steps``;
+see :func:`verity.gateway.drive`), so retrieval and the knowledge update
+can run them inside a claim's own steps. ``extract_entities``,
+``extract_document`` and ``build_graph`` drive them through a gateway.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .errors import GatewayHardError, ValidationError
-from .gateway import Gateway, LLMRequest, LLMResponse, PromptKind
+from .gateway import (Gateway, LLMRequest, LLMResponse, PromptKind, Steps,
+                      drive)
 from .jsonl import write_lines
 from .kg_store import Entity, KnowledgeGraph, Triple
 
@@ -71,18 +77,18 @@ def _chunks(body: str) -> list[str]:
     return out
 
 
-def _wave(gateway: Gateway, chunks: list[str], kinds: Sequence[PromptKind],
-          **slots: str) -> list[list[LLMResponse]]:
+def _wave(chunks: list[str], kinds: Sequence[PromptKind], seed: int,
+          **slots: str) -> Steps:
     """Every kind's request, with ``slots``, for every distinct chunk, in
-    one batch.
+    one step.
 
     Returns, per kind, the responses for each chunk occurrence in order, so
     a repeated chunk is asked once and parsed once per occurrence.
     """
     distinct = list(dict.fromkeys(chunks))
-    resps = iter(gateway.complete_all(
-        [LLMRequest(kind, {"document": chunk, **slots})
-         for kind in kinds for chunk in distinct]))
+    resps = iter((yield [LLMRequest(kind, {"document": chunk, **slots},
+                                     seed=seed)
+                         for kind in kinds for chunk in distinct]))
     out = []
     for _ in kinds:
         by_chunk = {chunk: next(resps) for chunk in distinct}
@@ -114,35 +120,35 @@ def _parse_triples(doc: SourceDocument,
     return triples, malformed
 
 
-def extract_entities(doc: SourceDocument, gateway: Gateway) -> list[Entity]:
-    """Deduplicated (by normalized key) entities in first-mention order."""
+def entity_steps(doc: SourceDocument, seed: int = 0) -> Steps:
+    """``extract_entities`` as a step generator, its requests at ``seed``."""
     if not doc.body.strip():
         return []
-    [resps] = _wave(gateway, _chunks(doc.body), [PromptKind.EXTRACT_ENTITIES])
+    [resps] = yield from _wave(_chunks(doc.body),
+                               [PromptKind.EXTRACT_ENTITIES], seed)
     return _parse_entities(resps)
 
 
-def extract_document(doc: SourceDocument,
-                     gateway: Gateway) -> tuple[list[Triple], int]:
-    """Run both extraction modes over one document; keep each triple's first.
+def extract_entities(doc: SourceDocument, gateway: Gateway) -> list[Entity]:
+    """Deduplicated (by normalized key) entities in first-mention order."""
+    return drive(entity_steps(doc), gateway)
 
-    Two round-trips: entities and event triples for every chunk in one
-    batch, then the relations between the entities found in a second. The
-    count returned is of malformed lines and of relations naming an entity
-    outside that list, which are dropped.
-    """
+
+def document_steps(doc: SourceDocument, seed: int = 0) -> Steps:
+    """``extract_document`` as a step generator, its requests at ``seed``."""
     if not doc.body.strip():
         return [], 0
     chunks = _chunks(doc.body)
-    entity_resps, event_resps = _wave(
-        gateway, chunks,
-        [PromptKind.EXTRACT_ENTITIES, PromptKind.EXTRACT_EVENT_TRIPLES])
+    entity_resps, event_resps = yield from _wave(
+        chunks,
+        [PromptKind.EXTRACT_ENTITIES, PromptKind.EXTRACT_EVENT_TRIPLES], seed)
     entities = _parse_entities(entity_resps)
     event_triples, dropped = _parse_triples(doc, event_resps)
     relations: list[Triple] = []
     if entities:
-        [resps] = _wave(gateway, chunks, [PromptKind.GENERATE_RELATIONS],
-                        entities=", ".join(e.surface for e in entities))
+        [resps] = yield from _wave(
+            chunks, [PromptKind.GENERATE_RELATIONS], seed,
+            entities=", ".join(e.surface for e in entities))
         found, malformed = _parse_triples(doc, resps)
         allowed = {e.key for e in entities}
         relations = [t for t in found if t.subject.key in allowed
@@ -158,9 +164,22 @@ def extract_document(doc: SourceDocument,
     return list(first.values()), dropped
 
 
+def extract_document(doc: SourceDocument,
+                     gateway: Gateway) -> tuple[list[Triple], int]:
+    """Run both extraction modes over one document; keep each triple's first.
+
+    Two round-trips: entities and event triples for every chunk in one
+    batch, then the relations between the entities found in a second. The
+    count returned is of malformed lines and of relations naming an entity
+    outside that list, which are dropped.
+    """
+    return drive(document_steps(doc), gateway)
+
+
 def build_graph(corpus: list[SourceDocument],
                 gateway: Gateway) -> tuple[KnowledgeGraph, BuildReport]:
-    """Union of both extraction modes over all trusted documents."""
+    """Union of both extraction modes over all trusted documents, asked at
+    seed 0."""
     for doc in corpus:
         if not doc.trusted:
             raise ValidationError(f"document {doc.id} is not trusted")

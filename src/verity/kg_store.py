@@ -298,9 +298,10 @@ class KnowledgeGraph:
         triples added since, so a save costs its growth. The copied bytes
         are hashed as they are written; if they are not the bytes ``load``
         read, or the file is gone or cannot be read, every triple is
-        serialized instead. ``path`` may be the file the graph was loaded
-        from. A failure to write ``path`` is raised, and ``path`` keeps its
-        old content.
+        serialized instead, and this graph forgets the file, so a later save
+        does not read it again. ``path`` may be the file the graph was
+        loaded from. A failure to write ``path`` is raised, and ``path``
+        keeps its old content.
         """
         if self._origin is not None:
             chunks = self._source_then_growth()
@@ -309,7 +310,7 @@ class KnowledgeGraph:
                     write_lines(path, chunks)
                 return
             except _StaleSource:
-                pass
+                self._origin = None
         write_lines(path, self._canonical_chunks(0))
 
     def _canonical_chunks(self, start: int):

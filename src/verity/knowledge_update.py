@@ -12,8 +12,8 @@ import logging
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .gateway import Gateway
-from .kg_builder import SourceDocument, extract_document
+from .gateway import Gateway, Steps, drive
+from .kg_builder import SourceDocument, document_steps
 from .kg_store import KnowledgeGraph, Triple
 from .mcts import ActionKind, ReasoningPath
 from .verdict import Verdict
@@ -28,15 +28,10 @@ class UpdateStats:
     rejected: int = 0
 
 
-def extract_new_knowledge(claim_id: str, claim: str, paths: list[ReasoningPath],
-                          gateway: Gateway) -> list[Triple]:
-    """Triples extracted from the claim text plus agreeing-path transcripts.
-
-    Callers invoke this only for claims whose final verdict is Real; an empty
-    agreeing-path set degrades to extraction from the claim text alone.
-    Paths share their root-side steps, so the document keeps each line's
-    first occurrence only.
-    """
+def update_steps(claim_id: str, claim: str, paths: list[ReasoningPath],
+                 seed: int = 0) -> Steps:
+    """``extract_new_knowledge`` as a step generator, its requests at
+    ``seed``."""
     parts = [claim]
     for path in paths:
         if path.verdict != Verdict.REAL:
@@ -44,12 +39,25 @@ def extract_new_knowledge(claim_id: str, claim: str, paths: list[ReasoningPath],
         for action, text in path.steps:
             if action in (ActionKind.A1, ActionKind.A2):
                 parts.append(text)
-    doc = SourceDocument(id=claim_id, body="\n".join(dict.fromkeys(parts)), trusted=True)
-    triples, dropped = extract_document(doc, gateway)
+    doc = SourceDocument(id=claim_id, body="\n".join(dict.fromkeys(parts)),
+                         trusted=True)
+    triples, dropped = yield from document_steps(doc, seed)
     if dropped:
         log.warning("claim %s: %d extraction drops during knowledge update",
                     claim_id, dropped)
     return triples
+
+
+def extract_new_knowledge(claim_id: str, claim: str, paths: list[ReasoningPath],
+                          gateway: Gateway, seed: int = 0) -> list[Triple]:
+    """Triples extracted from the claim text plus agreeing-path transcripts.
+
+    Callers invoke this only for claims whose final verdict is Real; an empty
+    agreeing-path set degrades to extraction from the claim text alone.
+    Paths share their root-side steps, so the document keeps each line's
+    first occurrence only. ``run_detection`` passes the engine's seed.
+    """
+    return drive(update_steps(claim_id, claim, paths, seed), gateway)
 
 
 def apply_update(graph: KnowledgeGraph, new_triples: list[Triple],

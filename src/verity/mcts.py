@@ -6,10 +6,14 @@ search iteration is one select -> expand -> back-propagate round; leaves
 register reasoning paths, rewards follow the majority of completed-path
 verdicts, and the final verdict is a majority vote with ties broken to Fake.
 
-The search sends nothing ahead: each step asks for its requests when it
-needs them. ``run_detection`` sends each claim's opening requests
-(``SearchEngine.opening_requests``) ahead of the claim's search, and the
-gateway holds an answer that came early until a step asks for it.
+The search and its expansions are step generators (see
+:func:`verity.gateway.drive`): they yield the requests each step needs and
+hold no gateway. The first step holds the root's sub-questions and its
+evidence-free verdict, and an answer step yields ``GRAPH_READ`` before its
+retrieval reads the graph. ``SearchEngine.search`` drives one claim's
+steps through the engine's gateway, and ``run_detection`` uses
+``SearchEngine.start`` to run the next claim's first steps ahead, up to
+that first graph read.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ from enum import Enum
 from typing import Optional
 
 from .errors import ValidationError
-from .gateway import Gateway, LLMRequest, LLMResponse, PromptKind
+from .gateway import (Gateway, LLMRequest, LLMResponse, PromptKind, Steps,
+                      Stepper, drive)
 from .kg_store import KnowledgeGraph
-from .retrieval import render_triples, retrieve_context
+from .retrieval import render_triples, retrieval_steps
 from .verdict import Verdict
 
 
@@ -214,6 +219,8 @@ class SearchEngine:
         self.gateway = gateway
         self.config = config or EngineConfig()
         self.config.validate()
+        # Searches ``start`` began, oldest first, each with its arguments.
+        self._started: list[tuple[tuple[str, int, str], Stepper]] = []
 
     def _rng_for(self, claim_id: str) -> random.Random:
         digest = hashlib.sha256(
@@ -244,34 +251,23 @@ class SearchEngine:
             "transcript": transcript,
         }, seed=self.config.seed)
 
-    def opening_requests(self, claim: str) -> list[LLMRequest]:
-        """The requests a search of ``claim`` can send before any step.
-
-        That is the root's ``b`` sub-questions and, when the search runs
-        more than one iteration, the root's evidence-free verdict. They read
-        only the claim and the seed, so ``run_detection`` sends them ahead
-        of the search.
-        """
-        transcript = _render_transcript([])
-        reqs = self._subquestion_requests(claim, transcript)
-        if self.config.n > 1:
-            reqs.append(self._verdict_request(claim, transcript))
-        return reqs
-
     @staticmethod
     def _verdict(resp: LLMResponse) -> Verdict:
         # Unparseable verdicts default to Fake: insufficient information.
         return resp.parsed if resp.parse_ok else Verdict.FAKE
 
-    def expand(self, tree: SearchTree, node: SearchNode,
-               graph: KnowledgeGraph) -> list[SearchNode]:
+    def expand(self, tree: SearchTree, node: SearchNode, graph: KnowledgeGraph,
+               answers: Optional[list[LLMResponse]] = None) -> Steps:
         """Add the ``b`` children of the first pending action under ``node``.
 
-        Only the A1 prompt has a ``branch`` slot, so an A1 expansion asks
-        once per branch, with the requests in flight together, and an A2 or
-        A3 expansion asks once and gives the answer to all ``b`` children.
-        A2 children at the height limit share one forced verdict request.
-        An A1 branch or A2 answer that fails its one retry adds no child; an
+        A step generator (see :func:`verity.gateway.drive`) that returns the
+        new children. Only the A1 prompt has a ``branch`` slot, so an A1
+        expansion asks once per branch, with the requests in one step, and
+        an A2 or A3 expansion asks once and gives the answer to all ``b``
+        children. ``answers``, when given, are the responses to the
+        expansion's first requests, asked before the expansion began. A2
+        children at the height limit share one forced verdict request. An
+        A1 branch or A2 answer that fails its one retry adds no child; an
         action leaves ``pending`` with its first child, so it is not asked
         again unless every branch failed. Children are attached, and leaves
         completed, in branch order.
@@ -285,8 +281,9 @@ class SearchEngine:
             reqs = self._subquestion_requests(tree.claim, transcript)
         elif action == ActionKind.A2:
             # A2 answers with retrieved knowledge in context.
-            result = retrieve_context(node.text, graph, self.config.top_k,
-                                      self.gateway)
+            result = yield from retrieval_steps(node.text, graph,
+                                                self.config.top_k,
+                                                self.config.seed)
             reqs = [LLMRequest(PromptKind.ANSWER_SUBQUESTION, {
                 "claim": tree.claim,
                 "transcript": transcript,
@@ -295,12 +292,12 @@ class SearchEngine:
             }, seed=self.config.seed)]
         else:
             reqs = [self._verdict_request(tree.claim, transcript)]
-        resps = self.gateway.complete_all(reqs)
+        resps = answers if answers is not None else (yield reqs)
         if action != ActionKind.A3:
             # One retry for unparseable generations, then give up on the child.
             failed = [i for i, resp in enumerate(resps) if not resp.parse_ok]
             if failed:
-                retried = self.gateway.complete_all([reqs[i] for i in failed])
+                retried = yield [reqs[i] for i in failed]
                 for i, resp in zip(failed, retried):
                     resps[i] = resp
         created: list[SearchNode] = []
@@ -316,32 +313,75 @@ class SearchEngine:
             elif node.depth + 1 == tree.config.h:
                 # Forced termination: depth-limit children carry a verdict,
                 # and the clones share one transcript, so they ask once.
-                verdict = self._verdict(self.gateway.complete(
-                    self._verdict_request(
-                        tree.claim,
-                        _render_transcript(tree.path_to(children[0])))))
+                [forced] = yield [self._verdict_request(
+                    tree.claim, _render_transcript(tree.path_to(children[0])))]
+                verdict = self._verdict(forced)
             else:
                 continue
             for child in children:
                 self._complete_leaf(tree, child, verdict)
         return created
 
-    def search(self, claim: str, graph: KnowledgeGraph,
-               claim_id: str = "") -> tuple[Verdict, list[ReasoningPath], SearchTree]:
-        """Decide ``claim`` with ``n`` select/expand/back-propagate rounds.
+    def search_steps(self, claim: str, graph: KnowledgeGraph,
+                     claim_id: str = "") -> Steps:
+        """``search`` as a step generator.
 
-        A blank claim raises ``ValidationError`` before anything is sent.
+        Its first step holds the root's ``b`` sub-questions and, when the
+        search runs more than one iteration, the root's evidence-free
+        verdict: both read only the claim and the seed. The first iteration
+        always expands the root's A1 with those sub-questions' answers, and
+        the root's A3, whenever it comes, takes that verdict.
         """
         if not claim.strip():
             raise ValidationError("claim must be non-empty")
         tree = SearchTree(claim, self.config)
         rng = self._rng_for(claim_id or claim)
+        b, transcript = self.config.b, _render_transcript([])
+        opening = self._subquestion_requests(claim, transcript)
+        if self.config.n > 1:
+            opening.append(self._verdict_request(claim, transcript))
+        resps = yield opening
+        early = {ActionKind.A1: resps[:b]}
+        if self.config.n > 1:
+            early[ActionKind.A3] = resps[b:]
         for _ in range(self.config.n):
             node = select(tree, rng)
             if node is None:
                 break
-            self.expand(tree, node, graph)
-        return (majority_verdict(tree.completed_paths), tree.completed_paths, tree)
+            answers = early.pop(node.pending[0], None) \
+                if node is tree.root else None
+            yield from self.expand(tree, node, graph, answers)
+        return (majority_verdict(tree.completed_paths), tree.completed_paths,
+                tree)
+
+    def start(self, claim: str, graph: KnowledgeGraph,
+              claim_id: str = "") -> Stepper:
+        """Begin the search of ``claim`` early, for the next ``search`` call
+        with the same arguments to finish.
+
+        Returns the search waiting on its first step. The caller may drive
+        it further, but not past a ``GRAPH_READ`` while an earlier claim can
+        still change ``graph``.
+        """
+        walk = Stepper(self.search_steps(claim, graph, claim_id))
+        self._started.append(((claim, id(graph), claim_id), walk))
+        return walk
+
+    def search(self, claim: str, graph: KnowledgeGraph,
+               claim_id: str = "") -> tuple[Verdict, list[ReasoningPath], SearchTree]:
+        """Decide ``claim`` with ``n`` select/expand/back-propagate rounds.
+
+        Finishes the oldest search that ``start`` began, if it was begun
+        with these arguments; otherwise begins a new search. A blank claim
+        raises ``ValidationError`` before anything is sent.
+        """
+        steps: "Steps | Stepper"
+        if self._started and self._started[0][0] == (claim, id(graph),
+                                                     claim_id):
+            steps = self._started.pop(0)[1]
+        else:
+            steps = self.search_steps(claim, graph, claim_id)
+        return drive(steps, self.gateway)
 
 
 def majority_verdict(paths: list[ReasoningPath]) -> Verdict:

@@ -3,7 +3,9 @@
 Pipeline: extract the question's entities, match them exactly against the
 graph, take the one-hop subgraph, and when the candidate set exceeds the
 budget ask the model to rank candidate indices (never to regenerate triples)
-before truncating to K.
+before truncating to K. ``retrieval_steps`` is the pipeline as a step
+generator (see :func:`verity.gateway.drive`), which the search runs inside
+an answer step; ``retrieve_context`` drives it through a gateway.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import logging
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .gateway import Gateway, LLMRequest, PromptKind
-from .kg_builder import SourceDocument, extract_entities
+from .gateway import (GRAPH_READ, Gateway, LLMRequest, PromptKind, Steps,
+                      drive)
+from .kg_builder import SourceDocument, entity_steps
 from .kg_store import KnowledgeGraph, Triple
 
 log = logging.getLogger(__name__)
@@ -44,17 +47,29 @@ def render_candidates(triples: list[Triple]) -> str:
         for i, t in enumerate(triples))
 
 
-def question_entities(question: str, gateway: Gateway) -> set[str]:
+def _question_keys(question: str, seed: int) -> Steps:
+    entities = yield from entity_steps(SourceDocument("question", question),
+                                       seed)
+    return {e.key for e in entities}
+
+
+def question_entities(question: str, gateway: Gateway,
+                      seed: int = 0) -> set[str]:
     """Normalized, deduplicated entity keys mentioned by the question."""
-    return {e.key for e in extract_entities(SourceDocument("question", question),
-                                            gateway)}
+    return drive(_question_keys(question, seed), gateway)
 
 
-def retrieve_context(question: str, graph: KnowledgeGraph, k: int,
-                     gateway: Gateway) -> RetrievalResult:
+def retrieval_steps(question: str, graph: KnowledgeGraph, k: int,
+                    seed: int = 0) -> Steps:
+    """``retrieve_context`` as a step generator, its requests at ``seed``.
+
+    It yields ``GRAPH_READ`` once it knows the question's entities, just
+    before it reads ``graph``.
+    """
     if k < 1:
         raise ValidationError("retrieval cutoff K must be >= 1")
-    keys = question_entities(question, gateway)
+    keys = yield from _question_keys(question, seed)
+    yield GRAPH_READ
     matched = graph.match_entities(keys)
     candidates = graph.one_hop_subgraph(matched)
     result = RetrievalResult(question, matched, candidates)
@@ -62,9 +77,10 @@ def retrieve_context(question: str, graph: KnowledgeGraph, k: int,
         result.selected = list(candidates)
         return result
     pool = candidates[:RANK_CANDIDATE_CAP]
-    resp = gateway.complete(LLMRequest(
+    [resp] = yield [LLMRequest(
         PromptKind.RANK_TRIPLES,
-        {"question": question, "candidates": render_candidates(pool)}))
+        {"question": question, "candidates": render_candidates(pool)},
+        seed=seed)]
     order = resp.parsed if resp.parse_ok else None
     if order is not None and sorted(order) == list(range(len(pool))):
         result.selected = [pool[i] for i in order[:k]]
@@ -75,3 +91,8 @@ def retrieve_context(question: str, graph: KnowledgeGraph, k: int,
                     question, len(pool))
         result.selected = candidates[:k]
     return result
+
+
+def retrieve_context(question: str, graph: KnowledgeGraph, k: int,
+                     gateway: Gateway, seed: int = 0) -> RetrievalResult:
+    return drive(retrieval_steps(question, graph, k, seed), gateway)

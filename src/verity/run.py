@@ -8,11 +8,11 @@ import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Any, Optional, Sequence
 
 from .dataset import NewsItem
 from .errors import GatewayHardError, ValidationError
-from .gateway import Gateway
+from .gateway import Gateway, LLMRequest, LLMResponse, Stepper
 from .jsonl import write_lines
 from .kg_store import KnowledgeGraph
 from .knowledge_update import apply_update, extract_new_knowledge
@@ -77,6 +77,50 @@ def _config_digest(config: EngineConfig, updates: bool) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+class _ClaimAhead:
+    """The gateway as the claim being decided uses it, with the next claim's
+    search riding along.
+
+    It offers ``complete_all``, the one Gateway method ``drive`` calls. The
+    search held in ``ahead`` was begun early (``SearchEngine.start``). Each
+    batch of the current claim that reaches the backend also carries the
+    step that search waits on (``Gateway.complete_riding``), and a step of
+    it that the memo answers in full is answered at once. The search goes
+    on that way until it yields ``GRAPH_READ``, and waits there for its own
+    ``search`` call, made once the claims before it have committed their
+    updates. An error it meets stays with it (``Stepper.error``) and is
+    raised by that call, never by the batch that carried it.
+    """
+
+    def __init__(self, gateway: Gateway):
+        self.gateway = gateway
+        self.ahead: Optional[Stepper] = None
+
+    def run_ahead(self, walk: Optional[Stepper]) -> None:
+        self.ahead = walk
+        self._advance(None)
+
+    def complete_all(self, reqs: Sequence[LLMRequest]) -> list[LLMResponse]:
+        ahead = self.ahead.pending if self.ahead is not None else None
+        outcome, carried = self.gateway.complete_riding(reqs, ahead)
+        self._advance(carried)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def _advance(self, outcome: Any) -> None:
+        """Resume the search ahead with ``outcome``, if any, then answer its
+        steps from the memo while the memo holds them."""
+        while self.ahead is not None:
+            if outcome is not None:
+                self.ahead.advance(outcome)
+            if self.ahead.pending is None:
+                return
+            _, outcome = self.gateway.complete_riding((), self.ahead.pending)
+            if outcome is None:
+                return
+
+
 def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
                   config: EngineConfig, gateway: Gateway,
                   updates: bool = True,
@@ -87,22 +131,22 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
     knowledge update, are recorded with an error and no verdict and are
     excluded from metrics; the exclusion count is reported on the record.
 
-    The run is the one place that sends requests ahead. It queues claim 0's
-    and claim 1's opening requests (``SearchEngine.opening_requests``) with
-    ``Gateway.send_ahead`` before the first search, and claim i+1's before
-    claim i's. They read no graph and no answer, so they ride along with the
-    next backend batch: claim 0's verdict with its own sub-questions, and
-    each later claim's opening with the first batch of the claim before.
-    Records, graphs, calls and memo hits are those of a run whose
-    ``send_ahead`` is a no-op; a rider that fails hard ends the claim it
-    belongs to, at the step that asks for it. The riders left when the run
-    returns or raises are dropped. On failure paths a run differs from one
-    without riders in these ways:
+    Each claim is searched, updated and committed in order, but one claim
+    runs ahead. Before claim i's search, the run begins claim i+1's
+    (``SearchEngine.start``), and every backend batch of claim i, in its
+    search or in its update, also carries the step claim i+1's search waits
+    on. Claim i+1 goes no further than its first graph read, so it reads
+    the graph only after claim i's update. That takes its opening step, the
+    root's sub-questions and verdict, and its first question-entity step
+    off its own round-trips. Records, graphs, calls and memo hits are those
+    of a run that searches one claim at a time, and an error of the claim
+    ahead ends that claim, at its own step. On failure paths the run
+    differs from one that takes a claim at a time in these ways:
 
-    - A rider's transport retries delay the claim whose batch carried it.
-    - A rider that is never asked, such as the verdict of a claim that
-      failed before its root's A3, or one dropped when the run raises, was
-      seen by the backend, and ``call_counts`` does not count it.
+    - The claim ahead's transport retries delay the claim whose batch
+      carried them.
+    - If the run raises, the claim ahead may already have sent and counted
+      some of its requests.
 
     A blank claim raises ``ValidationError``, naming its item, before
     anything is sent. The input graph's digest cache is updated before the
@@ -114,37 +158,36 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
             raise ValidationError(f"item {item.id}: claim must be non-empty")
     kg_before = graph.content_digest()
     graph = graph.copy()
-    engine = SearchEngine(gateway, config)
+    riding = _ClaimAhead(gateway)
+    engine = SearchEngine(riding, config)
     record = RunRecord(config_digest=_config_digest(config, updates),
                        kg_before=kg_before)
-    try:
-        if items:
-            gateway.send_ahead(engine.opening_requests(items[0].claim))
-        for i, item in enumerate(items):
-            if i + 1 < len(items):
-                gateway.send_ahead(engine.opening_requests(items[i + 1].claim))
-            result = ClaimResult(id=item.id, gold=item.gold)
-            try:
-                verdict, paths, _tree = engine.search(item.claim, graph,
-                                                      claim_id=item.id)
-                if updates and verdict == Verdict.REAL:
-                    new_triples = extract_new_knowledge(
-                        item.id, item.claim, paths, gateway)
-                    stats = apply_update(graph, new_triples, claim_id=item.id)
-                    result.duplicates = stats.duplicates
-                    # Only the actually-inserted triples land in the record.
-                    result.triples_added = [
-                        t.as_record() for t in graph.triples[-stats.added:]
-                    ] if stats.added else []
-                # An abandoned claim carries no verdict, so it is set last.
-                result.verdict = verdict
-                result.paths_digest = paths_digest(paths)
-            except GatewayHardError as exc:
-                log.warning("claim %s failed: %s", item.id, exc)
-                result.error = str(exc)
-            record.results.append(result)
-    finally:
-        gateway.drop_riders()
+    for i, item in enumerate(items):
+        ahead = None
+        if i + 1 < len(items):
+            ahead = engine.start(items[i + 1].claim, graph,
+                                 claim_id=items[i + 1].id)
+        riding.run_ahead(ahead)
+        result = ClaimResult(id=item.id, gold=item.gold)
+        try:
+            verdict, paths, _tree = engine.search(item.claim, graph,
+                                                  claim_id=item.id)
+            if updates and verdict == Verdict.REAL:
+                new_triples = extract_new_knowledge(
+                    item.id, item.claim, paths, riding, seed=config.seed)
+                stats = apply_update(graph, new_triples, claim_id=item.id)
+                result.duplicates = stats.duplicates
+                # Only the actually-inserted triples land in the record.
+                result.triples_added = [
+                    t.as_record() for t in graph.triples[-stats.added:]
+                ] if stats.added else []
+            # An abandoned claim carries no verdict, so it is set last.
+            result.verdict = verdict
+            result.paths_digest = paths_digest(paths)
+        except GatewayHardError as exc:
+            log.warning("claim %s failed: %s", item.id, exc)
+            result.error = str(exc)
+        record.results.append(result)
     record.kg_after = graph.content_digest()
     scored = [r for r in record.results if r.error is None and r.gold is not None]
     report = None

@@ -46,11 +46,11 @@ def write_facts(path, table: FactTable) -> None:
 
 class BatchLog:
     """The backend batches of one Gateway: the prompt kinds each sent, and
-    how many requests.
+    how many requests. ``Gateway.round_trips`` counts the batches alone.
 
-    Wraps the Gateway's backend send in place, so a batch the memo or held
-    riders answered in full is not logged, and a batch's riders are logged
-    with it.
+    Wraps the Gateway's backend send in place, so a batch the memo answered
+    in full is not logged, and a rider's misses are logged with the batch
+    that carried them.
     """
 
     def __init__(self, gateway: Gateway):

@@ -22,7 +22,10 @@ from synth import (carryover_world, save_dataset, tabled_world,
 # the tracer wraps.
 from verity.cli import main
 from verity.errors import GatewayHardError
+import verity.kg_builder as vbuilder
+import verity.run as vrun
 from verity.gateway import Gateway, ScriptedBackend
+from verity.kg_builder import SourceDocument
 from verity.kg_store import KnowledgeGraph
 from verity.mcts import EngineConfig, SearchEngine
 from verity.oracle import RuleBasedOracle
@@ -167,3 +170,46 @@ def test_kg_out_equals_a_full_reserialization(tmp_path, capsys):
     capsys.readouterr()
     # The third claim's update grew the graph, and both saves agree.
     assert built > 0 and saved[0][0] > built and saved[0] == saved[1]
+
+
+def test_traced_run_reads_its_layers(monkeypatch, tmp_path):
+    """CI's traced benchmark pass installs ``bench/spans.py``'s tracer and
+    reads its hooks' values after every round. A reshaped ``search``,
+    ``build_graph`` or ``apply_update`` return breaks those hooks; this
+    runs them on a small carry-over world with updates on, through the
+    stand-in model, and checks that tracing changes no output."""
+    spans = _load_bench_module("spans", monkeypatch)
+    standin = _load_bench_module("standin", monkeypatch)
+    table, subset1, _ = carryover_world(num_linked=2)
+    corpus = [SourceDocument(f"{item.id}-{i}", sentence)
+              for item in subset1 for i, sentence in enumerate(item.evidence)]
+    config = EngineConfig(n=8, h=3, b=2, seed=1)
+
+    def detect():
+        # Called through their modules, as bench/workloads.py does, so the
+        # tracer's wrappers run.
+        model = standin.StandInModel(RuleBasedOracle(table))
+        gateway = Gateway(model)
+        base, report = vbuilder.build_graph(corpus, gateway)
+        assert report.docs_processed == len(corpus)
+        record, _, grown = vrun.run_detection(subset1, base, config, gateway)
+        grown.save(str(tmp_path / "kg.jsonl"))
+        gateway.close()
+        return model, gateway, record, grown
+
+    tracer = spans.Tracer()
+    tracer.install(standin.StandInModel)
+    try:
+        model, gateway, record, grown = detect()
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer, model, 1.0)
+    _, _, untraced, _ = detect()
+    assert record.digest() == untraced.digest()
+    added = sum(len(r.triples_added) for r in record.results)
+    assert added > 0 and metrics["knowledge_update.added"] == added
+    assert metrics["kg_store.triples"] == len(grown)
+    assert metrics["kg_builder.dropped"] == 0
+    assert metrics["gateway.calls"] == sum(gateway.call_counts.values())
+    assert metrics["mcts.tree_nodes"] > 1 and metrics["mcts.paths"] > 0
+    assert metrics["kg_store.save_s"] > 0

@@ -10,11 +10,12 @@ import pytest
 from synth import tabled_world
 from verity.errors import (FormatError, GatewayHardError, ReplayMissError,
                            TransportError, ValidationError)
-from verity.gateway import (MAX_IN_FLIGHT, Gateway, HttpChatBackend,
-                            LLMRequest, PromptKind, RecordingBackend,
-                            ReplayBackend, ScriptedBackend, parse_entities,
-                            parse_ranking, parse_triples, parse_verdict,
-                            render_prompt, request_hash)
+from verity.gateway import (GRAPH_READ, MAX_IN_FLIGHT, Gateway,
+                            HttpChatBackend, LLMRequest, PromptKind,
+                            RecordingBackend, ReplayBackend, ScriptedBackend,
+                            Stepper, drive, parse_entities, parse_ranking,
+                            parse_triples, parse_verdict, render_prompt,
+                            request_hash)
 from verity.kg_store import KnowledgeGraph
 from verity.mcts import EngineConfig
 from verity.run import run_detection
@@ -588,7 +589,7 @@ class TestCompleteAll:
 
 
 class TestSendAhead:
-    """Riders leave with the next batch that sends, and wait to be asked."""
+    """A rider, another caller's step, goes out with a batch that sends."""
 
     def _gateway(self, reply=_echo_branch, **kwargs):
         gw = Gateway(ScriptedBackend(reply), **kwargs)
@@ -606,48 +607,58 @@ class TestSendAhead:
     def test_riders_follow_the_next_batch_that_sends(self):
         gw, jobs = self._gateway()
         gw.complete(_subquestion(0))
-        gw.send_ahead([_subquestion(0, "r"), _subquestion(1, "r")])
+        riders = [_subquestion(0, "r"), _subquestion(1, "r")]
         # A batch the memo answers in full carries no rider.
-        gw.complete(_subquestion(0))
+        own, carried = gw.complete_riding([_subquestion(0)], riders)
+        assert [r.parsed for r in own] == ["Q0 of c?"] and carried is None
         assert jobs == [["c0"]]
-        gw.complete_all([_subquestion(1), _subquestion(2)])
+        own, carried = gw.complete_riding([_subquestion(1), _subquestion(2)],
+                                          riders)
         gw.close()
         assert jobs[1] == ["c1", "c2", "r0", "r1"]
-        # Riders are neither counted nor memoized until they are asked for.
-        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
+        assert [r.parsed for r in own] == ["Q1 of c?", "Q2 of c?"]
+        assert [r.parsed for r in carried] == ["Q0 of r?", "Q1 of r?"]
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 5
+        assert gw.round_trips == 2
 
     def test_hand_off_counts_as_sent_not_as_a_memo_hit(self):
         gw, jobs = self._gateway()
-        gw.send_ahead([_subquestion(0, "r")])
-        gw.complete(_subquestion(0))
-        resps = gw.complete_all([_subquestion(0, "r"), _subquestion(1, "r")])
-        assert [r.parsed for r in resps] == ["Q0 of r?", "Q1 of r?"]
-        assert jobs == [["c0", "r0"], ["r1"]]
-        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
-        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 0
-        # The handed-off answer parsed, so it is memoized now.
         gw.complete(_subquestion(0, "r"))
-        gw.close()
+        _, carried = gw.complete_riding(
+            [_subquestion(0)], [_subquestion(0, "r"), _subquestion(1, "r")])
+        assert [r.parsed for r in carried] == ["Q0 of r?", "Q1 of r?"]
+        # The rider's memoized request is a memo hit, its other one a call.
+        assert jobs == [["r0"], ["c0", "r1"]]
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
         assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 1
+        # The carried answer parsed, so it is memoized now.
+        gw.complete(_subquestion(1, "r"))
+        gw.close()
+        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 2
         assert len(jobs) == 2
 
     def test_skipped_riders(self):
         gw, jobs = self._gateway()
-        gw.complete(_subquestion(0, "m"))
-        # Memoized, in the carrying batch, queued twice: each goes out once
-        # at most.
-        gw.send_ahead([_subquestion(0, "m"), _subquestion(1), _subquestion(0),
-                       _subquestion(0)])
-        gw.complete_all([_subquestion(1)])
-        assert jobs[1] == ["c1", "c0"]
-        # A held rider queued again is not sent again.
-        gw.send_ahead([_subquestion(0)])
-        gw.complete(_subquestion(2))
-        assert jobs[2] == ["c2"]
-        gw.complete(_subquestion(0))
+        # A rider that would send a request the batch sends waits.
+        own, carried = gw.complete_riding([_subquestion(0), _subquestion(1)],
+                                          [_subquestion(1), _subquestion(2)])
+        assert len(own) == 2 and carried is None
+        assert jobs == [["c0", "c1"]]
+        # A rider the memo answers in full needs no batch that sends.
+        own, carried = gw.complete_riding((), [_subquestion(1),
+                                               _subquestion(0)])
+        assert own == [] and [r.parsed for r in carried] == \
+            ["Q1 of c?", "Q0 of c?"]
+        own, carried = gw.complete_riding((), [_subquestion(2)])
+        assert own == [] and carried is None
+        # A rider's requests must be distinct too.
+        with pytest.raises(ValidationError, match="distinct"):
+            gw.complete_riding([_subquestion(3)],
+                               [_subquestion(4), _subquestion(4)])
         gw.close()
-        assert len(jobs) == 3
-        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 4
+        assert jobs == [["c0", "c1"]] and gw.round_trips == 1
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 2
+        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 2
 
     def test_rider_error_waits_for_its_request(self):
         attempts = {}
@@ -664,14 +675,17 @@ class TestSendAhead:
             return _echo_branch(req, prompt)
 
         gw, jobs = self._gateway(reply, max_retries=1, backoff=0.0)
-        gw.send_ahead([_subquestion(b, "r") for b in range(3)])
-        # The carrying batch does not raise its riders' errors.
-        assert gw.complete(_subquestion(9)).parsed == "Q9 of c?"
-        with pytest.raises(GatewayHardError, match="r1 down"):
-            gw.complete_all([_subquestion(b, "r") for b in (2, 1, 0)])
+        # The carrying batch does not raise its rider's error: the rider's
+        # outcome is that error.
+        own, carried = gw.complete_riding(
+            [_subquestion(9)], [_subquestion(b, "r") for b in (2, 1, 0)])
+        assert [r.parsed for r in own] == ["Q9 of c?"]
+        assert isinstance(carried, GatewayHardError)
+        assert str(carried) == "r1 down"
         assert len(jobs) == 1
-        # The others were counted, and branch 0, after its transport retry,
-        # memoized; branch 2 did not parse, so it is asked again.
+        # The rider's other calls were counted, and branch 0, after its
+        # transport retry, memoized; branch 2 did not parse, so it is asked
+        # again.
         assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
         assert gw.complete(_subquestion(0, "r")).parsed == "Q0 of r?"
         assert not gw.complete(_subquestion(2, "r")).parse_ok
@@ -680,11 +694,92 @@ class TestSendAhead:
         assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 1
 
     def test_drop_riders(self):
-        gw, jobs = self._gateway()
-        gw.send_ahead([_subquestion(0, "r"), _subquestion(1, "r")])
-        gw.complete(_subquestion(0))
-        gw.send_ahead([_subquestion(2, "r")])
-        gw.drop_riders()
-        gw.complete_all([_subquestion(b, "r") for b in range(3)])
+        """The batch's own error is returned, not raised, beside the
+        rider's answers; ``complete_all`` raises it."""
+        def reply(req, prompt):
+            if req.context["claim"] == "c":
+                raise GatewayHardError("c down")
+            return _echo_branch(req, prompt)
+
+        gw, jobs = self._gateway(reply)
+        own, carried = gw.complete_riding([_subquestion(0)],
+                                          [_subquestion(0, "r")])
+        assert isinstance(own, GatewayHardError)
+        assert [r.parsed for r in carried] == ["Q0 of r?"]
+        with pytest.raises(GatewayHardError, match="c down"):
+            gw.complete_all([_subquestion(0)])
         gw.close()
-        assert jobs == [["c0", "r0", "r1"], ["r0", "r1", "r2"]]
+        assert jobs == [["c0", "r0"], ["c0"]] and gw.round_trips == 2
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 1
+
+
+class TestDrive:
+    """A step generator yields request lists; ``drive`` answers them."""
+
+    def test_failed_batch_raises_at_its_yield(self):
+        def steps():
+            try:
+                yield [_subquestion(0, "down")]
+            except GatewayHardError as exc:
+                first = str(exc)
+            [resp] = yield [_subquestion(1)]
+            return first, resp.parsed
+
+        def reply(req, prompt):
+            if req.context["claim"] == "down":
+                raise GatewayHardError("down")
+            return _echo_branch(req, prompt)
+
+        def uncaught():
+            yield [_subquestion(0, "down")]
+
+        gw = Gateway(ScriptedBackend(reply))
+        assert drive(steps(), gw) == ("down", "Q1 of c?")
+        with pytest.raises(GatewayHardError, match="down"):
+            drive(uncaught(), gw)
+        gw.close()
+
+    def test_graph_read_sends_nothing(self):
+        def steps():
+            got = yield GRAPH_READ
+            [resp] = yield [_subquestion(0)]
+            return got, resp.parsed
+
+        gw = Gateway(ScriptedBackend(_echo_branch))
+        assert drive(steps(), gw) == (None, "Q0 of c?")
+        gw.close()
+        assert gw.round_trips == 1
+
+    def test_a_stepper_part_way_through_is_finished(self):
+        asked = []
+
+        def steps():
+            for b in range(3):
+                [resp] = yield [_subquestion(b)]
+                asked.append(resp.parsed)
+            return len(asked)
+
+        walk = Stepper(steps())
+        assert walk.pending == [_subquestion(0)]
+        gw = Gateway(ScriptedBackend(_echo_branch))
+        walk.advance(gw.complete_all(walk.pending))
+        assert asked == ["Q0 of c?"] and walk.pending == [_subquestion(1)]
+        assert drive(walk, gw) == 3
+        gw.close()
+        assert asked == ["Q0 of c?", "Q1 of c?", "Q2 of c?"]
+        assert walk.step is None and walk.result == 3
+
+    def test_an_error_that_escapes_stays_on_the_stepper(self):
+        def steps():
+            yield [_subquestion(0)]
+            raise ValueError("bad step")
+
+        walk = Stepper(steps())
+        walk.advance(GatewayHardError("ignored"))
+        assert walk.step is None and isinstance(walk.error, GatewayHardError)
+        gw = Gateway(ScriptedBackend(_echo_branch))
+        with pytest.raises(GatewayHardError, match="ignored"):
+            drive(walk, gw)
+        with pytest.raises(ValueError, match="bad step"):
+            drive(steps(), gw)
+        gw.close()

@@ -722,6 +722,35 @@ class TestSave:
         assert len(calls) == len(g.triples) == 8
         assert out.read_bytes() == reference_bytes(g)
 
+    @pytest.mark.parametrize("mangle", [
+        lambda text: "# header\n" + text,
+        lambda text: text.replace("\n", "\n\n", 1),
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: " " + text,
+        lambda text: text[:-1],
+    ], ids=["comment", "blank", "crlf", "padded", "no-final-newline"])
+    def test_failed_copy_is_not_tried_again(self, tmp_path, monkeypatch,
+                                            mangle):
+        source = self._source(tmp_path)
+        source.write_text(mangle(source.read_text()), newline="")
+        g = KnowledgeGraph.load(str(source))
+        opened = []
+
+        def spied_open(path, *args, **kwargs):
+            opened.append(os.path.abspath(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(kg_store, "open", spied_open, raising=False)
+        g.save(str(tmp_path / "first.jsonl"))
+        assert opened == [str(source)]
+        del opened[:]
+        self._grow(g)
+        for graph in (g, g.copy()):
+            out = tmp_path / "again.jsonl"
+            graph.save(str(out))
+            assert out.read_bytes() == reference_bytes(graph)
+        assert opened == []
+
     def test_source_edited_after_load_is_reserialized(self, tmp_path,
                                                       monkeypatch):
         source = self._source(tmp_path)

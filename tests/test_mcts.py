@@ -7,7 +7,7 @@ import pytest
 from synth import BatchLog, tabled_world
 from verity.dataset import NewsItem
 from verity.errors import GatewayHardError, ValidationError
-from verity.gateway import (Gateway, PromptKind, ScriptedBackend,
+from verity.gateway import (Gateway, PromptKind, ScriptedBackend, drive,
                             request_hash)
 from verity.kg_store import KnowledgeGraph
 from verity.mcts import (ActionKind, EngineConfig, ReasoningPath, SearchEngine,
@@ -23,9 +23,8 @@ def make_tree(h=5, b=2, **kw):
 
 
 def detect_one(item, config, gateway):
-    """``run_detection`` over ``[item]`` without updates, which sends the
-    claim's opening requests ahead: the claim's result and the tree its
-    search grew, or None if the search failed."""
+    """``run_detection`` over ``[item]`` without updates: the claim's
+    result and the tree its search grew, or None if the search failed."""
     trees = []
     search = SearchEngine.search
 
@@ -345,17 +344,28 @@ class TestSearch:
             engine.search("  ", KnowledgeGraph())
 
     def test_search_sends_nothing_ahead(self):
-        gateway, items = self._gateway()
-        queued = []
-        gateway.send_ahead = queued.append
-        log = BatchLog(gateway)
+        table, items = tabled_world(3, 3)
+        oracle = RuleBasedOracle(table)
+        batches = []
+        gateway = Gateway(oracle)
+        complete_all = gateway.complete_all
+
+        def spy(reqs):
+            batches.append([(r.kind, r.context.get("claim")) for r in reqs])
+            return complete_all(reqs)
+
+        gateway.complete_all = spy
         engine = SearchEngine(gateway, EngineConfig(n=20, h=9, b=3))
         engine.search(items[0].claim, KnowledgeGraph(), claim_id=items[0].id)
         gateway.close()
-        assert queued == []
-        # The first backend batch holds the root's sub-questions alone.
-        assert log.batches[0] == {PromptKind.GENERATE_SUBQUESTION}
-        assert log.sizes[0] == 3
+        # The first step holds the root's sub-questions and its verdict, and
+        # no step asks for another claim.
+        assert batches[0] == \
+            [(PromptKind.GENERATE_SUBQUESTION, items[0].claim)] * 3 + \
+            [(PromptKind.FINAL_VERDICT, items[0].claim)]
+        assert {claim for batch in batches for _, claim in batch} == \
+            {items[0].claim, None}
+        assert gateway.round_trips < len(batches)
 
 
 class TestExpand:
@@ -378,7 +388,6 @@ class TestExpand:
 
     def test_search_batches_hold_distinct_requests(self):
         engine, items, _ = self._engine()
-        log = BatchLog(engine.gateway)
         batches = []
         complete_all = engine.gateway.complete_all
 
@@ -390,30 +399,27 @@ class TestExpand:
         firsts = set()
         for item in items:
             firsts.add(len(batches))
-            sent_before = len(log.batches)
-            _, tree = detect_one(item, engine.config, engine.gateway)
+            _, _, tree = engine.search(item.claim, KnowledgeGraph(),
+                                       claim_id=item.id)
             structural_check(tree, engine.config)
-            # The evidence-free verdict, sent ahead by the run, rides in the
-            # first backend batch.
-            assert log.batches[sent_before] == \
-                {PromptKind.GENERATE_SUBQUESTION, PromptKind.FINAL_VERDICT}
-            assert log.sizes[sent_before] == 4
         engine.gateway.close()
         for i, batch in enumerate(batches):
             hashes = [request_hash(r) for r in batch]
             assert len(set(hashes)) == len(hashes)
             if i in firsts:
-                # The root's sub-questions.
+                # The root's sub-questions, then its evidence-free verdict.
                 assert [r.kind for r in batch] == \
-                    [PromptKind.GENERATE_SUBQUESTION] * 3
-                assert batch[-1].context["transcript"] == "(none)"
+                    [PromptKind.GENERATE_SUBQUESTION] * 3 + \
+                    [PromptKind.FINAL_VERDICT]
+                assert {r.context["transcript"] for r in batch} == {"(none)"}
             elif {r.kind for r in batch} & {PromptKind.ANSWER_SUBQUESTION,
                                             PromptKind.FINAL_VERDICT}:
                 assert len(batch) == 1
         kinds = [r.kind for batch in batches for r in batch]
         assert kinds.count(PromptKind.ANSWER_SUBQUESTION) > 0
         assert kinds.count(PromptKind.FINAL_VERDICT) > len(items)
-        assert max(len(batch) for batch in batches) == 3
+        assert max(len(batch) for i, batch in enumerate(batches)
+                   if i not in firsts) == 3
 
     def test_unparseable_answer_is_retried_once_and_adds_no_child(self):
         engine, items, sent = self._engine(
@@ -422,7 +428,8 @@ class TestExpand:
         tree = SearchTree(items[0].claim, engine.config)
         a1 = tree.add_child(tree.root, ActionKind.A1,
                             "Is it true that Alpha0 commanded Gamma0?")
-        assert engine.expand(tree, a1, KnowledgeGraph()) == []
+        assert drive(engine.expand(tree, a1, KnowledgeGraph()),
+                     engine.gateway) == []
         assert sent.count(PromptKind.ANSWER_SUBQUESTION) == 2
         assert a1.children == []
         assert engine.gateway.memo_hits[PromptKind.ANSWER_SUBQUESTION] == 0
@@ -434,7 +441,8 @@ class TestExpand:
         tree = SearchTree(items[0].claim, engine.config)
         for i in range(3):
             tree.add_child(tree.root, ActionKind.A1, f"q{i}")
-        leaves = engine.expand(tree, tree.root, KnowledgeGraph())
+        leaves = drive(engine.expand(tree, tree.root, KnowledgeGraph()),
+                       engine.gateway)
         assert sent == [PromptKind.FINAL_VERDICT]
         assert [leaf.action for leaf in leaves] == [ActionKind.A3] * 3
         assert [leaf.verdict for leaf in leaves] == [Verdict.FAKE] * 3
@@ -484,19 +492,20 @@ class TestExpand:
 
 
 class TestRootVerdictLookahead:
-    """In a run, the root's A3 verdict rides in the root's first A1 batch."""
+    """The root's A3 verdict is asked in the search's first step, with the
+    root's sub-questions."""
 
     # tabled_world(25, 25) on an empty graph without updates. The pins are
-    # the backend batches per claim of a run that sends each claim's opening
-    # batch ahead, and the calls, memo hits and run digest, which are those
-    # of a run that sends nothing ahead and asks each request when a step
-    # needs it.
+    # the backend batches per claim of a run in which each claim's first
+    # steps ride with the claim before it, and the calls, memo hits and run
+    # digest, which are those of a run that sends nothing ahead and asks
+    # each request when a step needs it.
     @pytest.mark.parametrize("config, round_trips, calls, memo_hits, digest", [
-        (EngineConfig(), 3.68,
+        (EngineConfig(), 2.7,
          {PromptKind.EXTRACT_ENTITIES: 63, PromptKind.GENERATE_SUBQUESTION: 200,
           PromptKind.ANSWER_SUBQUESTION: 63, PromptKind.FINAL_VERDICT: 57},
          60, "754eec37d5421d71ef408750ae08cf9172aceae0c45cd678446ee95c930e500f"),
-        (EngineConfig(n=20, h=9, b=3), 6.02,
+        (EngineConfig(n=20, h=9, b=3), 5.04,
          {PromptKind.EXTRACT_ENTITIES: 75, PromptKind.GENERATE_SUBQUESTION: 375,
           PromptKind.ANSWER_SUBQUESTION: 75, PromptKind.FINAL_VERDICT: 125},
          1440, "bf021130c4b19ce0ae20361ba638d43494ba0bb4632b8f9827e00e1ec07c0e68"),
@@ -505,11 +514,10 @@ class TestRootVerdictLookahead:
                                              memo_hits, digest):
         table, items = tabled_world(25, 25)
         gateway = Gateway(RuleBasedOracle(table))
-        log = BatchLog(gateway)
         record, _, _ = run_detection(items, KnowledgeGraph(), config, gateway,
                                      updates=False)
         gateway.close()
-        assert len(log.batches) / len(items) == pytest.approx(round_trips)
+        assert gateway.round_trips / len(items) == pytest.approx(round_trips)
         assert {k: n for k, n in gateway.call_counts.items() if n} == calls
         assert sum(gateway.memo_hits.values()) == memo_hits
         assert record.digest() == digest
@@ -592,7 +600,7 @@ class TestRootVerdictLookahead:
                                   EngineConfig(n=5, h=5, b=2), gateway)
         gateway.close()
         assert result.error == "subquestion down" and tree is None
-        # The verdict went out in the same batch, but was never asked for,
-        # so it is not counted.
+        # The verdict went out in the same batch and was answered, so it is
+        # counted, though no step used it.
         assert sent.count(PromptKind.FINAL_VERDICT) == 1
-        assert gateway.call_counts[PromptKind.FINAL_VERDICT] == 0
+        assert gateway.call_counts[PromptKind.FINAL_VERDICT] == 1

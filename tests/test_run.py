@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import sys
 import tempfile
 import threading
 import time
@@ -124,6 +125,31 @@ class TestRunDetection:
         b, _, _ = run_detection(items, KnowledgeGraph(),
                                 small_config(seed=2), gateway)
         assert a.config_digest != b.config_digest
+
+    def test_every_request_of_a_run_carries_the_engine_seed(self):
+        """Search, retrieval, ranking and update requests all go out at the
+        engine's seed; ``build_graph`` has none and asks at 0."""
+        table, items = tabled_world(num_real=2, num_fake=1)
+        oracle = RuleBasedOracle(table)
+        seeds: dict[PromptKind, set[int]] = {}
+
+        def reply(req, prompt):
+            seeds.setdefault(req.kind, set()).add(req.seed)
+            return oracle.generate(req, prompt)
+
+        gateway = Gateway(ScriptedBackend(reply))
+        graph, _ = build_graph([SourceDocument("doc", items[0].claim)],
+                               gateway)
+        assert seeds and set().union(*seeds.values()) == {0}
+        for i in range(2):
+            for j in range(8):
+                graph.add(f"Alpha{i}", "mentioned", f"Filler{i}-{j}", "filler")
+        seeds.clear()
+        record, _, _ = run_detection(items, graph, small_config(seed=7),
+                                     gateway)
+        gateway.close()
+        assert record.exclusions == 0
+        assert seeds == {kind: {7} for kind in PromptKind}
 
     def test_hard_failure_excludes_claim(self):
         table, items = tabled_world(num_real=2, num_fake=0)
@@ -412,8 +438,14 @@ class TestRunDetection:
         assert replayed.call_counts == recording.call_counts
 
 
+def opening_step(config, item):
+    """The requests of the first step of ``item``'s search."""
+    engine = SearchEngine(Gateway(ScriptedBackend(None)), config)
+    return engine.start(item.claim, KnowledgeGraph(), item.id).pending
+
+
 class TestSendAhead:
-    """Each claim's opening batch rides along with the claim before it."""
+    """Each claim's first steps ride along with the claim before it."""
 
     def _run(self, items, config, reply=None, updates=False):
         table, _ = tabled_world(3, 3)
@@ -429,16 +461,21 @@ class TestSendAhead:
         table, items = tabled_world(3, 3)
         oracle = RuleBasedOracle(table)
         config = small_config(n=20, h=9, b=3)
-        engine = SearchEngine(Gateway(oracle), config)
         opening = {request_hash(req): i for i, item in enumerate(items)
-                   for req in engine.opening_requests(item.claim)}
+                   for req in opening_step(config, item)}
+        claim_of = {item.claim: i for i, item in enumerate(items)}
         sent_in: dict[int, set[int]] = {}
+        answered_in: dict[int, set[int]] = {}
         marks = []
 
         def reply(req, prompt):
+            batch = len(log.batches) - 1
             claim = opening.get(request_hash(req, prompt))
             if claim is not None:
-                sent_in.setdefault(claim, set()).add(len(log.batches) - 1)
+                sent_in.setdefault(claim, set()).add(batch)
+            if req.kind is PromptKind.ANSWER_SUBQUESTION:
+                answered_in.setdefault(claim_of[req.context["claim"]],
+                                       set()).add(batch)
             return oracle.generate(req, prompt)
 
         gateway = Gateway(ScriptedBackend(reply))
@@ -458,12 +495,18 @@ class TestSendAhead:
         assert sent_in[0] == {0} and log.sizes[0] == 2 * (3 + 1)
         for i in range(len(items) - 1):
             assert sent_in[i + 1] == {marks[i]}
+        # No claim answers a sub-question, which needs the graph, before its
+        # own search call.
+        assert all(min(answered_in[i]) >= marks[i] for i in answered_in)
         assert max(log.sizes) == 8
+        assert gateway.round_trips == len(log.batches)
         alone = Gateway(oracle)
         results, _ = one_claim_at_a_time(items, KnowledgeGraph(), config,
                                          alone, updates=False)
         alone.close()
         assert [r.as_record() for r in record.results] == results
+        assert alone.call_counts == gateway.call_counts
+        assert alone.memo_hits == gateway.memo_hits
 
     def test_identical_consecutive_claims(self):
         _, items = tabled_world(3, 3)
@@ -495,36 +538,40 @@ class TestSendAhead:
 
     def test_last_claim_sends_no_riders(self):
         table, items = tabled_world(3, 3)
-        gateway = Gateway(RuleBasedOracle(table))
-        queued = []
-        seen = []
-        send_ahead = gateway.send_ahead
+        oracle = RuleBasedOracle(table)
+        events = []
 
-        def spy(reqs):
-            queued.append({req.context["claim"] for req in reqs})
-            send_ahead(reqs)
+        def reply(req, prompt):
+            events.append(("sent", req.context.get("claim")))
+            return oracle.generate(req, prompt)
 
-        search = SearchEngine.search
+        start, search = SearchEngine.start, SearchEngine.search
+
+        def started(engine, claim, graph, claim_id=""):
+            events.append(("start", claim_id))
+            return start(engine, claim, graph, claim_id)
 
         def marked(engine, claim, graph, claim_id=""):
-            seen.append(len(queued))
+            events.append(("search", claim_id))
             return search(engine, claim, graph, claim_id)
 
-        gateway.send_ahead = spy
-        with mock.patch.object(SearchEngine, "search", marked):
+        gateway = Gateway(ScriptedBackend(reply))
+        with mock.patch.object(SearchEngine, "start", started), \
+                mock.patch.object(SearchEngine, "search", marked):
             run_detection(items, KnowledgeGraph(), small_config(), gateway,
                           updates=False)
-        # One queue per claim: claims 0 and 1 before the first search, and
-        # each later claim before the search of the claim ahead of it.
-        assert queued == [{item.claim} for item in items]
-        assert seen == [min(i + 2, len(items)) for i in range(len(items))]
-        # Nothing is left queued or held: a fresh request goes out alone.
-        log = BatchLog(gateway)
-        other = dataclasses.replace(items[0], claim="Alpha9 commanded Gamma9.")
-        gateway.complete_all(SearchEngine(gateway, small_config())
-                             .opening_requests(other.claim))
         gateway.close()
-        assert log.sizes == [3]
+        # Each claim after the first begins just before the search of the
+        # claim ahead of it.
+        marks = [event for event in events if event[0] != "sent"]
+        assert marks == [("start", items[1].id)] + [
+            event for i, item in enumerate(items)
+            for event in [("search", item.id)] + (
+                [("start", items[i + 2].id)] if i + 2 < len(items) else [])]
+        # Once the last claim is searched, nothing else rides along.
+        last = events.index(("search", items[-1].id))
+        assert {claim for kind, claim in events[last:] if kind == "sent"} \
+            <= {items[-1].claim, None}
 
     def test_riders_dropped_when_the_run_raises(self):
         table, items = tabled_world(3, 3)
@@ -538,13 +585,15 @@ class TestSendAhead:
         gateway = Gateway(ScriptedBackend(reply))
         with pytest.raises(RuntimeError, match="backend bug"):
             run_detection(items, KnowledgeGraph(), small_config(), gateway)
-        # Claim 1's opening batch rode along, and its outcomes are gone.
-        log = BatchLog(gateway)
-        engine = SearchEngine(gateway, small_config())
-        gateway.complete_all(engine.opening_requests(items[1].claim))
+        # Claim 1's opening step rode along and was answered, counted and
+        # memoized; the claim is dropped, and the gateway holds nothing
+        # of it: asked again, the step is answered from the memo.
+        calls, round_trips = dict(gateway.call_counts), gateway.round_trips
+        gateway.complete_all(opening_step(small_config(), items[1]))
         gateway.close()
-        assert log.sizes == [3]
-        assert gateway.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 0
+        assert gateway.call_counts == calls
+        assert gateway.round_trips == round_trips
+        assert gateway.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 2
 
     def test_hard_rider_failure_ends_its_own_claim(self):
         table, items = tabled_world(2, 0)
@@ -569,6 +618,111 @@ class TestSendAhead:
         first, second = record.results
         assert first.error is None and first.verdict is Verdict.REAL
         assert second.error == "verdict down" and second.verdict is None
+
+    @pytest.mark.parametrize("updates", [False, True])
+    def test_hard_failure_of_a_question_ahead_ends_its_own_claim(self,
+                                                                 updates):
+        """Claim 1's first question-entity request rides with claim 0's
+        steps and fails for good; claim 0 is decided and updated as if
+        nothing had failed, and claim 1 ends at that step."""
+        table, items = tabled_world(2, 0)
+        oracle = RuleBasedOracle(table)
+        questions = set()
+        failed_during = []
+        searching = []
+
+        def reply(req, prompt):
+            if req.kind is PromptKind.EXTRACT_ENTITIES and \
+                    req.context["document"] in questions:
+                failed_during.append(searching[-1])
+                raise GatewayHardError("entities down")
+            text = oracle.generate(req, prompt)
+            if req.kind is PromptKind.GENERATE_SUBQUESTION and \
+                    req.context["claim"] == items[1].claim:
+                questions.add(text)
+            return text
+
+        search = SearchEngine.search
+
+        def marked(engine, claim, graph, claim_id=""):
+            searching.append(claim_id)
+            return search(engine, claim, graph, claim_id)
+
+        gateway = Gateway(ScriptedBackend(reply), max_retries=0)
+        with mock.patch.object(SearchEngine, "search", marked):
+            record, _, _ = run_detection(items, KnowledgeGraph(),
+                                         small_config(), gateway,
+                                         updates=updates)
+        gateway.close()
+        assert failed_during == [items[0].id]
+        first, second = record.results
+        alone = Gateway(oracle)
+        [clean], _ = one_claim_at_a_time(items[:1], KnowledgeGraph(),
+                                         small_config(), alone, updates)
+        alone.close()
+        assert first.as_record() == clean
+        assert second.error == "entities down" and second.verdict is None
+
+    def test_no_claim_reads_the_graph_before_the_one_before_commits(
+            self, monkeypatch):
+        """On a hub world with updates on, every claim's first
+        ``match_entities`` and ``one_hop_subgraph`` come after the claim
+        before it has inserted its last triple."""
+        table, items = tabled_world(6, 6)
+        graph = KnowledgeGraph()
+        for i in range(6):
+            for j in range(8):
+                graph.add(f"Alpha{i}", "mentioned", f"Filler{i}-{j}", "filler")
+        searches = SearchEngine.search_steps.__code__
+        events = []
+
+        def reader(name):
+            real = getattr(KnowledgeGraph, name)
+
+            def read(self, *args):
+                # The claim whose search is running the read.
+                frame = sys._getframe(1)
+                while frame.f_code is not searches:
+                    frame = frame.f_back
+                events.append(("read", frame.f_locals["claim_id"]))
+                return real(self, *args)
+            return read
+
+        add = KnowledgeGraph.add
+
+        def insert(self, subject, relation, obj, source_id=""):
+            events.append(("insert", source_id))
+            return add(self, subject, relation, obj, source_id)
+
+        for name in ("match_entities", "one_hop_subgraph"):
+            monkeypatch.setattr(KnowledgeGraph, name, reader(name))
+        monkeypatch.setattr(KnowledgeGraph, "add", insert)
+        gateway = Gateway(RuleBasedOracle(table))
+        record, _, grown = run_detection(items, graph, EngineConfig(seed=0),
+                                         gateway, updates=True)
+        gateway.close()
+        assert len(grown) == len(graph) + 12
+        first_read = {}
+        for i, (kind, claim) in enumerate(events):
+            if kind == "read":
+                first_read.setdefault(claim, i)
+        inserted = [i for i, (kind, _) in enumerate(events)
+                    if kind == "insert"]
+        assert len(inserted) >= 12 and set(first_read) == \
+            {item.id for item in items}
+        for before, item in zip(items, items[1:]):
+            last_insert = max((i for i, (kind, claim) in enumerate(events)
+                               if kind == "insert" and claim == before.id),
+                              default=-1)
+            assert first_read[item.id] > last_insert
+        # The claims did run ahead: fewer round-trips than one at a time.
+        monkeypatch.undo()
+        alone = Gateway(RuleBasedOracle(table))
+        results, _ = one_claim_at_a_time(items, graph, EngineConfig(seed=0),
+                                         alone)
+        alone.close()
+        assert [r.as_record() for r in record.results] == results
+        assert gateway.round_trips < alone.round_trips
 
     def test_blank_claim_raises_when_pulled(self):
         table, items = tabled_world(2, 0)
@@ -615,21 +769,19 @@ def _fault_free_results(n: int) -> tuple[str, ...]:
 def one_claim_at_a_time(items, graph, config, gateway, updates=True):
     """The result records and final graph digest ``run_detection`` gives,
     computed by searching and updating one claim at a time, with no claim's
-    requests sent with the claim before. Each claim's opening requests are
-    queued just before its search, so its verdict rides with its
-    sub-questions."""
+    steps sent with the claim before."""
     graph = graph.copy()
     engine = SearchEngine(gateway, config)
     results = []
     for item in items:
         result = ClaimResult(id=item.id, gold=item.gold)
-        gateway.send_ahead(engine.opening_requests(item.claim))
         try:
             verdict, paths, _ = engine.search(item.claim, graph,
                                               claim_id=item.id)
             if updates and verdict == Verdict.REAL:
                 stats = apply_update(graph, extract_new_knowledge(
-                    item.id, item.claim, paths, gateway), claim_id=item.id)
+                    item.id, item.claim, paths, gateway, seed=config.seed),
+                    claim_id=item.id)
                 result.duplicates = stats.duplicates
                 result.triples_added = [
                     t.as_record() for t in graph.triples[-stats.added:]
@@ -656,20 +808,22 @@ class FaultyOracle:
         self.sent: dict[str, int] = {}
         self.hit: dict[str, set[str]] = {}
         self.claim = ""
-        self.opening: dict[str, str] = {}
+        self.ids: dict[str, str] = {}
+        # The claim each generated sub-question was asked for.
+        self.asked_by: dict[str, str] = {}
         self._lock = threading.Lock()
 
     @contextlib.contextmanager
-    def track(self, items, config):
+    def track(self, items):
         """Note the claim each call belongs to while the block runs.
 
-        A call belongs to the claim being searched or updated, except that
-        a claim's opening requests belong to that claim wherever they are
-        sent.
+        A request that names a claim belongs to that claim, and a
+        question-entity request to the claim that asked the question,
+        wherever they are sent: a claim running ahead sends them while the
+        claim before it is searched or updated. Any other call belongs to
+        the claim being searched or updated.
         """
-        engine = SearchEngine(Gateway(self.oracle), config)
-        self.opening = {request_hash(req): item.id for item in items
-                        for req in engine.opening_requests(item.claim)}
+        self.ids = {item.claim: item.id for item in items}
         search = SearchEngine.search
 
         def tracked(engine, claim, graph, claim_id=""):
@@ -679,6 +833,12 @@ class FaultyOracle:
         with mock.patch.object(SearchEngine, "search", tracked):
             yield
 
+    def _owner(self, req) -> str:
+        claim = req.context.get("claim")
+        if req.kind is PromptKind.EXTRACT_ENTITIES:
+            claim = self.asked_by.get(req.context["document"])
+        return self.ids.get(claim, self.claim)
+
     def generate(self, req, prompt):
         key = request_hash(req, prompt)
         with self._lock:
@@ -687,19 +847,22 @@ class FaultyOracle:
         if draw[0] * 100 < self.percent * 256:
             fault = self.kinds[draw[1] % len(self.kinds)]
             with self._lock:
-                self.hit.setdefault(fault, set()).add(
-                    self.opening.get(key, self.claim))
+                self.hit.setdefault(fault, set()).add(self._owner(req))
             if fault == "transport":
                 raise TransportError("injected")
             if fault == "hard":
                 raise GatewayHardError("injected")
             return " \n "
-        return self.oracle.generate(req, prompt)
+        text = self.oracle.generate(req, prompt)
+        if req.kind is PromptKind.GENERATE_SUBQUESTION:
+            with self._lock:
+                self.asked_by[text.strip()] = req.context["claim"]
+        return text
 
 
 class TestFaultInjection:
-    # One iteration sends no verdict rider, and two ask the root's verdict
-    # in the second.
+    # One iteration asks no verdict, and two use the root's verdict, asked
+    # in the first step, in the second.
     @settings(max_examples=60, deadline=None)
     @given(salt=st.integers(0, 2**32), percent=st.integers(0, 25),
            kinds=st.lists(st.sampled_from(FAULTS), min_size=1, max_size=3,
@@ -716,17 +879,17 @@ class TestFaultInjection:
             gateway = Gateway(RecordingBackend(ScriptedBackend(backend.generate),
                                                transcript),
                               max_retries=1, backoff=0.0)
-            with backend.track(items, config):
+            with backend.track(items):
                 record, _, grown = run_detection(items, graph, config, gateway,
                                                  updates=updates)
             gateway.close()
             replay = ReplayBackend.from_path(transcript)
-        # Sending each claim's opening batch ahead changes nothing: the same
-        # faults hit the same claims, with the same record and counts.
+        # Running the next claim ahead changes nothing: the same faults hit
+        # the same claims, with the same record and counts.
         alone = FaultyOracle(table, salt, percent, kinds)
         one_by_one = Gateway(ScriptedBackend(alone.generate), max_retries=1,
                              backoff=0.0)
-        with alone.track(items, config):
+        with alone.track(items):
             results, kg_after = one_claim_at_a_time(items, graph, config,
                                                     one_by_one, updates)
         one_by_one.close()
@@ -735,19 +898,6 @@ class TestFaultInjection:
         assert alone.hit == backend.hit and alone.sent == backend.sent
         assert one_by_one.call_counts == gateway.call_counts
         assert one_by_one.memo_hits == gateway.memo_hits
-        # With send_ahead a no-op there is no lookahead at all: each request
-        # goes out when a step asks for it, with the same record and counts.
-        plain = Gateway(ScriptedBackend(
-            FaultyOracle(table, salt, percent, kinds).generate),
-            max_retries=1, backoff=0.0)
-        plain.send_ahead = lambda reqs: None
-        unsent, _, _ = run_detection(items, graph, config, plain,
-                                     updates=updates)
-        plain.close()
-        assert [r.as_record() for r in unsent.results] == results
-        assert unsent.kg_after == record.kg_after
-        assert plain.call_counts == gateway.call_counts
-        assert plain.memo_hits == gateway.memo_hits
         failed = {r.id for r in record.results if r.error is not None}
         assert record.exclusions == len(failed)
         # An abandoned claim carries no verdict.
