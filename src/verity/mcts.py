@@ -219,8 +219,9 @@ class SearchEngine:
         self.gateway = gateway
         self.config = config or EngineConfig()
         self.config.validate()
-        # Searches ``start`` began, oldest first, each with its arguments.
-        self._started: list[tuple[tuple[str, int, str], Stepper]] = []
+        # Searches ``start`` began and ``search`` has not taken, oldest
+        # first, each with its claim and claim id.
+        self._started: list[tuple[tuple[str, str], Stepper]] = []
 
     def _rng_for(self, claim_id: str) -> random.Random:
         digest = hashlib.sha256(
@@ -356,32 +357,36 @@ class SearchEngine:
 
     def start(self, claim: str, graph: KnowledgeGraph,
               claim_id: str = "") -> Stepper:
-        """Begin the search of ``claim`` early, for the next ``search`` call
-        with the same arguments to finish.
+        """Begin the search of ``claim`` early; ``search`` calls finish the
+        searches begun this way in the order they were begun.
 
         Returns the search waiting on its first step. The caller may drive
         it further, but not past a ``GRAPH_READ`` while an earlier claim can
         still change ``graph``.
         """
         walk = Stepper(self.search_steps(claim, graph, claim_id))
-        self._started.append(((claim, id(graph), claim_id), walk))
+        self._started.append(((claim, claim_id), walk))
         return walk
 
     def search(self, claim: str, graph: KnowledgeGraph,
                claim_id: str = "") -> tuple[Verdict, list[ReasoningPath], SearchTree]:
         """Decide ``claim`` with ``n`` select/expand/back-propagate rounds.
 
-        Finishes the oldest search that ``start`` began, if it was begun
-        with these arguments; otherwise begins a new search. A blank claim
-        raises ``ValidationError`` before anything is sent.
+        Finishes the oldest search that ``start`` began and no ``search``
+        has taken yet, on the graph ``start`` was given; a search begun for
+        another claim or claim id raises ``ValidationError``. With none
+        waiting, begins a new search. A blank claim raises
+        ``ValidationError`` before anything is sent.
         """
-        steps: "Steps | Stepper"
-        if self._started and self._started[0][0] == (claim, id(graph),
-                                                     claim_id):
-            steps = self._started.pop(0)[1]
-        else:
-            steps = self.search_steps(claim, graph, claim_id)
-        return drive(steps, self.gateway)
+        if not self._started:
+            return drive(self.search_steps(claim, graph, claim_id),
+                         self.gateway)
+        begun, walk = self._started.pop(0)
+        if begun != (claim, claim_id):
+            raise ValidationError(f"search of {claim_id or claim!r} called "
+                                  f"while {begun[1] or begun[0]!r} was the "
+                                  f"next search begun")
+        return drive(walk, self.gateway)
 
 
 def majority_verdict(paths: list[ReasoningPath]) -> Verdict:

@@ -53,10 +53,9 @@ def _question_keys(question: str, seed: int) -> Steps:
     return {e.key for e in entities}
 
 
-def question_entities(question: str, gateway: Gateway,
-                      seed: int = 0) -> set[str]:
+def question_entities(question: str, gateway: Gateway) -> set[str]:
     """Normalized, deduplicated entity keys mentioned by the question."""
-    return drive(_question_keys(question, seed), gateway)
+    return drive(_question_keys(question, 0), gateway)
 
 
 def retrieval_steps(question: str, graph: KnowledgeGraph, k: int,
@@ -94,5 +93,5 @@ def retrieval_steps(question: str, graph: KnowledgeGraph, k: int,
 
 
 def retrieve_context(question: str, graph: KnowledgeGraph, k: int,
-                     gateway: Gateway, seed: int = 0) -> RetrievalResult:
-    return drive(retrieval_steps(question, graph, k, seed), gateway)
+                     gateway: Gateway) -> RetrievalResult:
+    return drive(retrieval_steps(question, graph, k), gateway)

@@ -162,6 +162,10 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
     engine = SearchEngine(riding, config)
     record = RunRecord(config_digest=_config_digest(config, updates),
                        kg_before=kg_before)
+    # Every claim's search is begun with ``start``, so the oldest search
+    # begun is always the one ``search`` is called for next.
+    if items:
+        engine.start(items[0].claim, graph, claim_id=items[0].id)
     for i, item in enumerate(items):
         ahead = None
         if i + 1 < len(items):

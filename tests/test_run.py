@@ -524,6 +524,24 @@ class TestSendAhead:
         assert gateway.call_counts == alone.call_counts
         assert gateway.memo_hits == alone.memo_hits
 
+    @pytest.mark.parametrize("updates", [False, True])
+    def test_repeated_item_at_the_head(self, updates):
+        # Nothing rejects a repeated id, and the second copy's search is
+        # already under way when the first copy's search is called.
+        _, items = tabled_world(3, 3)
+        twice = [items[0], items[0], items[3], items[3]]
+        config = small_config(n=20, h=9, b=3)
+        record, gateway, _ = self._run(twice, config, updates=updates)
+        table, _ = tabled_world(3, 3)
+        alone = Gateway(RuleBasedOracle(table))
+        results, _ = one_claim_at_a_time(twice, KnowledgeGraph(), config,
+                                         alone, updates=updates)
+        alone.close()
+        assert [r.as_record() for r in record.results] == results
+        assert record.exclusions == 0
+        assert gateway.call_counts == alone.call_counts
+        assert gateway.memo_hits == alone.memo_hits
+
     def test_single_iteration_sends_no_verdict_rider(self):
         _, items = tabled_world(3, 3)
         record, gateway, log = self._run(items, small_config(n=1, b=2))
@@ -561,10 +579,10 @@ class TestSendAhead:
             run_detection(items, KnowledgeGraph(), small_config(), gateway,
                           updates=False)
         gateway.close()
-        # Each claim after the first begins just before the search of the
-        # claim ahead of it.
+        # The first claim begins before the loop, and each later claim just
+        # before the search of the claim ahead of it.
         marks = [event for event in events if event[0] != "sent"]
-        assert marks == [("start", items[1].id)] + [
+        assert marks == [("start", items[0].id), ("start", items[1].id)] + [
             event for i, item in enumerate(items)
             for event in [("search", item.id)] + (
                 [("start", items[i + 2].id)] if i + 2 < len(items) else [])]
