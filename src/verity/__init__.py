@@ -19,7 +19,7 @@ from .mcts import (ActionKind, EngineConfig, ReasoningPath, SearchEngine,
                    uct_score)
 from .metrics import MetricsReport, compute_metrics
 from .oracle import FactTable, RuleBasedOracle
-from .retrieval import RetrievalResult, question_entities, retrieve_context
+from .retrieval import RetrievalResult, retrieve_context
 from .run import RunRecord, run_detection, run_sequential
 from .verdict import Verdict
 
@@ -32,6 +32,6 @@ __all__ = [
     "SourceDocument", "Triple", "Verdict", "apply_update", "build_graph",
     "compute_metrics", "extract_new_knowledge", "load_dataset",
     "majority_verdict", "make_triple", "normalize_entity", "path_reward",
-    "question_entities", "retrieve_context", "run_detection", "run_sequential",
-    "split_subsets", "uct_score",
+    "retrieve_context", "run_detection", "run_sequential", "split_subsets",
+    "uct_score",
 ]

@@ -116,10 +116,13 @@ def split_subsets(items: list[NewsItem], k: int, seed: int = 0) -> DatasetSplit:
         raise ValidationError("subset count must be >= 1")
     if k > len(items):
         raise ValidationError(f"cannot split {len(items)} items into {k} subsets")
-    groups: dict[str, list[NewsItem]] = {}
+    # An ungrouped item is a group of its own, keyed apart from every
+    # group name, whatever the names and ids.
+    groups: dict[tuple[bool, str], list[NewsItem]] = {}
     for item in items:
-        groups.setdefault(item.group if item.group is not None else f"~{item.id}",
-                          []).append(item)
+        key = (True, item.group) if item.group is not None \
+            else (False, item.id)
+        groups.setdefault(key, []).append(item)
     keys = list(groups)
     random.Random(seed).shuffle(keys)
     subsets: list[list[NewsItem]] = [[] for _ in range(k)]

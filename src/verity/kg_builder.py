@@ -17,8 +17,8 @@ its claim is abandoned.
 
 The extractions are step generators (``entity_steps``, ``document_steps``;
 see :func:`verity.gateway.drive`), so retrieval and the knowledge update
-can run them inside a claim's own steps. ``extract_entities``,
-``extract_document`` and ``build_graph`` drive them through a gateway.
+can run them inside a claim's own steps. ``extract_document`` and
+``build_graph`` drive them through a gateway.
 """
 
 from __future__ import annotations
@@ -121,17 +121,14 @@ def _parse_triples(doc: SourceDocument,
 
 
 def entity_steps(doc: SourceDocument, seed: int = 0) -> Steps:
-    """``extract_entities`` as a step generator, its requests at ``seed``."""
+    """A step generator that returns the entities of ``doc``, deduplicated
+    by normalized key, in first-mention order; its requests are at
+    ``seed``."""
     if not doc.body.strip():
         return []
     [resps] = yield from _wave(_chunks(doc.body),
                                [PromptKind.EXTRACT_ENTITIES], seed)
     return _parse_entities(resps)
-
-
-def extract_entities(doc: SourceDocument, gateway: Gateway) -> list[Entity]:
-    """Deduplicated (by normalized key) entities in first-mention order."""
-    return drive(entity_steps(doc), gateway)
 
 
 def document_steps(doc: SourceDocument, seed: int = 0) -> Steps:

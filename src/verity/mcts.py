@@ -11,9 +11,9 @@ The search and its expansions are step generators (see
 hold no gateway. The first step holds the root's sub-questions and its
 evidence-free verdict, and an answer step yields ``GRAPH_READ`` before its
 retrieval reads the graph. ``SearchEngine.search`` drives one claim's
-steps through the engine's gateway, and ``run_detection`` uses
-``SearchEngine.start`` to run the next claim's first steps ahead, up to
-that first graph read.
+steps through the engine's gateway; ``run_detection`` runs the next
+claim's first steps ahead, up to that first graph read, and hands the
+begun search to that claim's ``search`` call.
 """
 
 from __future__ import annotations
@@ -213,15 +213,16 @@ def _render_transcript(path: list[SearchNode]) -> str:
 
 
 class SearchEngine:
-    """Runs the select/expand/back-propagate loop for one claim at a time."""
+    """Runs the select/expand/back-propagate loop for one claim at a time.
+
+    It holds no search between calls: a search begun early, for a claim
+    run ahead, is its caller's until it is passed back to ``search``.
+    """
 
     def __init__(self, gateway: Gateway, config: Optional[EngineConfig] = None):
         self.gateway = gateway
         self.config = config or EngineConfig()
         self.config.validate()
-        # Searches ``start`` began and ``search`` has not taken, oldest
-        # first, each with its claim and claim id.
-        self._started: list[tuple[tuple[str, str], Stepper]] = []
 
     def _rng_for(self, claim_id: str) -> random.Random:
         digest = hashlib.sha256(
@@ -355,38 +356,19 @@ class SearchEngine:
         return (majority_verdict(tree.completed_paths), tree.completed_paths,
                 tree)
 
-    def start(self, claim: str, graph: KnowledgeGraph,
-              claim_id: str = "") -> Stepper:
-        """Begin the search of ``claim`` early; ``search`` calls finish the
-        searches begun this way in the order they were begun.
-
-        Returns the search waiting on its first step. The caller may drive
-        it further, but not past a ``GRAPH_READ`` while an earlier claim can
-        still change ``graph``.
-        """
-        walk = Stepper(self.search_steps(claim, graph, claim_id))
-        self._started.append(((claim, claim_id), walk))
-        return walk
-
-    def search(self, claim: str, graph: KnowledgeGraph,
-               claim_id: str = "") -> tuple[Verdict, list[ReasoningPath], SearchTree]:
+    def search(self, claim: str, graph: KnowledgeGraph, claim_id: str = "",
+               begun: Optional[Stepper] = None,
+               ) -> tuple[Verdict, list[ReasoningPath], SearchTree]:
         """Decide ``claim`` with ``n`` select/expand/back-propagate rounds.
 
-        Finishes the oldest search that ``start`` began and no ``search``
-        has taken yet, on the graph ``start`` was given; a search begun for
-        another claim or claim id raises ``ValidationError``. With none
-        waiting, begins a new search. A blank claim raises
+        ``begun``, when given, is this claim's search already under way,
+        ``Stepper(self.search_steps(claim, graph, claim_id))`` after part
+        of its run, and is driven to its end on the graph it was given.
+        Otherwise a new search begins. A blank claim raises
         ``ValidationError`` before anything is sent.
         """
-        if not self._started:
-            return drive(self.search_steps(claim, graph, claim_id),
-                         self.gateway)
-        begun, walk = self._started.pop(0)
-        if begun != (claim, claim_id):
-            raise ValidationError(f"search of {claim_id or claim!r} called "
-                                  f"while {begun[1] or begun[0]!r} was the "
-                                  f"next search begun")
-        return drive(walk, self.gateway)
+        return drive(self.search_steps(claim, graph, claim_id)
+                     if begun is None else begun, self.gateway)
 
 
 def majority_verdict(paths: list[ReasoningPath]) -> Verdict:

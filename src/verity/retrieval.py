@@ -1,8 +1,9 @@
 """Top-K knowledge retrieval for a sub-question.
 
-Pipeline: extract the question's entities, match them exactly against the
-graph, take the one-hop subgraph, and when the candidate set exceeds the
-budget ask the model to rank candidate indices (never to regenerate triples)
+Pipeline: extract the question's entities (``kg_builder.entity_steps``,
+the question read as a document), match them exactly against the graph,
+take the one-hop subgraph, and when the candidate set exceeds the budget
+ask the model to rank candidate indices (never to regenerate triples)
 before truncating to K. ``retrieval_steps`` is the pipeline as a step
 generator (see :func:`verity.gateway.drive`), which the search runs inside
 an answer step; ``retrieve_context`` drives it through a gateway.
@@ -47,17 +48,6 @@ def render_candidates(triples: list[Triple]) -> str:
         for i, t in enumerate(triples))
 
 
-def _question_keys(question: str, seed: int) -> Steps:
-    entities = yield from entity_steps(SourceDocument("question", question),
-                                       seed)
-    return {e.key for e in entities}
-
-
-def question_entities(question: str, gateway: Gateway) -> set[str]:
-    """Normalized, deduplicated entity keys mentioned by the question."""
-    return drive(_question_keys(question, 0), gateway)
-
-
 def retrieval_steps(question: str, graph: KnowledgeGraph, k: int,
                     seed: int = 0) -> Steps:
     """``retrieve_context`` as a step generator, its requests at ``seed``.
@@ -67,7 +57,9 @@ def retrieval_steps(question: str, graph: KnowledgeGraph, k: int,
     """
     if k < 1:
         raise ValidationError("retrieval cutoff K must be >= 1")
-    keys = yield from _question_keys(question, seed)
+    entities = yield from entity_steps(SourceDocument("question", question),
+                                       seed)
+    keys = {e.key for e in entities}
     yield GRAPH_READ
     matched = graph.match_entities(keys)
     candidates = graph.one_hop_subgraph(matched)

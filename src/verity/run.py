@@ -82,14 +82,16 @@ class _ClaimAhead:
     search riding along.
 
     It offers ``complete_all``, the one Gateway method ``drive`` calls. The
-    search held in ``ahead`` was begun early (``SearchEngine.start``). Each
-    batch of the current claim that reaches the backend also carries the
-    step that search waits on (``Gateway.complete_riding``), and a step of
-    it that the memo answers in full is answered at once. The search goes
-    on that way until it yields ``GRAPH_READ``, and waits there for its own
-    ``search`` call, made once the claims before it have committed their
-    updates. An error it meets stays with it (``Stepper.error``) and is
-    raised by that call, never by the batch that carried it.
+    search held in ``ahead`` is the next claim's, begun by ``run_detection``
+    from ``SearchEngine.search_steps``. Each batch of the current claim
+    that reaches the backend also carries the step that search waits on
+    (``Gateway.complete_riding``), and a step of it that the memo answers
+    in full is answered at once. The search goes on that way until it
+    yields ``GRAPH_READ``, and waits there until ``run_detection`` passes
+    it to its own ``search`` call, made once the claims before it have
+    committed their updates. An error it meets stays with it
+    (``Stepper.error``) and is raised by that call, never by the batch that
+    carried it.
     """
 
     def __init__(self, gateway: Gateway):
@@ -133,15 +135,17 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
 
     Each claim is searched, updated and committed in order, but one claim
     runs ahead. Before claim i's search, the run begins claim i+1's
-    (``SearchEngine.start``), and every backend batch of claim i, in its
-    search or in its update, also carries the step claim i+1's search waits
-    on. Claim i+1 goes no further than its first graph read, so it reads
-    the graph only after claim i's update. That takes its opening step, the
-    root's sub-questions and verdict, and its first question-entity step
-    off its own round-trips. Records, graphs, calls and memo hits are those
-    of a run that searches one claim at a time, and an error of the claim
-    ahead ends that claim, at its own step. On failure paths the run
-    differs from one that takes a claim at a time in these ways:
+    (``SearchEngine.search_steps``), and every backend batch of claim i, in
+    its search or in its update, also carries the step claim i+1's search
+    waits on. Claim i+1 goes no further than its first graph read, so it
+    reads the graph only after claim i's update, when the run hands the
+    begun search to claim i+1's ``search`` call. That takes its opening
+    step, the root's sub-questions and verdict, and its first
+    question-entity step off its own round-trips. Records, graphs, calls
+    and memo hits are those of a run that searches one claim at a time, and
+    an error of the claim ahead ends that claim, at its own step. On
+    failure paths the run differs from one that takes a claim at a time in
+    these ways:
 
     - The claim ahead's transport retries delay the claim whose batch
       carried them.
@@ -162,20 +166,18 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
     engine = SearchEngine(riding, config)
     record = RunRecord(config_digest=_config_digest(config, updates),
                        kg_before=kg_before)
-    # Every claim's search is begun with ``start``, so the oldest search
-    # begun is always the one ``search`` is called for next.
-    if items:
-        engine.start(items[0].claim, graph, claim_id=items[0].id)
+    begun: Optional[Stepper] = None
     for i, item in enumerate(items):
         ahead = None
         if i + 1 < len(items):
-            ahead = engine.start(items[i + 1].claim, graph,
-                                 claim_id=items[i + 1].id)
+            ahead = Stepper(engine.search_steps(items[i + 1].claim, graph,
+                                                items[i + 1].id))
         riding.run_ahead(ahead)
         result = ClaimResult(id=item.id, gold=item.gold)
         try:
             verdict, paths, _tree = engine.search(item.claim, graph,
-                                                  claim_id=item.id)
+                                                  claim_id=item.id,
+                                                  begun=begun)
             if updates and verdict == Verdict.REAL:
                 new_triples = extract_new_knowledge(
                     item.id, item.claim, paths, riding, seed=config.seed)
@@ -192,6 +194,7 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
             log.warning("claim %s failed: %s", item.id, exc)
             result.error = str(exc)
         record.results.append(result)
+        begun = ahead
     record.kg_after = graph.content_digest()
     scored = [r for r in record.results if r.error is None and r.gold is not None]
     report = None

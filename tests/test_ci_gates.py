@@ -126,9 +126,9 @@ def test_search_is_called_once_per_claim_in_order():
     searched = []
     search = SearchEngine.search
 
-    def stamped(engine, claim, graph, claim_id=""):
+    def stamped(engine, claim, graph, claim_id="", **kwargs):
         searched.append(claim_id)
-        return search(engine, claim, graph, claim_id)
+        return search(engine, claim, graph, claim_id, **kwargs)
 
     gateway = Gateway(ScriptedBackend(reply), max_retries=0)
     with mock.patch.object(SearchEngine, "search", stamped):

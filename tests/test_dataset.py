@@ -145,6 +145,13 @@ class TestSplitSubsets:
                 if other is not subset:
                     assert groups_here.isdisjoint({i.group for i in other})
 
+    def test_group_name_never_joins_an_ungrouped_id(self):
+        # A group named like an id, and ungrouped items, are still apart.
+        items = [NewsItem("a", "claim a", group="~5"), NewsItem("5", "claim 5"),
+                 NewsItem("b", "claim b", group="5")]
+        split = split_subsets(items, 3, seed=0)
+        assert sorted(len(s) for s in split.subsets) == [1, 1, 1]
+
     def test_subset_tags_and_corpora(self):
         split = split_subsets(self._items(6), 2, seed=0)
         for subset, corpus in zip(split.subsets, split.corpora):

@@ -6,9 +6,9 @@ from synth import BatchLog
 from verity import kg_builder
 from verity.errors import GatewayHardError, TransportError, ValidationError
 from verity.gateway import (Gateway, LLMRequest, PromptKind, RecordingBackend,
-                            ScriptedBackend)
+                            ScriptedBackend, drive)
 from verity.kg_builder import (BuildReport, SourceDocument, build_graph,
-                               extract_document, extract_entities)
+                               entity_steps, extract_document)
 from verity.kg_store import Entity, Triple
 from verity.oracle import RuleBasedOracle
 
@@ -19,17 +19,17 @@ def doc(body, id="doc-1"):
 
 class TestExtractEntities:
     def test_sentence(self, oracle_gateway):
-        entities = extract_entities(
-            doc("Eisenhower commanded Anderson in Tunisia."), oracle_gateway)
+        entities = drive(entity_steps(
+            doc("Eisenhower commanded Anderson in Tunisia.")), oracle_gateway)
         assert [e.surface for e in entities] == \
             ["Eisenhower", "Anderson", "Tunisia"]
 
     def test_empty_document(self, oracle_gateway):
-        assert extract_entities(doc(""), oracle_gateway) == []
+        assert drive(entity_steps(doc("")), oracle_gateway) == []
 
     def test_duplicate_mentions_single_entry(self, oracle_gateway):
-        entities = extract_entities(
-            doc("Anderson met ANDERSON; anderson agreed."), oracle_gateway)
+        entities = drive(entity_steps(
+            doc("Anderson met ANDERSON; anderson agreed.")), oracle_gateway)
         assert len(entities) == 1
 
 

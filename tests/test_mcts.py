@@ -343,24 +343,6 @@ class TestSearch:
         with pytest.raises(ValidationError):
             engine.search("  ", KnowledgeGraph())
 
-    def test_started_searches_finish_in_the_order_begun(self):
-        gateway, items = self._gateway()
-        graph = KnowledgeGraph()
-        fresh = SearchEngine(gateway, EngineConfig(seed=1))
-        alone = [fresh.search(item.claim, graph, claim_id=item.id)[0]
-                 for item in items[:2]]
-        engine = SearchEngine(gateway, EngineConfig(seed=1))
-        for item in [items[0], items[0], items[1]]:
-            engine.start(item.claim, graph, claim_id=item.id)
-        assert [engine.search(item.claim, graph, claim_id=item.id)[0]
-                for item in [items[0], items[0]]] == [alone[0]] * 2
-        with pytest.raises(ValidationError):
-            engine.search(items[2].claim, graph, claim_id=items[2].id)
-        # With no search waiting, a search begins afresh.
-        assert engine.search(items[1].claim, graph,
-                             claim_id=items[1].id)[0] is alone[1]
-        gateway.close()
-
     def test_search_sends_nothing_ahead(self):
         table, items = tabled_world(3, 3)
         oracle = RuleBasedOracle(table)

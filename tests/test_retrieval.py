@@ -4,12 +4,13 @@ import pytest
 from synth import closed_book_world
 
 from verity.errors import ValidationError
-from verity.gateway import Gateway, LLMRequest, PromptKind, ScriptedBackend
-from verity.kg_builder import build_graph
+from verity.gateway import (Gateway, LLMRequest, PromptKind, ScriptedBackend,
+                            drive)
+from verity.kg_builder import SourceDocument, build_graph, entity_steps
 from verity.kg_store import Entity, KnowledgeGraph, Triple
 from verity.oracle import RuleBasedOracle
-from verity.retrieval import (RANK_CANDIDATE_CAP, question_entities,
-                              render_triples, retrieve_context)
+from verity.retrieval import (RANK_CANDIDATE_CAP, render_triples,
+                              retrieve_context)
 
 
 def graph_with(n):
@@ -17,6 +18,13 @@ def graph_with(n):
     for i in range(n):
         g.add("Anderson", f"relation {i}", f"thing {i}")
     return g
+
+
+def question_entities(question, gateway):
+    """The entity keys retrieval matches for ``question``."""
+    entities = drive(entity_steps(SourceDocument("question", question)),
+                     gateway)
+    return {e.key for e in entities}
 
 
 class TestQuestionEntities:

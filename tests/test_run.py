@@ -16,7 +16,8 @@ from synth import BatchLog, carryover_world, tabled_world
 
 from verity.errors import GatewayHardError, TransportError, ValidationError
 from verity.gateway import (Gateway, PromptKind, RecordingBackend,
-                            ReplayBackend, ScriptedBackend, request_hash)
+                            ReplayBackend, ScriptedBackend, Stepper,
+                            request_hash)
 from verity.kg_builder import SourceDocument, build_graph
 from verity.kg_store import KnowledgeGraph, Triple
 from verity.knowledge_update import apply_update, extract_new_knowledge
@@ -441,7 +442,8 @@ class TestRunDetection:
 def opening_step(config, item):
     """The requests of the first step of ``item``'s search."""
     engine = SearchEngine(Gateway(ScriptedBackend(None)), config)
-    return engine.start(item.claim, KnowledgeGraph(), item.id).pending
+    return Stepper(engine.search_steps(item.claim, KnowledgeGraph(),
+                                       item.id)).pending
 
 
 class TestSendAhead:
@@ -542,6 +544,33 @@ class TestSendAhead:
         assert gateway.call_counts == alone.call_counts
         assert gateway.memo_hits == alone.memo_hits
 
+    @settings(max_examples=80, deadline=None)
+    @given(picks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                          min_size=1, max_size=6),
+           n=st.integers(1, 4), h=st.integers(2, 4), b=st.integers(1, 3),
+           updates=st.booleans())
+    def test_hand_off_matches_one_claim_at_a_time(self, picks, n, h, b,
+                                                  updates):
+        """Items drawn with repeats, their ids from a pool of three, so two
+        items may share a claim, an id or both; the claim run ahead must be
+        the one whose search it finishes."""
+        table, pool = tabled_world(2, 2)
+        items = [dataclasses.replace(pool[k], id=f"item-{j}")
+                 for k, j in picks]
+        config = small_config(n=n, h=h, b=b)
+        gateway = Gateway(RuleBasedOracle(table))
+        record, _, _ = run_detection(items, KnowledgeGraph(), config, gateway,
+                                     updates=updates)
+        gateway.close()
+        alone = Gateway(RuleBasedOracle(table))
+        results, kg_after = one_claim_at_a_time(items, KnowledgeGraph(),
+                                                config, alone, updates)
+        alone.close()
+        assert [r.as_record() for r in record.results] == results
+        assert record.kg_after == kg_after
+        assert gateway.call_counts == alone.call_counts
+        assert gateway.memo_hits == alone.memo_hits
+
     def test_single_iteration_sends_no_verdict_rider(self):
         _, items = tabled_world(3, 3)
         record, gateway, log = self._run(items, small_config(n=1, b=2))
@@ -563,29 +592,35 @@ class TestSendAhead:
             events.append(("sent", req.context.get("claim")))
             return oracle.generate(req, prompt)
 
-        start, search = SearchEngine.start, SearchEngine.search
+        begin, search = SearchEngine.search_steps, SearchEngine.search
+        handed = []
 
-        def started(engine, claim, graph, claim_id=""):
-            events.append(("start", claim_id))
-            return start(engine, claim, graph, claim_id)
+        def begun(engine, claim, graph, claim_id=""):
+            events.append(("begin", claim_id))
+            return begin(engine, claim, graph, claim_id)
 
-        def marked(engine, claim, graph, claim_id=""):
+        def marked(engine, claim, graph, claim_id="", **kwargs):
             events.append(("search", claim_id))
-            return search(engine, claim, graph, claim_id)
+            handed.append(kwargs.get("begun") is not None)
+            return search(engine, claim, graph, claim_id, **kwargs)
 
         gateway = Gateway(ScriptedBackend(reply))
-        with mock.patch.object(SearchEngine, "start", started), \
+        with mock.patch.object(SearchEngine, "search_steps", begun), \
                 mock.patch.object(SearchEngine, "search", marked):
             run_detection(items, KnowledgeGraph(), small_config(), gateway,
                           updates=False)
         gateway.close()
-        # The first claim begins before the loop, and each later claim just
-        # before the search of the claim ahead of it.
-        marks = [event for event in events if event[0] != "sent"]
-        assert marks == [("start", items[0].id), ("start", items[1].id)] + [
-            event for i, item in enumerate(items)
-            for event in [("search", item.id)] + (
-                [("start", items[i + 2].id)] if i + 2 < len(items) else [])]
+        # The first claim begins in its own search call, and each later
+        # claim just before the search of the claim ahead of it, which
+        # hands that begun search to the claim's own call.
+        expected = [("begin", items[1].id), ("search", items[0].id),
+                    ("begin", items[0].id)]
+        for i in range(1, len(items)):
+            if i + 1 < len(items):
+                expected.append(("begin", items[i + 1].id))
+            expected.append(("search", items[i].id))
+        assert [event for event in events if event[0] != "sent"] == expected
+        assert handed == [False] + [True] * (len(items) - 1)
         # Once the last claim is searched, nothing else rides along.
         last = events.index(("search", items[-1].id))
         assert {claim for kind, claim in events[last:] if kind == "sent"} \
@@ -662,9 +697,9 @@ class TestSendAhead:
 
         search = SearchEngine.search
 
-        def marked(engine, claim, graph, claim_id=""):
+        def marked(engine, claim, graph, claim_id="", **kwargs):
             searching.append(claim_id)
-            return search(engine, claim, graph, claim_id)
+            return search(engine, claim, graph, claim_id, **kwargs)
 
         gateway = Gateway(ScriptedBackend(reply), max_retries=0)
         with mock.patch.object(SearchEngine, "search", marked):
@@ -844,9 +879,9 @@ class FaultyOracle:
         self.ids = {item.claim: item.id for item in items}
         search = SearchEngine.search
 
-        def tracked(engine, claim, graph, claim_id=""):
+        def tracked(engine, claim, graph, claim_id="", **kwargs):
             self.claim = claim_id
-            return search(engine, claim, graph, claim_id)
+            return search(engine, claim, graph, claim_id, **kwargs)
 
         with mock.patch.object(SearchEngine, "search", tracked):
             yield
