@@ -58,21 +58,23 @@ class LLMResponse:
 
 
 @functools.cache
-def _template(kind: PromptKind) -> tuple[str, tuple[str, ...]]:
-    """The kind's template text and its ``{name}`` slots, in order."""
+def _template(kind: PromptKind) -> tuple[str, tuple[str, ...], re.Pattern]:
+    """The kind's template text, its ``{name}`` slots in order, and one
+    pattern matching any of them."""
     ref = resources.files("verity.templates").joinpath(kind.value + ".txt")
     text = ref.read_text(encoding="utf-8")
-    return text, tuple(dict.fromkeys(re.findall(r"\{(\w+)\}", text)))
+    slots = tuple(dict.fromkeys(re.findall(r"\{(\w+)\}", text)))
+    pattern = re.compile("|".join(re.escape("{" + s + "}") for s in slots))
+    return text, slots, pattern
 
 
 def render_prompt(req: LLMRequest) -> str:
     """Pure function of (kind, context, template); raises on missing slots."""
-    text, slots = _template(req.kind)
+    text, slots, pattern = _template(req.kind)
     for slot in slots:
         if slot not in req.context:
             raise ValidationError(f"{req.kind.value} request missing slot '{slot}'")
     # Single pass so slot values containing brace patterns stay inert.
-    pattern = re.compile("|".join(re.escape("{" + s + "}") for s in slots))
     return pattern.sub(lambda m: req.context[m.group(0)[1:-1]], text)
 
 

@@ -5,6 +5,9 @@ verdict (A3). A2 only follows A1; A3 only follows the root or A2. Each
 search iteration is one select -> expand -> back-propagate round; leaves
 register reasoning paths, rewards follow the majority of completed-path
 verdicts, and the final verdict is a majority vote with ties broken to Fake.
+The last iteration expands its node only if that expansion can complete a
+path (an A3, or an A2 at the height limit); otherwise the search ends, since
+nothing would ever read the children it added.
 
 The search and its expansions are step generators (see
 :func:`verity.gateway.drive`): they yield the requests each step needs and
@@ -144,6 +147,15 @@ def legal_actions(tree: SearchTree, node: SearchNode) -> list[ActionKind]:
     if node.depth == tree.config.h - 1:
         return [ActionKind.A3]
     return [ActionKind.A1, ActionKind.A3]
+
+
+def completes_path(tree: SearchTree, node: SearchNode) -> bool:
+    """Whether expanding ``node``'s first pending action can complete a
+    path in that same expansion: an A3 always can, and an A2 only at the
+    height limit, where its children take the forced verdict."""
+    action = node.pending[0]
+    return action == ActionKind.A3 or (
+        action == ActionKind.A2 and node.depth + 1 == tree.config.h)
 
 
 def uct_score(q: float, v: int, v_parent: int, alpha: float) -> float:
@@ -328,28 +340,30 @@ class SearchEngine:
                      claim_id: str = "") -> Steps:
         """``search`` as a step generator.
 
-        Its first step holds the root's ``b`` sub-questions and, when the
-        search runs more than one iteration, the root's evidence-free
-        verdict: both read only the claim and the seed. The first iteration
-        always expands the root's A1 with those sub-questions' answers, and
-        the root's A3, whenever it comes, takes that verdict.
+        Its first step holds the root's ``b`` sub-questions and the root's
+        evidence-free verdict: both read only the claim and the seed. The
+        first iteration always expands the root's A1 with those
+        sub-questions' answers, and the root's A3, whenever it comes, takes
+        that verdict. The last iteration expands only a node whose
+        expansion can complete a path (``completes_path``): children added
+        there would never be expanded, and no verdict, path or update reads
+        them. So a search with ``n`` = 1 sends nothing.
         """
         if not claim.strip():
             raise ValidationError("claim must be non-empty")
         tree = SearchTree(claim, self.config)
         rng = self._rng_for(claim_id or claim)
-        b, transcript = self.config.b, _render_transcript([])
-        opening = self._subquestion_requests(claim, transcript)
-        if self.config.n > 1:
-            opening.append(self._verdict_request(claim, transcript))
-        resps = yield opening
-        early = {ActionKind.A1: resps[:b]}
-        if self.config.n > 1:
-            early[ActionKind.A3] = resps[b:]
-        for _ in range(self.config.n):
+        early: dict[ActionKind, list[LLMResponse]] = {}
+        for i in range(self.config.n):
             node = select(tree, rng)
-            if node is None:
+            if node is None or (i == self.config.n - 1
+                                and not completes_path(tree, node)):
                 break
+            if i == 0:
+                transcript = _render_transcript([])
+                resps = yield self._subquestion_requests(claim, transcript) \
+                    + [self._verdict_request(claim, transcript)]
+                early = {ActionKind.A1: resps[:-1], ActionKind.A3: resps[-1:]}
             answers = early.pop(node.pending[0], None) \
                 if node is tree.root else None
             yield from self.expand(tree, node, graph, answers)

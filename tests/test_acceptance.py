@@ -12,7 +12,7 @@ from verity.gateway import Gateway, RecordingBackend, ReplayBackend
 from verity.kg_store import KnowledgeGraph, make_triple
 from verity.knowledge_update import apply_update
 from verity.mcts import (ActionKind, EngineConfig, SearchEngine, path_reward,
-                         select, uct_score)
+                         select)
 from verity.metrics import compute_metrics
 from verity.oracle import RuleBasedOracle
 from verity.run import run_detection, run_sequential

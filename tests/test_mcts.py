@@ -1,8 +1,11 @@
+import hashlib
 import math
 import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synth import BatchLog, tabled_world
 from verity.dataset import NewsItem
@@ -11,9 +14,10 @@ from verity.gateway import (Gateway, PromptKind, ScriptedBackend, drive,
                             request_hash)
 from verity.kg_store import KnowledgeGraph
 from verity.mcts import (ActionKind, EngineConfig, ReasoningPath, SearchEngine,
-                         SearchTree, backpropagate, legal_actions,
-                         majority_verdict, path_reward, select, uct_score)
-from verity.oracle import FactTable, RuleBasedOracle
+                         SearchTree, backpropagate, completes_path,
+                         legal_actions, majority_verdict, path_reward,
+                         paths_digest, select, uct_score)
+from verity.oracle import RuleBasedOracle
 from verity.run import run_detection
 from verity.verdict import Verdict
 
@@ -72,6 +76,24 @@ class TestLegalActions:
         a2b = tree3.add_child(a1b, ActionKind.A2, "a")
         assert a2b.depth == 2
         assert legal_actions(tree3, a2b) == [ActionKind.A3]
+
+    def test_completes_path(self):
+        """An A3 and the A2 whose children take the forced verdict complete
+        a path; an A1 and an A2 above the height limit do not."""
+        tree = make_tree(h=4)
+        assert tree.root.pending[0] is ActionKind.A1
+        assert not completes_path(tree, tree.root)
+        a1 = tree.add_child(tree.root, ActionKind.A1, "q")
+        assert not completes_path(tree, a1)
+        assert tree.root.pending == [ActionKind.A3]
+        assert completes_path(tree, tree.root)
+        a2 = tree.add_child(a1, ActionKind.A2, "a")
+        assert not completes_path(tree, a2)
+        last_a1 = tree.add_child(a2, ActionKind.A1, "q")
+        assert last_a1.depth + 1 == tree.config.h
+        assert completes_path(tree, last_a1)
+        assert a2.pending == [ActionKind.A3]
+        assert completes_path(tree, a2)
 
 
 class TestUctScore:
@@ -368,6 +390,52 @@ class TestSearch:
         assert gateway.round_trips < len(batches)
 
 
+class TestLastIteration:
+    """The last iteration expands only a node that can complete a path."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 6), h=st.integers(2, 6), b=st.integers(1, 3),
+           seed=st.integers(0, 2**16), pick=st.integers(0, 5),
+           salt=st.integers(0, 2**32), percent=st.integers(0, 40))
+    def test_skipping_changes_no_output(self, n, h, b, seed, pick, salt,
+                                        percent):
+        """Against the search that expands every last node, as it did
+        before the rule: the same verdict, paths and digest, and no more
+        backend calls. ``percent`` of the asks, chosen by a hash of the
+        salt, the request and how often it was asked, get garbage."""
+        table, items = tabled_world(3, 3)
+        item = items[pick]
+        oracle = RuleBasedOracle(table)
+
+        def run():
+            asked: dict[str, int] = {}
+
+            def reply(req, prompt):
+                key = request_hash(req, prompt)
+                asked[key] = asked.get(key, -1) + 1
+                draw = hashlib.sha256(
+                    f"{salt}:{key}:{asked[key]}".encode()).digest()
+                if draw[0] * 100 < percent * 256:
+                    return " \n "
+                return oracle.generate(req, prompt)
+
+            gateway = Gateway(ScriptedBackend(reply))
+            engine = SearchEngine(gateway, EngineConfig(n=n, h=h, b=b,
+                                                        seed=seed))
+            verdict, paths, tree = engine.search(item.claim, KnowledgeGraph(),
+                                                 claim_id=item.id)
+            gateway.close()
+            structural_check(tree, engine.config)
+            return (verdict, [(p.steps, p.verdict, p.node_ids) for p in paths],
+                    paths_digest(paths)), sum(gateway.call_counts.values())
+
+        shipped, calls = run()
+        with mock.patch("verity.mcts.completes_path", lambda tree, node: True):
+            forced, forced_calls = run()
+        assert shipped == forced
+        assert calls <= forced_calls
+
+
 class TestExpand:
     """Only A1 requests carry a branch; A2 and A3 children share one answer."""
 
@@ -501,14 +569,14 @@ class TestRootVerdictLookahead:
     # digest, which are those of a run that sends nothing ahead and asks
     # each request when a step needs it.
     @pytest.mark.parametrize("config, round_trips, calls, memo_hits, digest", [
-        (EngineConfig(), 2.7,
-         {PromptKind.EXTRACT_ENTITIES: 63, PromptKind.GENERATE_SUBQUESTION: 200,
-          PromptKind.ANSWER_SUBQUESTION: 63, PromptKind.FINAL_VERDICT: 57},
-         60, "754eec37d5421d71ef408750ae08cf9172aceae0c45cd678446ee95c930e500f"),
+        (EngineConfig(), 2.26,
+         {PromptKind.EXTRACT_ENTITIES: 60, PromptKind.GENERATE_SUBQUESTION: 152,
+          PromptKind.ANSWER_SUBQUESTION: 60, PromptKind.FINAL_VERDICT: 57},
+         28, "754eec37d5421d71ef408750ae08cf9172aceae0c45cd678446ee95c930e500f"),
         (EngineConfig(n=20, h=9, b=3), 5.04,
          {PromptKind.EXTRACT_ENTITIES: 75, PromptKind.GENERATE_SUBQUESTION: 375,
           PromptKind.ANSWER_SUBQUESTION: 75, PromptKind.FINAL_VERDICT: 125},
-         1440, "bf021130c4b19ce0ae20361ba638d43494ba0bb4632b8f9827e00e1ec07c0e68"),
+         1410, "bf021130c4b19ce0ae20361ba638d43494ba0bb4632b8f9827e00e1ec07c0e68"),
     ], ids=["defaults", "n20-h9-b3"])
     def test_one_round_trip_fewer_same_calls(self, config, round_trips, calls,
                                              memo_hits, digest):
@@ -534,15 +602,18 @@ class TestRootVerdictLookahead:
         gateway.close()
 
     def test_single_iteration_asks_no_verdict(self):
+        """The one iteration is the root's A1, which completes no path, so
+        the search sends nothing."""
         table, items = tabled_world(3, 3)
         gateway = Gateway(RuleBasedOracle(table))
         engine = SearchEngine(gateway, EngineConfig(n=1))
         for item in items:
-            _, paths, tree = engine.search(item.claim, KnowledgeGraph(),
-                                           claim_id=item.id)
-            assert paths == []
-        assert gateway.call_counts[PromptKind.FINAL_VERDICT] == 0
-        assert gateway.call_counts[PromptKind.GENERATE_SUBQUESTION] == 12
+            verdict, paths, tree = engine.search(item.claim, KnowledgeGraph(),
+                                                 claim_id=item.id)
+            assert verdict is Verdict.FAKE and paths == []
+            assert [n.id for n in tree.nodes] == [0]
+        assert set(gateway.call_counts.values()) == {0}
+        assert gateway.round_trips == 0
 
     @pytest.mark.parametrize("failures", [2, 1000])
     def test_failed_root_subquestions_ask_verdict_once(self, failures):
@@ -583,7 +654,8 @@ class TestRootVerdictLookahead:
             assert all(p.verdict is Verdict.REAL for p in root_votes)
         else:
             assert tree.root.children == [] and paths == []
-            assert sent.count(PromptKind.GENERATE_SUBQUESTION) == 2 * 2 * 5
+            # Asked, with a retry, in every iteration but the last.
+            assert sent.count(PromptKind.GENERATE_SUBQUESTION) == 2 * 2 * 4
         structural_check(tree, config)
 
     def test_hard_subquestion_failure_keeps_its_error(self):

@@ -65,7 +65,7 @@ def records_digest(records):
 
 
 def small_config(**overrides):
-    params = dict(n=3, h=3, b=2, alpha=2.0, top_k=5, seed=0)
+    params = dict(n=4, h=3, b=2, alpha=2.0, top_k=5, seed=0)
     params.update(overrides)
     return EngineConfig(**params)
 
@@ -150,6 +150,7 @@ class TestRunDetection:
                                      gateway)
         gateway.close()
         assert record.exclusions == 0
+        assert PromptKind.ANSWER_SUBQUESTION in seeds
         assert seeds == {kind: {7} for kind in PromptKind}
 
     def test_hard_failure_excludes_claim(self):
@@ -574,14 +575,15 @@ class TestSendAhead:
     def test_single_iteration_sends_no_verdict_rider(self):
         _, items = tabled_world(3, 3)
         record, gateway, log = self._run(items, small_config(n=1, b=2))
-        # A claim that rode along needs no batch of its own, so every other
-        # claim sends its opening batch with the next one's behind it.
-        assert log.sizes == [4, 4, 4]
-        assert all(kinds == {PromptKind.GENERATE_SUBQUESTION}
-                   for kinds in log.batches)
-        assert gateway.call_counts[PromptKind.FINAL_VERDICT] == 0
-        assert gateway.call_counts[PromptKind.GENERATE_SUBQUESTION] == 12
+        # The one iteration would expand the root's A1, which completes no
+        # path, so no claim sends anything, ahead or in its own search.
+        assert log.sizes == []
+        assert gateway.round_trips == 0
+        assert set(gateway.call_counts.values()) == {0}
+        assert set(gateway.memo_hits.values()) == {0}
         assert record.exclusions == 0
+        assert [r.paths_digest for r in record.results] == \
+            [paths_digest([])] * len(items)
 
     def test_last_claim_sends_no_riders(self):
         table, items = tabled_world(3, 3)
@@ -629,8 +631,10 @@ class TestSendAhead:
     def test_riders_dropped_when_the_run_raises(self):
         table, items = tabled_world(3, 3)
         oracle = RuleBasedOracle(table)
+        sent = []
 
         def reply(req, prompt):
+            sent.append(req.kind)
             if req.kind is PromptKind.ANSWER_SUBQUESTION:
                 raise RuntimeError("backend bug")
             return oracle.generate(req, prompt)
@@ -638,6 +642,7 @@ class TestSendAhead:
         gateway = Gateway(ScriptedBackend(reply))
         with pytest.raises(RuntimeError, match="backend bug"):
             run_detection(items, KnowledgeGraph(), small_config(), gateway)
+        assert PromptKind.ANSWER_SUBQUESTION in sent
         # Claim 1's opening step rode along and was answered, counted and
         # memoized; the claim is dropped, and the gateway holds nothing
         # of it: asked again, the step is answered from the memo.
@@ -683,8 +688,10 @@ class TestSendAhead:
         questions = set()
         failed_during = []
         searching = []
+        sent = []
 
         def reply(req, prompt):
+            sent.append(req.kind)
             if req.kind is PromptKind.EXTRACT_ENTITIES and \
                     req.context["document"] in questions:
                 failed_during.append(searching[-1])
@@ -707,6 +714,7 @@ class TestSendAhead:
                                          small_config(), gateway,
                                          updates=updates)
         gateway.close()
+        assert PromptKind.ANSWER_SUBQUESTION in sent
         assert failed_during == [items[0].id]
         first, second = record.results
         alone = Gateway(oracle)
@@ -914,7 +922,7 @@ class FaultyOracle:
 
 
 class TestFaultInjection:
-    # One iteration asks no verdict, and two use the root's verdict, asked
+    # One iteration sends nothing, and two use the root's verdict, asked
     # in the first step, in the second.
     @settings(max_examples=60, deadline=None)
     @given(salt=st.integers(0, 2**32), percent=st.integers(0, 25),
