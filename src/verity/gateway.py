@@ -420,6 +420,10 @@ class Gateway:
             outcomes.append(future.result() if exc is None else exc)
         return outcomes
 
+    def declare_writes(self, keys: frozenset[str]) -> None:
+        """Note the entity keys the running update can still write; a
+        Gateway runs no claim ahead, so it has no use for them."""
+
     def complete(self, req: LLMRequest) -> LLMResponse:
         return self.complete_all([req])[0]
 
@@ -527,9 +531,21 @@ class Gateway:
 # its result. Whoever drives one owns the round-trips, so a driver can send
 # the steps of two generators in one batch.
 
-# Yielded just before a step generator reads the knowledge graph, which an
-# earlier claim's update may still change; the generator receives None.
-GRAPH_READ = object()
+
+@dataclass(frozen=True)
+class GraphRead:
+    """Yielded just before a step generator reads the triples about the
+    entity keys ``keys``, which an earlier claim's update may still add to;
+    the generator receives None."""
+    keys: frozenset[str]
+
+
+@dataclass(frozen=True)
+class GraphWrite:
+    """Yielded by an update once it knows every entity key that a triple it
+    may insert can have; the generator receives None."""
+    keys: frozenset[str]
+
 
 Steps = Generator[Any, Any, Any]
 
@@ -537,9 +553,9 @@ Steps = Generator[Any, Any, Any]
 class Stepper:
     """A step generator driven one step at a time.
 
-    ``step`` is what the generator waits on: a list of requests,
-    ``GRAPH_READ``, or None once it has ended, with its ``result`` or with
-    the ``error`` it raised.
+    ``step`` is what the generator waits on: a list of requests, a
+    ``GraphRead`` or ``GraphWrite``, or None once it has ended, with its
+    ``result`` or with the ``error`` it raised.
     """
 
     def __init__(self, steps: Steps):
@@ -552,7 +568,7 @@ class Stepper:
     @property
     def pending(self) -> Optional[list[LLMRequest]]:
         """The requests the generator waits on, if it waits on requests."""
-        return None if self.step is GRAPH_READ else self.step
+        return self.step if isinstance(self.step, list) else None
 
     def advance(self, outcome: Any) -> None:
         """Resume the generator with ``outcome``: the responses to its
@@ -572,14 +588,18 @@ class Stepper:
 
 def drive(steps: "Steps | Stepper", gateway: Gateway) -> Any:
     """Run ``steps`` to its result, asking ``gateway.complete_all`` for each
-    batch it yields; ``steps`` may be a ``Stepper`` part of the way through.
+    batch it yields and passing each ``GraphWrite`` to
+    ``gateway.declare_writes``; ``steps`` may be a ``Stepper`` part of the
+    way through.
 
     An error the generator does not catch is raised here.
     """
     walk = steps if isinstance(steps, Stepper) else Stepper(steps)
     while walk.step is not None:
         outcome: Any = None
-        if walk.pending is not None:
+        if isinstance(walk.step, GraphWrite):
+            gateway.declare_writes(walk.step.keys)
+        elif walk.pending is not None:
             try:
                 outcome = gateway.complete_all(walk.pending)
             except Exception as exc:

@@ -29,8 +29,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .errors import GatewayHardError, ValidationError
-from .gateway import (Gateway, LLMRequest, LLMResponse, PromptKind, Steps,
-                      drive)
+from .gateway import (Gateway, GraphWrite, LLMRequest, LLMResponse,
+                      PromptKind, Steps, drive)
 from .jsonl import write_lines
 from .kg_store import Entity, KnowledgeGraph, Triple
 
@@ -132,7 +132,13 @@ def entity_steps(doc: SourceDocument, seed: int = 0) -> Steps:
 
 
 def document_steps(doc: SourceDocument, seed: int = 0) -> Steps:
-    """``extract_document`` as a step generator, its requests at ``seed``."""
+    """``extract_document`` as a step generator, its requests at ``seed``.
+
+    Between its two waves it yields a ``GraphWrite`` of every extracted
+    entity key and both keys of every event triple: relations are kept
+    only between extracted entities, so every triple it returns has both
+    keys in that set.
+    """
     if not doc.body.strip():
         return [], 0
     chunks = _chunks(doc.body)
@@ -141,13 +147,15 @@ def document_steps(doc: SourceDocument, seed: int = 0) -> Steps:
         [PromptKind.EXTRACT_ENTITIES, PromptKind.EXTRACT_EVENT_TRIPLES], seed)
     entities = _parse_entities(entity_resps)
     event_triples, dropped = _parse_triples(doc, event_resps)
+    allowed = {e.key for e in entities}
+    yield GraphWrite(frozenset(allowed).union(
+        *((t.subject.key, t.object.key) for t in event_triples)))
     relations: list[Triple] = []
     if entities:
         [resps] = yield from _wave(
             chunks, [PromptKind.GENERATE_RELATIONS], seed,
             entities=", ".join(e.surface for e in entities))
         found, malformed = _parse_triples(doc, resps)
-        allowed = {e.key for e in entities}
         relations = [t for t in found if t.subject.key in allowed
                      and t.object.key in allowed]
         rel_dropped = malformed + len(found) - len(relations)

@@ -12,10 +12,11 @@ nothing would ever read the children it added.
 The search and its expansions are step generators (see
 :func:`verity.gateway.drive`): they yield the requests each step needs and
 hold no gateway. The first step holds the root's sub-questions and its
-evidence-free verdict, and an answer step yields ``GRAPH_READ`` before its
-retrieval reads the graph. ``SearchEngine.search`` drives one claim's
-steps through the engine's gateway; ``run_detection`` runs the next
-claim's first steps ahead, up to that first graph read, and hands the
+evidence-free verdict, and an answer step yields a ``GraphRead`` of its
+question's entity keys before its retrieval reads the graph.
+``SearchEngine.search`` drives one claim's steps through the engine's
+gateway; ``run_detection`` runs the next claim's steps ahead, up to a
+graph read that the previous claim's update could change, and hands the
 begun search to that claim's ``search`` call.
 """
 

@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .gateway import (GRAPH_READ, Gateway, LLMRequest, PromptKind, Steps,
+from .gateway import (Gateway, GraphRead, LLMRequest, PromptKind, Steps,
                       drive)
 from .kg_builder import SourceDocument, entity_steps
 from .kg_store import KnowledgeGraph, Triple
@@ -52,15 +52,17 @@ def retrieval_steps(question: str, graph: KnowledgeGraph, k: int,
                     seed: int = 0) -> Steps:
     """``retrieve_context`` as a step generator, its requests at ``seed``.
 
-    It yields ``GRAPH_READ`` once it knows the question's entities, just
-    before it reads ``graph``.
+    Once it knows the question's entities, just before it reads ``graph``,
+    it yields a ``GraphRead`` of their keys: the read returns the triples
+    that have one of them as subject or object, so only an insert of such
+    a triple can change it.
     """
     if k < 1:
         raise ValidationError("retrieval cutoff K must be >= 1")
     entities = yield from entity_steps(SourceDocument("question", question),
                                        seed)
-    keys = {e.key for e in entities}
-    yield GRAPH_READ
+    keys = frozenset(e.key for e in entities)
+    yield GraphRead(keys)
     matched = graph.match_entities(keys)
     candidates = graph.one_hop_subgraph(matched)
     result = RetrievalResult(question, matched, candidates)

@@ -12,7 +12,7 @@ from typing import Any, Optional, Sequence
 
 from .dataset import NewsItem
 from .errors import GatewayHardError, ValidationError
-from .gateway import Gateway, LLMRequest, LLMResponse, Stepper
+from .gateway import Gateway, GraphRead, LLMRequest, LLMResponse, Stepper
 from .jsonl import write_lines
 from .kg_store import KnowledgeGraph
 from .knowledge_update import apply_update, extract_new_knowledge
@@ -81,25 +81,34 @@ class _ClaimAhead:
     """The gateway as the claim being decided uses it, with the next claim's
     search riding along.
 
-    It offers ``complete_all``, the one Gateway method ``drive`` calls. The
-    search held in ``ahead`` is the next claim's, begun by ``run_detection``
-    from ``SearchEngine.search_steps``. Each batch of the current claim
-    that reaches the backend also carries the step that search waits on
-    (``Gateway.complete_riding``), and a step of it that the memo answers
-    in full is answered at once. The search goes on that way until it
-    yields ``GRAPH_READ``, and waits there until ``run_detection`` passes
-    it to its own ``search`` call, made once the claims before it have
-    committed their updates. An error it meets stays with it
-    (``Stepper.error``) and is raised by that call, never by the batch that
-    carried it.
+    It offers ``complete_all`` and ``declare_writes``, the Gateway methods
+    ``drive`` calls. The search held in ``ahead`` is the next claim's, begun
+    by ``run_detection`` from ``SearchEngine.search_steps``. Each batch of
+    the current claim that reaches the backend also carries the step that
+    search waits on (``Gateway.complete_riding``), and a step of it that
+    the memo answers in full is answered at once. The search goes on that
+    way up to a ``GraphRead``. It passes the read once the current claim's
+    update has declared the keys it can write (``GraphWrite``) and none of
+    them is a key of the read, since no triple of that update can then
+    change what the read returns. Otherwise it waits there until
+    ``run_detection`` passes it to its own ``search`` call, made once the
+    claims before it have committed their updates. An error it meets stays
+    with it (``Stepper.error``) and is raised by that call, never by the
+    batch that carried it.
     """
 
     def __init__(self, gateway: Gateway):
         self.gateway = gateway
         self.ahead: Optional[Stepper] = None
+        # The keys the current claim's update can write, once declared.
+        self.writes: Optional[frozenset[str]] = None
 
     def run_ahead(self, walk: Optional[Stepper]) -> None:
-        self.ahead = walk
+        self.ahead, self.writes = walk, None
+        self._advance(None)
+
+    def declare_writes(self, keys: frozenset[str]) -> None:
+        self.writes = keys
         self._advance(None)
 
     def complete_all(self, reqs: Sequence[LLMRequest]) -> list[LLMResponse]:
@@ -111,16 +120,27 @@ class _ClaimAhead:
         return outcome
 
     def _advance(self, outcome: Any) -> None:
-        """Resume the search ahead with ``outcome``, if any, then answer its
-        steps from the memo while the memo holds them."""
-        while self.ahead is not None:
-            if outcome is not None:
-                self.ahead.advance(outcome)
-            if self.ahead.pending is None:
+        """Resume the search ahead with ``outcome``, if any, then pass the
+        reads it may pass and answer its steps from the memo while the memo
+        holds them."""
+        walk = self.ahead
+        if walk is None:
+            return
+        if outcome is not None:
+            walk.advance(outcome)
+        while True:
+            if isinstance(walk.step, GraphRead):
+                if self.writes is None or not walk.step.keys.isdisjoint(
+                        self.writes):
+                    return
+                outcome = None
+            elif walk.pending is not None:
+                _, outcome = self.gateway.complete_riding((), walk.pending)
+                if outcome is None:
+                    return
+            else:
                 return
-            _, outcome = self.gateway.complete_riding((), self.ahead.pending)
-            if outcome is None:
-                return
+            walk.advance(outcome)
 
 
 def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
@@ -137,12 +157,16 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
     runs ahead. Before claim i's search, the run begins claim i+1's
     (``SearchEngine.search_steps``), and every backend batch of claim i, in
     its search or in its update, also carries the step claim i+1's search
-    waits on. Claim i+1 goes no further than its first graph read, so it
-    reads the graph only after claim i's update, when the run hands the
-    begun search to claim i+1's ``search`` call. That takes its opening
-    step, the root's sub-questions and verdict, and its first
-    question-entity step off its own round-trips. Records, graphs, calls
-    and memo hits are those of a run that searches one claim at a time, and
+    waits on. Claim i+1 stops at each graph read. It passes one during
+    claim i's update only when the keys that update declared it can write
+    and the keys of the read have none in common (``_ClaimAhead``), so no
+    triple of claim i can change what it reads. Otherwise it reads the
+    graph only after claim i's update, when the run hands the begun search
+    to claim i+1's ``search`` call. That takes its opening step, the root's
+    sub-questions and verdict, and its first question-entity step off its
+    own round-trips, and, past a read, its ranking or answer step too.
+    Records, graphs, calls and memo hits are those of a run that searches
+    one claim at a time, and
     an error of the claim ahead ends that claim, at its own step. On
     failure paths the run differs from one that takes a claim at a time in
     these ways:

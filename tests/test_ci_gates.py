@@ -69,6 +69,8 @@ def test_tracer_resolves_every_target(monkeypatch):
 
 # Runs subset 1 with updates on an empty graph, saves it, reloads it and
 # runs subset 2, which only the carried knowledge decides, with updates on.
+# It prints the record digests, the graph's size, the Real verdicts and the
+# backend round-trips, so that the schedule must match as well.
 _CARRYOVER_RUN = """
 import sys
 from synth import carryover_world
@@ -88,7 +90,7 @@ carried, _, final = run_detection(
     subset2, KnowledgeGraph.load(sys.argv[1]), config, gateway)
 final.save(sys.argv[1])
 real = sum(r.verdict == Verdict.REAL for r in carried.results)
-print(first.digest(), carried.digest(), len(final), real)
+print(first.digest(), carried.digest(), len(final), real, gateway.round_trips)
 """
 
 
@@ -104,9 +106,9 @@ def test_outputs_do_not_depend_on_hash_seed(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((proc.stdout, graph.read_bytes()))
     assert outputs[0] == outputs[1]
-    triples, real = map(int, outputs[0][0].split()[2:])
+    triples, real, round_trips = map(int, outputs[0][0].split()[2:])
     # Updates wrote the graph, and subset 2 was decided from what they wrote.
-    assert triples > 0 and real == 4
+    assert triples > 0 and real == 4 and round_trips > 0
 
 
 def test_search_is_called_once_per_claim_in_order():

@@ -10,7 +10,7 @@ import pytest
 from synth import tabled_world
 from verity.errors import (FormatError, GatewayHardError, ReplayMissError,
                            TransportError, ValidationError)
-from verity.gateway import (GRAPH_READ, MAX_IN_FLIGHT, Gateway,
+from verity.gateway import (MAX_IN_FLIGHT, Gateway, GraphRead, GraphWrite,
                             HttpChatBackend, LLMRequest, PromptKind,
                             RecordingBackend, ReplayBackend, ScriptedBackend,
                             Stepper, drive, parse_entities, parse_ranking,
@@ -741,14 +741,22 @@ class TestDrive:
 
     def test_graph_read_sends_nothing(self):
         def steps():
-            got = yield GRAPH_READ
+            read = yield GraphRead(frozenset({"alpha"}))
+            write = yield GraphWrite(frozenset({"beta"}))
             [resp] = yield [_subquestion(0)]
-            return got, resp.parsed
+            return read, write, resp.parsed
 
         gw = Gateway(ScriptedBackend(_echo_branch))
-        assert drive(steps(), gw) == (None, "Q0 of c?")
+        declared = []
+        gw.declare_writes = declared.append
+        walk = Stepper(steps())
+        assert walk.step == GraphRead(frozenset({"alpha"}))
+        assert walk.pending is None
+        assert drive(walk, gw) == (None, None, "Q0 of c?")
         gw.close()
         assert gw.round_trips == 1
+        # drive passes the declaration to its gateway, and only that.
+        assert declared == [frozenset({"beta"})]
 
     def test_a_stepper_part_way_through_is_finished(self):
         asked = []

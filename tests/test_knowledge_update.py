@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from verity.gateway import Gateway, PromptKind, ScriptedBackend
+from verity.gateway import Gateway, PromptKind, ScriptedBackend, drive
+from verity.kg_builder import SourceDocument, document_steps
 from verity.kg_store import KnowledgeGraph, make_triple
 from verity.knowledge_update import apply_update, extract_new_knowledge
 from verity.mcts import ActionKind, ReasoningPath
@@ -109,3 +112,57 @@ class TestApplyUpdate:
 
         with pytest.raises(RuntimeError, match="index corrupted"):
             apply_update(BrokenGraph(), [make_triple("a", "r", "b")])
+
+
+# One name written several ways, other names, and text that is no name.
+NAMES = ("Alpha", " alpha ", "ALPHA", "al\tpha", "Alpha  Camp", "alpha camp",
+         "Beta", "beta.", "", "  ", "-", "()", "|")
+name = st.sampled_from(NAMES) | st.text(max_size=6)
+entity_line = name | st.sampled_from(("- Alpha", "1. beta", "* ", "•",
+                                      "(Alpha | met | Beta)"))
+triple_line = st.one_of(
+    st.builds("({} | {} | {})".format, name,
+              st.sampled_from(("met", " served in ", "")), name),
+    st.sampled_from(("(Alpha | met)", "Alpha | met | Beta", "(|||)", "()",
+                     "(Alpha | met | Beta | Gamma)")),
+    st.text(max_size=12))
+
+
+def lines(strategy):
+    return st.lists(strategy, max_size=6).map("\n".join)
+
+
+class TestWriteDeclaration:
+    @settings(max_examples=150, deadline=None)
+    @given(entities=lines(entity_line), events=lines(triple_line),
+           relations=lines(triple_line), chunks=st.integers(1, 2),
+           seeded=st.lists(st.tuples(name, name), max_size=4))
+    def test_declared_keys_cover_every_write(self, entities, events,
+                                             relations, chunks, seeded):
+        """Whatever the model answers, every triple a document's extraction
+        returns, and every triple the update then inserts, has both keys
+        among those the extraction declared between its two waves."""
+        answers = {PromptKind.EXTRACT_ENTITIES: entities,
+                   PromptKind.EXTRACT_EVENT_TRIPLES: events,
+                   PromptKind.GENERATE_RELATIONS: relations}
+        gateway = Gateway(ScriptedBackend(
+            lambda req, prompt: answers[req.kind]))
+        declared = []
+        gateway.declare_writes = declared.append
+        # Two chunks once the body passes kg_builder.CHUNK_CHARS.
+        body = "Alpha met Beta. " * (1 if chunks == 1 else 300)
+        triples, _ = drive(document_steps(SourceDocument("doc", body)),
+                           gateway)
+        gateway.close()
+        [keys] = declared
+        for t in triples:
+            assert {t.subject.key, t.object.key} <= keys
+        graph = KnowledgeGraph()
+        for s, o in seeded:
+            if s.strip() and o.strip():
+                graph.add(s, "knows", o, "seed")
+        before = len(graph)
+        stats = apply_update(graph, triples, claim_id="claim")
+        assert len(graph) == before + stats.added
+        for t in graph.triples[before:]:
+            assert {t.subject.key, t.object.key} <= keys
