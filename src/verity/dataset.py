@@ -2,11 +2,11 @@
 
 One JSON object per line with fields id (a string or an integer; the line
 number names an item without one), claim, label (optional), evidence
-(optional list) and group (optional). Labels may use any of the native,
-HoVer or FEVEROUS tokens. An evidence entry is a sentence text or a dict
-with its ``text``; an item whose evidence holds a dict typed other than
-``"sentence"`` (a FEVEROUS table or cell) is dropped, with the drop count
-reported.
+(optional list; missing or null means none) and group (optional). Labels
+may use any of the native, HoVer or FEVEROUS tokens. An evidence entry is
+a sentence text or a dict whose ``text`` is a string; an item whose
+evidence holds a dict typed other than ``"sentence"`` (a FEVEROUS table or
+cell) is dropped, with the drop count reported.
 """
 
 from __future__ import annotations
@@ -56,15 +56,25 @@ class DatasetSplit:
 
 
 def _sentence_evidence(raw_evidence) -> tuple[list[str], bool]:
-    """Normalize one record's evidence; False means non-sentence evidence."""
+    """Normalize one record's evidence; False means non-sentence evidence.
+
+    Raises ``TypeError`` if the evidence is not a list or an entry's
+    ``text`` is not a string.
+    """
+    if raw_evidence is None:
+        return [], True
+    if not isinstance(raw_evidence, list):
+        raise TypeError("evidence must be a list")
     sentences: list[str] = []
-    for item in raw_evidence or []:
+    for item in raw_evidence:
         if isinstance(item, str):
             sentences.append(item)
         elif isinstance(item, dict):
             if item.get("type", "sentence") != "sentence":
                 return [], False
             text = item.get("text", "")
+            if not isinstance(text, str):
+                raise TypeError("evidence text must be a string")
             if text:
                 sentences.append(text)
         else:

@@ -333,7 +333,7 @@ class Gateway:
     thread, in request order. A Gateway therefore serves one calling thread
     at a time. ``min_interval`` spaces backend calls across all threads.
     ``complete_riding`` lets a second caller's step ride along with a
-    batch, in the same backend round-trip.
+    batch that reaches the backend, in the same round-trip.
 
     ``call_counts`` counts calls that reached the backend, by kind;
     ``memo_hits`` counts answers served from the memo; ``round_trips``
@@ -448,23 +448,22 @@ class Gateway:
         """The outcomes of ``reqs`` and of ``rider``, a later step that rides
         along with them.
 
-        The rider is answered when the memo holds all of its answers, or
-        when ``reqs`` misses the memo and shares none of the rider's misses:
-        then those misses go to the backend in the same batch, after the
-        misses of ``reqs``. An outcome is the step's responses in order, or
-        the first error in request order among its calls; it is returned,
-        never raised. The rider's outcome is None when it was not answered,
-        and then nothing of it was sent or counted. Each step is checked,
-        counted and memoized as ``complete_all`` would do it alone, so a
-        rider's error is its own and never the batch's.
+        The rider rides only when ``reqs`` misses the memo and none of
+        those misses is a request of the rider: then the rider's misses go
+        to the backend in the same batch, after the misses of ``reqs``, and
+        its memo hits are read from the memo. An outcome is the step's
+        responses in order, or the first error in request order among its
+        calls; it is returned, never raised. The rider's outcome is None
+        when it did not ride, and then nothing of it was sent or counted.
+        Each step is checked, counted and memoized as ``complete_all``
+        would do it alone, so a rider's error is its own and never the
+        batch's.
         """
         steps = [self._jobs(reqs)]
         if rider is not None:
             ride = self._jobs(rider)
-            misses = {key for _, _, key in ride if key not in self._memo}
-            own = {key for _, _, key in steps[0]}
-            if not misses or (misses.isdisjoint(own) and any(
-                    key not in self._memo for key in own)):
+            sends = {key for _, _, key in steps[0] if key not in self._memo}
+            if sends and sends.isdisjoint(key for _, _, key in ride):
                 steps.append(ride)
         outcomes = self._complete(steps)
         return outcomes[0], outcomes[1] if len(outcomes) > 1 else None

@@ -8,7 +8,7 @@ import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from .dataset import NewsItem
 from .errors import GatewayHardError, ValidationError
@@ -83,18 +83,20 @@ class _ClaimAhead:
 
     It offers ``complete_all`` and ``declare_writes``, the Gateway methods
     ``drive`` calls. The search held in ``ahead`` is the next claim's, begun
-    by ``run_detection`` from ``SearchEngine.search_steps``. Each batch of
-    the current claim that reaches the backend also carries the step that
-    search waits on (``Gateway.complete_riding``), and a step of it that
-    the memo answers in full is answered at once. The search goes on that
-    way up to a ``GraphRead``. It passes the read once the current claim's
-    update has declared the keys it can write (``GraphWrite``) and none of
-    them is a key of the read, since no triple of that update can then
-    change what the read returns. Otherwise it waits there until
-    ``run_detection`` passes it to its own ``search`` call, made once the
-    claims before it have committed their updates. An error it meets stays
-    with it (``Stepper.error``) and is raised by that call, never by the
-    batch that carried it.
+    by ``run_detection`` from ``SearchEngine.search_steps``, and it moves
+    only inside ``complete_all``, by at most a read and a step per batch of
+    the current claim.
+    First, if it waits at a ``GraphRead`` whose keys are disjoint from the
+    keys the current claim's update has declared it can write
+    (``GraphWrite``), it passes the read, since no triple of that update
+    can then change what the read returns. Then the step it waits on rides
+    with the batch (``Gateway.complete_riding``) if the batch reaches the
+    backend and shares none of that step's memo misses, and the search
+    takes the step's answers. Whatever it has not passed by the end of the
+    current claim it meets in its own ``search`` call, made once the claims
+    before it have committed their updates. An error it meets stays with it
+    (``Stepper.error``) and is raised by that call, never by the batch that
+    carried it.
     """
 
     def __init__(self, gateway: Gateway):
@@ -105,42 +107,23 @@ class _ClaimAhead:
 
     def run_ahead(self, walk: Optional[Stepper]) -> None:
         self.ahead, self.writes = walk, None
-        self._advance(None)
 
     def declare_writes(self, keys: frozenset[str]) -> None:
         self.writes = keys
-        self._advance(None)
 
     def complete_all(self, reqs: Sequence[LLMRequest]) -> list[LLMResponse]:
-        ahead = self.ahead.pending if self.ahead is not None else None
-        outcome, carried = self.gateway.complete_riding(reqs, ahead)
-        self._advance(carried)
+        walk = self.ahead
+        if (walk is not None and isinstance(walk.step, GraphRead)
+                and self.writes is not None
+                and walk.step.keys.isdisjoint(self.writes)):
+            walk.advance(None)
+        outcome, carried = self.gateway.complete_riding(
+            reqs, walk.pending if walk is not None else None)
+        if carried is not None:
+            walk.advance(carried)
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
-
-    def _advance(self, outcome: Any) -> None:
-        """Resume the search ahead with ``outcome``, if any, then pass the
-        reads it may pass and answer its steps from the memo while the memo
-        holds them."""
-        walk = self.ahead
-        if walk is None:
-            return
-        if outcome is not None:
-            walk.advance(outcome)
-        while True:
-            if isinstance(walk.step, GraphRead):
-                if self.writes is None or not walk.step.keys.isdisjoint(
-                        self.writes):
-                    return
-                outcome = None
-            elif walk.pending is not None:
-                _, outcome = self.gateway.complete_riding((), walk.pending)
-                if outcome is None:
-                    return
-            else:
-                return
-            walk.advance(outcome)
 
 
 def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
@@ -155,21 +138,21 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
 
     Each claim is searched, updated and committed in order, but one claim
     runs ahead. Before claim i's search, the run begins claim i+1's
-    (``SearchEngine.search_steps``), and every backend batch of claim i, in
-    its search or in its update, also carries the step claim i+1's search
-    waits on. Claim i+1 stops at each graph read. It passes one during
-    claim i's update only when the keys that update declared it can write
-    and the keys of the read have none in common (``_ClaimAhead``), so no
-    triple of claim i can change what it reads. Otherwise it reads the
-    graph only after claim i's update, when the run hands the begun search
-    to claim i+1's ``search`` call. That takes its opening step, the root's
+    (``SearchEngine.search_steps``), and a backend batch of claim i, in its
+    search or in its update, also carries the step claim i+1's search waits
+    on, unless that step asks a request the batch sends. Claim i+1 stops at
+    each graph read. It passes one at a batch of claim i's update only when
+    the keys that update declared it can write and the keys of the read
+    have none in common (``_ClaimAhead``), so no triple of claim i can
+    change what it reads. Otherwise it reads the graph only after claim
+    i's update, when the run hands the begun search to claim i+1's
+    ``search`` call. That takes its opening step, the root's
     sub-questions and verdict, and its first question-entity step off its
     own round-trips, and, past a read, its ranking or answer step too.
     Records, graphs, calls and memo hits are those of a run that searches
-    one claim at a time, and
-    an error of the claim ahead ends that claim, at its own step. On
-    failure paths the run differs from one that takes a claim at a time in
-    these ways:
+    one claim at a time, and an error of the claim ahead ends that claim,
+    at its own step. On failure paths the run differs from one that takes
+    a claim at a time in these ways:
 
     - The claim ahead's transport retries delay the claim whose batch
       carried them.

@@ -4,9 +4,12 @@ The traced benchmark pass wraps program functions by name, the hash-seed
 pass compares outputs under two ``PYTHONHASHSEED`` values, the claim clock
 times each claim from one search call to the next, and the pinned ``bigkg``
 output digest hashes a graph saved by copying its loaded file. All are
-cheap enough to check here on a small world.
+cheap enough to check here on a small world. The file also holds a lint
+gate that needs only the standard library: no module in ``src/`` or
+``tests/`` imports a name it never uses.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -226,3 +229,47 @@ def test_traced_run_reads_its_layers(monkeypatch, tmp_path):
             "retrieval.rank_fallbacks", "gateway.parse_failures")
     assert metrics["kg_store.one_hop_calls"] > 0
     assert {name: metrics[name] for name in dark} == dict.fromkeys(dark, 0)
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name ``source`` imports and never uses. A
+    ``from __future__`` import and a name listed in ``__all__`` count as
+    used."""
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import os, os.path as osp\n"
+              "from typing import Any, Optional\n"
+              "import json\n"
+              "from .x import exported\n"
+              "__all__ = ['exported']\n"
+              "def f(a: Optional[int]) -> None:\n"
+              "    os.getcwd()\n")
+    assert unused_imports(source) == [(2, "osp"), (3, "Any"), (4, "json")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for folder in ("src", "tests")
+             for path in sorted((ROOT / folder).rglob("*.py"))
+             for line, name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert found == []

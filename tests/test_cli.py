@@ -409,6 +409,18 @@ class TestIllTypedInput:
                      "--facts", str(facts), "--n", "3", "--height", "3"])
         self._assert_error(code, capsys, f"{dataset} line 2: ", "group")
 
+    def test_dataset_evidence_must_be_a_list(self, tmp_path, capsys):
+        facts, dataset, _ = TestDetect()._setup(tmp_path)
+        lines = dataset.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["evidence"] = "Anderson fought in Tunisia."
+        lines[1] = json.dumps(record)
+        dataset.write_text("\n".join(lines) + "\n")
+        code = main(["sequential-run", "--dataset", str(dataset),
+                     "--subsets", "2", "--backend", "oracle",
+                     "--facts", str(facts), "--n", "3", "--height", "3"])
+        self._assert_error(code, capsys, f"{dataset} line 2: ", "evidence")
+
     def test_fact_table_fields_must_be_lists(self, tmp_path, capsys):
         _, dataset, kg = TestDetect()._setup(tmp_path)
         facts = tmp_path / "facts.json"

@@ -99,6 +99,30 @@ class TestLoadDataset:
             load_dataset(str(path))
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("evidence, words", [
+        ("Anderson fought in Tunisia.", "evidence must be a list"),
+        ({"Anderson fought in Tunisia.": 1}, "evidence must be a list"),
+        ([{"text": 5}], "text must be a string"),
+        ([{"type": "sentence", "text": None}], "text must be a string"),
+        (["s1", {"text": ["s2"]}], "text must be a string"),
+    ], ids=["string", "dict", "int-text", "null-text", "list-text"])
+    def test_ill_typed_evidence_reports_line(self, tmp_path, evidence, words):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [{"id": "a", "claim": "c"},
+                           {"id": "b", "claim": "c", "evidence": evidence}])
+        with pytest.raises(FormatError, match=words) as err:
+            load_dataset(str(path))
+        assert err.value.line == 2
+
+    def test_missing_or_null_evidence_is_none(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [{"id": "a", "claim": "c"},
+                           {"id": "b", "claim": "c", "evidence": None},
+                           {"id": "c", "claim": "c", "evidence": []}])
+        report = load_dataset(str(path))
+        assert [i.evidence for i in report.items] == [[], [], []]
+        assert report.dropped == 0
+
     def test_missing_claim_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [{"id": "a"}])

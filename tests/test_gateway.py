@@ -644,21 +644,24 @@ class TestSendAhead:
                                           [_subquestion(1), _subquestion(2)])
         assert len(own) == 2 and carried is None
         assert jobs == [["c0", "c1"]]
-        # A rider the memo answers in full needs no batch that sends.
-        own, carried = gw.complete_riding((), [_subquestion(1),
-                                               _subquestion(0)])
-        assert own == [] and [r.parsed for r in carried] == \
-            ["Q1 of c?", "Q0 of c?"]
-        own, carried = gw.complete_riding((), [_subquestion(2)])
+        # A rider the memo holds in full is not answered on its own, nor
+        # with a batch the memo answers too; it rides with one that sends.
+        held = [_subquestion(1), _subquestion(0)]
+        own, carried = gw.complete_riding((), held)
         assert own == [] and carried is None
+        own, carried = gw.complete_riding([_subquestion(0)], held)
+        assert [r.parsed for r in own] == ["Q0 of c?"] and carried is None
+        own, carried = gw.complete_riding([_subquestion(2)], held)
+        assert [r.parsed for r in own] == ["Q2 of c?"]
+        assert [r.parsed for r in carried] == ["Q1 of c?", "Q0 of c?"]
         # A rider's requests must be distinct too.
         with pytest.raises(ValidationError, match="distinct"):
             gw.complete_riding([_subquestion(3)],
                                [_subquestion(4), _subquestion(4)])
         gw.close()
-        assert jobs == [["c0", "c1"]] and gw.round_trips == 1
-        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 2
-        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 2
+        assert jobs == [["c0", "c1"], ["c2"]] and gw.round_trips == 2
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
+        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 3
 
     def test_rider_error_waits_for_its_request(self):
         attempts = {}

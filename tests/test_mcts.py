@@ -563,27 +563,48 @@ class TestRootVerdictLookahead:
     """The root's A3 verdict is asked in the search's first step, with the
     root's sub-questions."""
 
-    # tabled_world(25, 25) on an empty graph without updates. The pins are
-    # the backend batches per claim of a run in which each claim's first
-    # steps ride with the claim before it, and the calls, memo hits and run
-    # digest, which are those of a run that sends nothing ahead and asks
-    # each request when a step needs it.
-    @pytest.mark.parametrize("config, round_trips, calls, memo_hits, digest", [
-        (EngineConfig(), 2.26,
-         {PromptKind.EXTRACT_ENTITIES: 60, PromptKind.GENERATE_SUBQUESTION: 152,
-          PromptKind.ANSWER_SUBQUESTION: 60, PromptKind.FINAL_VERDICT: 57},
-         28, "754eec37d5421d71ef408750ae08cf9172aceae0c45cd678446ee95c930e500f"),
-        (EngineConfig(n=20, h=9, b=3), 5.04,
-         {PromptKind.EXTRACT_ENTITIES: 75, PromptKind.GENERATE_SUBQUESTION: 375,
-          PromptKind.ANSWER_SUBQUESTION: 75, PromptKind.FINAL_VERDICT: 125},
-         1410, "bf021130c4b19ce0ae20361ba638d43494ba0bb4632b8f9827e00e1ec07c0e68"),
-    ], ids=["defaults", "n20-h9-b3"])
-    def test_one_round_trip_fewer_same_calls(self, config, round_trips, calls,
-                                             memo_hits, digest):
+    # tabled_world(25, 25) on an empty graph, with updates off and on. The
+    # pins are the backend batches per claim of a run in which each claim's
+    # first steps ride with the claim before it, and the calls, memo hits
+    # and run digest, which are those of a run that sends nothing ahead and
+    # asks each request when a step needs it.
+    @pytest.mark.parametrize(
+        "config, updates, round_trips, calls, memo_hits, digest", [
+            (EngineConfig(), False, 2.26,
+             {PromptKind.EXTRACT_ENTITIES: 60,
+              PromptKind.GENERATE_SUBQUESTION: 152,
+              PromptKind.ANSWER_SUBQUESTION: 60, PromptKind.FINAL_VERDICT: 57},
+             28, "754eec37d5421d71ef408750ae08cf9172aceae0c45cd678446ee95c930e500f"),
+            (EngineConfig(n=20, h=9, b=3), False, 5.04,
+             {PromptKind.EXTRACT_ENTITIES: 75,
+              PromptKind.GENERATE_SUBQUESTION: 375,
+              PromptKind.ANSWER_SUBQUESTION: 75,
+              PromptKind.FINAL_VERDICT: 125},
+             1410, "bf021130c4b19ce0ae20361ba638d43494ba0bb4632b8f9827e00e1ec07c0e68"),
+            (EngineConfig(), True, 2.78,
+             {PromptKind.EXTRACT_ENTITIES: 85,
+              PromptKind.GENERATE_RELATIONS: 25,
+              PromptKind.EXTRACT_EVENT_TRIPLES: 25,
+              PromptKind.GENERATE_SUBQUESTION: 152,
+              PromptKind.ANSWER_SUBQUESTION: 60, PromptKind.FINAL_VERDICT: 57},
+             28, "3517b2d806978da2b0be1a07eccd7c14a6227882053ee00b7f52a185abab9bf2"),
+            (EngineConfig(n=20, h=9, b=3), True, 5.54,
+             {PromptKind.EXTRACT_ENTITIES: 100,
+              PromptKind.GENERATE_RELATIONS: 25,
+              PromptKind.EXTRACT_EVENT_TRIPLES: 25,
+              PromptKind.GENERATE_SUBQUESTION: 375,
+              PromptKind.ANSWER_SUBQUESTION: 75,
+              PromptKind.FINAL_VERDICT: 125},
+             1410, "ecfa7ed5a649ca95fd07c38395eac06de44b706fc09a65fbada64da7c216b2b9"),
+        ], ids=["defaults", "n20-h9-b3", "defaults-updates",
+                "n20-h9-b3-updates"])
+    def test_one_round_trip_fewer_same_calls(self, config, updates,
+                                             round_trips, calls, memo_hits,
+                                             digest):
         table, items = tabled_world(25, 25)
         gateway = Gateway(RuleBasedOracle(table))
         record, _, _ = run_detection(items, KnowledgeGraph(), config, gateway,
-                                     updates=False)
+                                     updates=updates)
         gateway.close()
         assert gateway.round_trips / len(items) == pytest.approx(round_trips)
         assert {k: n for k, n in gateway.call_counts.items() if n} == calls

@@ -451,8 +451,8 @@ def opening_step(config, item):
 @contextlib.contextmanager
 def read_branches():
     """Count, at each write declaration that finds the claim ahead at a
-    graph read, whether the read is released (no key in common with the
-    declaration) or waits."""
+    graph read, whether the read is released at the update's next batch
+    (no key in common with the declaration) or waits."""
     seen = collections.Counter()
     declare = _ClaimAhead.declare_writes
 
@@ -599,8 +599,13 @@ class TestSendAhead:
                n=st.integers(1, 4), h=st.integers(2, 4), b=st.integers(1, 3),
                updates=st.booleans(), seeded=seed_triples)
         # Real claims about other entities, then a repeat, on a hub graph:
-        # one read passes and one waits.
+        # the read after real-0 passes.
         @example(picks=[(0, 0), (1, 1), (1, 2)], n=4, h=3, b=2, updates=True,
+                 seeded=[("Alpha0", "visited", "Town")] + [
+                     ("Alpha1", "visited", f"Town{j}") for j in range(6)])
+        # A repeat, then a Real claim about other entities, on the same
+        # graph: the repeat's read waits and the next one passes.
+        @example(picks=[(1, 0), (1, 1), (0, 2)], n=4, h=3, b=2, updates=True,
                  seeded=[("Alpha0", "visited", "Town")] + [
                      ("Alpha1", "visited", f"Town{j}") for j in range(6)])
         def check(picks, n, h, b, updates, seeded):
