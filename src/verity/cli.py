@@ -13,7 +13,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .dataset import load_dataset, split_subsets
+from .dataset import NewsItem, load_dataset, split_subsets
 from .errors import FormatError, VerityError
 from .gateway import (Gateway, HttpChatBackend, RecordingBackend,
                       ReplayBackend)
@@ -103,6 +103,15 @@ def _build_backend(args, config: dict):
 def _print_model_calls(gateway: Gateway) -> None:
     print(f"model calls: {sum(gateway.call_counts.values())} sent, "
           f"{sum(gateway.memo_hits.values())} served from memo")
+
+
+def _load_items(path: str) -> list[NewsItem]:
+    """The dataset's items; the items dropped are counted on stderr."""
+    report = load_dataset(path)
+    if report.dropped:
+        print(f"dropped {report.dropped} items with non-sentence evidence",
+              file=sys.stderr)
+    return report.items
 
 
 def _load_corpus(path: str) -> list[SourceDocument]:
@@ -203,15 +212,12 @@ def _cmd_build_kg(args) -> int:
 def _cmd_detect(args) -> int:
     config = _load_config(args.config)
     engine_config = _engine_config(args, config)
-    report = load_dataset(args.dataset)
-    if report.dropped:
-        print(f"dropped {report.dropped} items with non-sentence evidence",
-              file=sys.stderr)
+    items = _load_items(args.dataset)
     graph = KnowledgeGraph.load(args.kg)
     # Inputs are read before the backend starts a --record transcript.
     gateway = _build_backend(args, config)
     record, metrics, out_graph = run_detection(
-        report.items, graph, engine_config, gateway,
+        items, graph, engine_config, gateway,
         updates=args.updates == "on")
     if args.out:
         record.save(args.out)
@@ -241,8 +247,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sequential(args) -> int:
     config = _load_config(args.config)
     engine_config = _engine_config(args, config)
-    report = load_dataset(args.dataset)
-    split = split_subsets(report.items, args.subsets, seed=engine_config.seed)
+    split = split_subsets(_load_items(args.dataset), args.subsets,
+                          seed=engine_config.seed)
     gateway = _build_backend(args, config)
     base_graph, _ = build_graph(split.corpora[0], gateway)
     cells = run_sequential(split.subsets, base_graph, engine_config, gateway,
@@ -266,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (VerityError, FileNotFoundError) as exc:
+    except (VerityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,13 @@
 """Claim dataset loading, label normalization, and sequential-subset splits.
 
 One JSON object per line with fields id (a string or an integer; the line
-number names an item without one), claim, label (optional), evidence
-(optional list; missing or null means none) and group (optional). Labels
-may use any of the native, HoVer or FEVEROUS tokens. An evidence entry is
-a sentence text or a dict whose ``text`` is a string; an item whose
-evidence holds a dict typed other than ``"sentence"`` (a FEVEROUS table or
-cell) is dropped, with the drop count reported.
+number names an item without one), claim, label (optional string),
+evidence (optional list; missing or null means none) and group (optional).
+Labels may use any of the native, HoVer or FEVEROUS tokens. An evidence
+entry is a sentence text or an object; an item whose evidence holds an
+object typed other than ``"sentence"`` (a FEVEROUS table or cell) is
+dropped, with the drop count reported; any other object's ``text``, if
+given, must be a string.
 """
 
 from __future__ import annotations
@@ -58,28 +59,29 @@ class DatasetSplit:
 def _sentence_evidence(raw_evidence) -> tuple[list[str], bool]:
     """Normalize one record's evidence; False means non-sentence evidence.
 
-    Raises ``TypeError`` if the evidence is not a list or an entry's
-    ``text`` is not a string.
+    Raises ``TypeError`` if the evidence is not a list, an entry is neither
+    a string nor an object, or a sentence object's ``text`` is not a string.
     """
     if raw_evidence is None:
         return [], True
     if not isinstance(raw_evidence, list):
         raise TypeError("evidence must be a list")
     sentences: list[str] = []
+    sentence_only = True
     for item in raw_evidence:
         if isinstance(item, str):
             sentences.append(item)
-        elif isinstance(item, dict):
-            if item.get("type", "sentence") != "sentence":
-                return [], False
+        elif not isinstance(item, dict):
+            raise TypeError("evidence entries must be strings or objects")
+        elif item.get("type", "sentence") != "sentence":
+            sentence_only = False
+        else:
             text = item.get("text", "")
             if not isinstance(text, str):
                 raise TypeError("evidence text must be a string")
             if text:
                 sentences.append(text)
-        else:
-            return [], False
-    return sentences, True
+    return (sentences, True) if sentence_only else ([], False)
 
 
 def load_dataset(path: str) -> LoadReport:
@@ -95,10 +97,11 @@ def load_dataset(path: str) -> LoadReport:
         group = record.get("group")
         if group is not None and not isinstance(group, str):
             raise FormatError(path, lineno, "group must be a string")
+        label = record.get("label")
+        if label is not None and not isinstance(label, str):
+            raise FormatError(path, lineno, "label must be a string")
         try:
-            gold = None
-            if record.get("label") is not None:
-                gold = parse_label(str(record["label"]))
+            gold = parse_label(label) if label is not None else None
             evidence, ok = _sentence_evidence(record.get("evidence"))
         except (TypeError, ValueError) as exc:
             raise FormatError(path, lineno, str(exc)) from exc

@@ -332,8 +332,9 @@ class Gateway:
     transport retries; counting, the memo and parsing stay on the calling
     thread, in request order. A Gateway therefore serves one calling thread
     at a time. ``min_interval`` spaces backend calls across all threads.
-    ``complete_riding`` lets a second caller's step ride along with a
-    batch that reaches the backend, in the same round-trip.
+    Given a second caller's ``Stepper``, ``complete_all`` also sends the
+    step it waits on in the same round-trip, when the batch reaches the
+    backend and that step asks none of the batch's misses.
 
     ``call_counts`` counts calls that reached the backend, by kind;
     ``memo_hits`` counts answers served from the memo; ``round_trips``
@@ -427,7 +428,8 @@ class Gateway:
     def complete(self, req: LLMRequest) -> LLMResponse:
         return self.complete_all([req])[0]
 
-    def complete_all(self, reqs: Sequence[LLMRequest]) -> list[LLMResponse]:
+    def complete_all(self, reqs: Sequence[LLMRequest],
+                     ahead: Optional[Stepper] = None) -> list[LLMResponse]:
         """Responses to distinct ``reqs``, in order, backend calls overlapped.
 
         Against a deterministic backend this returns and counts what
@@ -436,37 +438,29 @@ class Gateway:
         several times asks once. If a backend call fails, the calls that
         succeeded are still counted and memoized, then the first failure in
         request order is raised.
-        """
-        outcome, _ = self.complete_riding(reqs)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
 
-    def complete_riding(self, reqs: Sequence[LLMRequest],
-                        rider: Optional[Sequence[LLMRequest]] = None,
-                        ) -> tuple[Any, Any]:
-        """The outcomes of ``reqs`` and of ``rider``, a later step that rides
-        along with them.
-
-        The rider rides only when ``reqs`` misses the memo and none of
-        those misses is a request of the rider: then the rider's misses go
-        to the backend in the same batch, after the misses of ``reqs``, and
-        its memo hits are read from the memo. An outcome is the step's
-        responses in order, or the first error in request order among its
-        calls; it is returned, never raised. The rider's outcome is None
-        when it did not ride, and then nothing of it was sent or counted.
-        Each step is checked, counted and memoized as ``complete_all``
-        would do it alone, so a rider's error is its own and never the
-        batch's.
+        ``ahead`` is a later caller's ``Stepper``. The step it waits on
+        rides along only when ``reqs`` misses the memo and none of those
+        misses is a request of the step: then the step's misses go to the
+        backend in the same batch, after those of ``reqs``, its memo hits
+        are read from the memo, and ``ahead`` is resumed with the step's
+        responses or its first error, before any error of ``reqs`` is
+        raised. Each step is checked, counted and memoized as it would be
+        alone, so neither receives the other's error. A step that does not
+        ride is left waiting, with nothing of it sent or counted.
         """
         steps = [self._jobs(reqs)]
-        if rider is not None:
-            ride = self._jobs(rider)
+        if ahead is not None and ahead.pending is not None:
+            ride = self._jobs(ahead.pending)
             sends = {key for _, _, key in steps[0] if key not in self._memo}
             if sends and sends.isdisjoint(key for _, _, key in ride):
                 steps.append(ride)
         outcomes = self._complete(steps)
-        return outcomes[0], outcomes[1] if len(outcomes) > 1 else None
+        if len(outcomes) > 1:
+            ahead.advance(outcomes[1])
+        if isinstance(outcomes[0], Exception):
+            raise outcomes[0]
+        return outcomes[0]
 
     @staticmethod
     def _jobs(reqs: Sequence[LLMRequest]) -> list[tuple[LLMRequest, str, str]]:

@@ -17,8 +17,8 @@ its claim is abandoned.
 
 The extractions are step generators (``entity_steps``, ``document_steps``;
 see :func:`verity.gateway.drive`), so retrieval and the knowledge update
-can run them inside a claim's own steps. ``extract_document`` and
-``build_graph`` drive them through a gateway.
+can run them inside a claim's own steps. ``build_graph`` drives
+``document_steps`` through a gateway.
 """
 
 from __future__ import annotations
@@ -132,12 +132,17 @@ def entity_steps(doc: SourceDocument, seed: int = 0) -> Steps:
 
 
 def document_steps(doc: SourceDocument, seed: int = 0) -> Steps:
-    """``extract_document`` as a step generator, its requests at ``seed``.
+    """A step generator that runs both extraction modes over one document,
+    its requests at ``seed``, and keeps each triple's first occurrence.
 
-    Between its two waves it yields a ``GraphWrite`` of every extracted
-    entity key and both keys of every event triple: relations are kept
-    only between extracted entities, so every triple it returns has both
-    keys in that set.
+    Two round-trips: entities and event triples for every chunk in one
+    batch, then the relations between the entities found in a second. It
+    returns the triples and a count of malformed lines and of relations
+    naming an entity outside that list, which are dropped. Between its
+    two waves it yields a ``GraphWrite`` of every extracted entity key and
+    both keys of every event triple: relations are kept only between
+    extracted entities, so every triple it returns has both keys in that
+    set.
     """
     if not doc.body.strip():
         return [], 0
@@ -169,18 +174,6 @@ def document_steps(doc: SourceDocument, seed: int = 0) -> Steps:
     return list(first.values()), dropped
 
 
-def extract_document(doc: SourceDocument,
-                     gateway: Gateway) -> tuple[list[Triple], int]:
-    """Run both extraction modes over one document; keep each triple's first.
-
-    Two round-trips: entities and event triples for every chunk in one
-    batch, then the relations between the entities found in a second. The
-    count returned is of malformed lines and of relations naming an entity
-    outside that list, which are dropped.
-    """
-    return drive(document_steps(doc), gateway)
-
-
 def build_graph(corpus: list[SourceDocument],
                 gateway: Gateway) -> tuple[KnowledgeGraph, BuildReport]:
     """Union of both extraction modes over all trusted documents, asked at
@@ -192,7 +185,7 @@ def build_graph(corpus: list[SourceDocument],
     report = BuildReport()
     for doc in corpus:
         try:
-            triples, dropped = extract_document(doc, gateway)
+            triples, dropped = drive(document_steps(doc), gateway)
         except GatewayHardError as exc:
             log.warning("skipping doc %s: %s", doc.id, exc)
             report.docs_failed.append(doc.id)

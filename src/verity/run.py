@@ -89,14 +89,14 @@ class _ClaimAhead:
     First, if it waits at a ``GraphRead`` whose keys are disjoint from the
     keys the current claim's update has declared it can write
     (``GraphWrite``), it passes the read, since no triple of that update
-    can then change what the read returns. Then the step it waits on rides
-    with the batch (``Gateway.complete_riding``) if the batch reaches the
-    backend and shares none of that step's memo misses, and the search
-    takes the step's answers. Whatever it has not passed by the end of the
-    current claim it meets in its own ``search`` call, made once the claims
-    before it have committed their updates. An error it meets stays with it
-    (``Stepper.error``) and is raised by that call, never by the batch that
-    carried it.
+    can then change what the read returns. Then the batch goes to
+    ``Gateway.complete_all`` with the search as its ``ahead``, where the
+    step the search waits on rides if the batch reaches the backend and
+    shares none of that step's memo misses. Whatever it has not passed by
+    the end of the current claim it meets in its own ``search`` call, made
+    once the claims before it have committed their updates. An error it
+    meets stays with it (``Stepper.error``) and is raised by that call,
+    never by the batch that carried it.
     """
 
     def __init__(self, gateway: Gateway):
@@ -117,13 +117,7 @@ class _ClaimAhead:
                 and self.writes is not None
                 and walk.step.keys.isdisjoint(self.writes)):
             walk.advance(None)
-        outcome, carried = self.gateway.complete_riding(
-            reqs, walk.pending if walk is not None else None)
-        if carried is not None:
-            walk.advance(carried)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        return self.gateway.complete_all(reqs, walk)
 
 
 def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
@@ -140,8 +134,10 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
     runs ahead. Before claim i's search, the run begins claim i+1's
     (``SearchEngine.search_steps``), and a backend batch of claim i, in its
     search or in its update, also carries the step claim i+1's search waits
-    on, unless that step asks a request the batch sends. Claim i+1 stops at
-    each graph read. It passes one at a batch of claim i's update only when
+    on, unless that step asks a request the batch sends
+    (``Gateway.complete_all``, given claim i+1's search as ``ahead``), and
+    resumes claim i+1 with that step's answers. Claim i+1 stops at each
+    graph read. It passes one at a batch of claim i's update only when
     the keys that update declared it can write and the keys of the read
     have none in common (``_ClaimAhead``), so no triple of claim i can
     change what it reads. Otherwise it reads the graph only after claim

@@ -4,17 +4,23 @@ The traced benchmark pass wraps program functions by name, the hash-seed
 pass compares outputs under two ``PYTHONHASHSEED`` values, the claim clock
 times each claim from one search call to the next, and the pinned ``bigkg``
 output digest hashes a graph saved by copying its loaded file. All are
-cheap enough to check here on a small world. The file also holds a lint
-gate that needs only the standard library: no module in ``src/`` or
-``tests/`` imports a name it never uses.
+cheap enough to check here on a small world. The file also holds two lint
+gates that need only the standard library: no module in ``src/`` or
+``tests/`` imports a name it never uses, and every backticked
+``Class.attr`` in ``src/verity/`` and README names something the class has.
 """
 
 import ast
+import importlib
 import importlib.util
+import inspect
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +29,7 @@ from synth import (carryover_world, save_dataset, tabled_world,
 
 # Importing any verity module loads the package, and with it every module
 # the tracer wraps.
+import verity
 from verity.cli import main
 from verity.errors import GatewayHardError
 import verity.kg_builder as vbuilder
@@ -272,4 +279,68 @@ def test_no_module_imports_a_name_it_never_uses():
              for folder in ("src", "tests")
              for path in sorted((ROOT / folder).rglob("*.py"))
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def class_attributes() -> dict[str, set[str]]:
+    """Each class the verity package defines, by name, with the names it
+    has: its attributes, its dataclass fields and every ``self`` attribute
+    an ``__init__`` of it or of a verity base class assigns."""
+    found: dict[str, set[str]] = {}
+    for info in pkgutil.iter_modules(verity.__path__):
+        module = importlib.import_module(f"verity.{info.name}")
+        for name, cls in vars(module).items():
+            if not inspect.isclass(cls) or cls.__module__ != module.__name__:
+                continue
+            names = found.setdefault(name, set())
+            names.update(dir(cls), getattr(cls, "__dataclass_fields__", ()))
+            for base in cls.__mro__:
+                if (not base.__module__.startswith("verity.")
+                        or "__init__" not in vars(base)):
+                    continue
+                try:
+                    source = inspect.getsource(base.__init__)
+                except OSError:
+                    # Generated, as a dataclass's is: it sets only fields.
+                    continue
+                names.update(
+                    node.attr
+                    for node in ast.walk(ast.parse(textwrap.dedent(source)))
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self")
+    return found
+
+
+def unknown_attributes(text: str,
+                       classes: dict[str, set[str]]) -> list[str]:
+    """Each backticked ``Class.attr`` in ``text`` whose ``Class`` is in
+    ``classes`` and has no ``attr``."""
+    unknown = []
+    for dotted in re.findall(r"`([\w.]+)", text):
+        parts = dotted.split(".")
+        for owner, attr in zip(parts, parts[1:]):
+            if owner in classes and attr not in classes[owner]:
+                unknown.append(f"{owner}.{attr}")
+    return unknown
+
+
+def test_unknown_attributes_are_found():
+    classes = class_attributes()
+    text = ("``Gateway.complete_all`` and ``Stepper.error``, ``EngineConfig.n``"
+            " and `PromptKind.FINAL_VERDICT`, ``TransportError.retry_after``,"
+            " ``verity.gateway.drive`` and ``json.dumps``; but\n"
+            "``Gateway.complete_riding(reqs)`` and `Stepper.done`.")
+    assert unknown_attributes(text, classes) == \
+        ["Gateway.complete_riding", "Stepper.done"]
+
+
+def test_every_cited_class_attribute_exists():
+    classes = class_attributes()
+    found = [f"{path.relative_to(ROOT)}: {name}"
+             for path in [*sorted((ROOT / "src" / "verity").glob("*.py")),
+                          ROOT / "README.md"]
+             for name in unknown_attributes(path.read_text(encoding="utf-8"),
+                                            classes)]
     assert found == []

@@ -228,6 +228,23 @@ class TestSequentialRun:
             ["subset1", "subset2", "subset2+kg1"]
 
 
+    def test_dropped_items_are_counted(self, tmp_path, capsys):
+        table, items = tabled_world(num_real=2, num_fake=2)
+        facts = tmp_path / "facts.json"
+        write_facts(facts, table)
+        dataset = tmp_path / "claims.jsonl"
+        save_dataset(items, str(dataset))
+        with dataset.open("a") as fh:
+            fh.write(json.dumps({"id": "cell", "claim": "c",
+                                 "evidence": [{"type": "cell"}]}) + "\n")
+        code = main(["sequential-run", "--dataset", str(dataset),
+                     "--subsets", "2", "--backend", "oracle",
+                     "--facts", str(facts), "--n", "3", "--height", "3"])
+        assert code == 0
+        assert capsys.readouterr().err == \
+            "dropped 1 items with non-sentence evidence\n"
+
+
 class TestDefaults:
     def _args(self, *flags):
         return build_parser().parse_args(
@@ -420,6 +437,14 @@ class TestIllTypedInput:
                      "--subsets", "2", "--backend", "oracle",
                      "--facts", str(facts), "--n", "3", "--height", "3"])
         self._assert_error(code, capsys, f"{dataset} line 2: ", "evidence")
+
+    def test_a_directory_for_an_input_file(self, tmp_path, capsys):
+        facts, _, kg = TestDetect()._setup(tmp_path)
+        code = main(["evaluate", "--run", str(tmp_path)])
+        self._assert_error(code, capsys, str(tmp_path))
+        code = main(["detect", "--dataset", str(tmp_path), "--kg", str(kg),
+                     "--backend", "oracle", "--facts", str(facts)])
+        self._assert_error(code, capsys, str(tmp_path))
 
     def test_fact_table_fields_must_be_lists(self, tmp_path, capsys):
         _, dataset, kg = TestDetect()._setup(tmp_path)

@@ -105,12 +105,27 @@ class TestLoadDataset:
         ([{"text": 5}], "text must be a string"),
         ([{"type": "sentence", "text": None}], "text must be a string"),
         (["s1", {"text": ["s2"]}], "text must be a string"),
-    ], ids=["string", "dict", "int-text", "null-text", "list-text"])
+        ([5], "entries must be strings or objects"),
+        ([["s"]], "entries must be strings or objects"),
+        (["s1", None], "entries must be strings or objects"),
+        ([{"type": "table"}, 5], "entries must be strings or objects"),
+    ], ids=["string", "dict", "int-text", "null-text", "list-text",
+            "int-entry", "list-entry", "null-entry", "entry-after-table"])
     def test_ill_typed_evidence_reports_line(self, tmp_path, evidence, words):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [{"id": "a", "claim": "c"},
                            {"id": "b", "claim": "c", "evidence": evidence}])
         with pytest.raises(FormatError, match=words) as err:
+            load_dataset(str(path))
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("label", [True, False, 1, ["real"]],
+                             ids=["true", "false", "int", "list"])
+    def test_ill_typed_label_reports_line(self, tmp_path, label):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [{"id": "a", "claim": "c", "label": "real"},
+                           {"id": "b", "claim": "c", "label": label}])
+        with pytest.raises(FormatError, match="label must be a string") as err:
             load_dataset(str(path))
         assert err.value.line == 2
 

@@ -6,6 +6,8 @@ from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synth import tabled_world
 from verity.errors import (FormatError, GatewayHardError, ReplayMissError,
@@ -588,6 +590,14 @@ class TestCompleteAll:
         assert calls == len(sent) == len(set(sent))
 
 
+def _waiting(reqs):
+    """A ``Stepper`` waiting on ``reqs`` once; it ends with their responses
+    as its ``result``, or with their first error as its ``error``."""
+    def steps():
+        return (yield list(reqs))
+    return Stepper(steps())
+
+
 class TestSendAhead:
     """A rider, another caller's step, goes out with a batch that sends."""
 
@@ -608,25 +618,26 @@ class TestSendAhead:
         gw, jobs = self._gateway()
         gw.complete(_subquestion(0))
         riders = [_subquestion(0, "r"), _subquestion(1, "r")]
+        rider = _waiting(riders)
         # A batch the memo answers in full carries no rider.
-        own, carried = gw.complete_riding([_subquestion(0)], riders)
-        assert [r.parsed for r in own] == ["Q0 of c?"] and carried is None
+        own = gw.complete_all([_subquestion(0)], rider)
+        assert [r.parsed for r in own] == ["Q0 of c?"]
+        assert rider.pending == riders
         assert jobs == [["c0"]]
-        own, carried = gw.complete_riding([_subquestion(1), _subquestion(2)],
-                                          riders)
+        own = gw.complete_all([_subquestion(1), _subquestion(2)], rider)
         gw.close()
         assert jobs[1] == ["c1", "c2", "r0", "r1"]
         assert [r.parsed for r in own] == ["Q1 of c?", "Q2 of c?"]
-        assert [r.parsed for r in carried] == ["Q0 of r?", "Q1 of r?"]
+        assert [r.parsed for r in rider.result] == ["Q0 of r?", "Q1 of r?"]
         assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 5
         assert gw.round_trips == 2
 
     def test_hand_off_counts_as_sent_not_as_a_memo_hit(self):
         gw, jobs = self._gateway()
         gw.complete(_subquestion(0, "r"))
-        _, carried = gw.complete_riding(
-            [_subquestion(0)], [_subquestion(0, "r"), _subquestion(1, "r")])
-        assert [r.parsed for r in carried] == ["Q0 of r?", "Q1 of r?"]
+        rider = _waiting([_subquestion(0, "r"), _subquestion(1, "r")])
+        gw.complete_all([_subquestion(0)], rider)
+        assert [r.parsed for r in rider.result] == ["Q0 of r?", "Q1 of r?"]
         # The rider's memoized request is a memo hit, its other one a call.
         assert jobs == [["r0"], ["c0", "r1"]]
         assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
@@ -640,24 +651,26 @@ class TestSendAhead:
     def test_skipped_riders(self):
         gw, jobs = self._gateway()
         # A rider that would send a request the batch sends waits.
-        own, carried = gw.complete_riding([_subquestion(0), _subquestion(1)],
-                                          [_subquestion(1), _subquestion(2)])
-        assert len(own) == 2 and carried is None
+        rider = _waiting([_subquestion(1), _subquestion(2)])
+        own = gw.complete_all([_subquestion(0), _subquestion(1)], rider)
+        assert len(own) == 2
+        assert rider.pending == [_subquestion(1), _subquestion(2)]
         assert jobs == [["c0", "c1"]]
         # A rider the memo holds in full is not answered on its own, nor
         # with a batch the memo answers too; it rides with one that sends.
-        held = [_subquestion(1), _subquestion(0)]
-        own, carried = gw.complete_riding((), held)
-        assert own == [] and carried is None
-        own, carried = gw.complete_riding([_subquestion(0)], held)
-        assert [r.parsed for r in own] == ["Q0 of c?"] and carried is None
-        own, carried = gw.complete_riding([_subquestion(2)], held)
+        held = _waiting([_subquestion(1), _subquestion(0)])
+        assert gw.complete_all((), held) == []
+        assert held.pending == [_subquestion(1), _subquestion(0)]
+        own = gw.complete_all([_subquestion(0)], held)
+        assert [r.parsed for r in own] == ["Q0 of c?"]
+        assert held.pending == [_subquestion(1), _subquestion(0)]
+        own = gw.complete_all([_subquestion(2)], held)
         assert [r.parsed for r in own] == ["Q2 of c?"]
-        assert [r.parsed for r in carried] == ["Q1 of c?", "Q0 of c?"]
+        assert [r.parsed for r in held.result] == ["Q1 of c?", "Q0 of c?"]
         # A rider's requests must be distinct too.
         with pytest.raises(ValidationError, match="distinct"):
-            gw.complete_riding([_subquestion(3)],
-                               [_subquestion(4), _subquestion(4)])
+            gw.complete_all([_subquestion(3)],
+                            _waiting([_subquestion(4), _subquestion(4)]))
         gw.close()
         assert jobs == [["c0", "c1"], ["c2"]] and gw.round_trips == 2
         assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
@@ -678,13 +691,13 @@ class TestSendAhead:
             return _echo_branch(req, prompt)
 
         gw, jobs = self._gateway(reply, max_retries=1, backoff=0.0)
-        # The carrying batch does not raise its rider's error: the rider's
-        # outcome is that error.
-        own, carried = gw.complete_riding(
-            [_subquestion(9)], [_subquestion(b, "r") for b in (2, 1, 0)])
+        # The carrying batch does not raise its rider's error: the rider
+        # is resumed with that error.
+        rider = _waiting([_subquestion(b, "r") for b in (2, 1, 0)])
+        own = gw.complete_all([_subquestion(9)], rider)
         assert [r.parsed for r in own] == ["Q9 of c?"]
-        assert isinstance(carried, GatewayHardError)
-        assert str(carried) == "r1 down"
+        assert isinstance(rider.error, GatewayHardError)
+        assert str(rider.error) == "r1 down"
         assert len(jobs) == 1
         # The rider's other calls were counted, and branch 0, after its
         # transport retry, memoized; branch 2 did not parse, so it is asked
@@ -697,23 +710,88 @@ class TestSendAhead:
         assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 1
 
     def test_drop_riders(self):
-        """The batch's own error is returned, not raised, beside the
-        rider's answers; ``complete_all`` raises it."""
+        """The batch's own error is raised once its rider has been resumed
+        with the rider's answers."""
         def reply(req, prompt):
             if req.context["claim"] == "c":
                 raise GatewayHardError("c down")
             return _echo_branch(req, prompt)
 
         gw, jobs = self._gateway(reply)
-        own, carried = gw.complete_riding([_subquestion(0)],
-                                          [_subquestion(0, "r")])
-        assert isinstance(own, GatewayHardError)
-        assert [r.parsed for r in carried] == ["Q0 of r?"]
+        rider = _waiting([_subquestion(0, "r")])
+        with pytest.raises(GatewayHardError, match="c down"):
+            gw.complete_all([_subquestion(0)], rider)
+        assert [r.parsed for r in rider.result] == ["Q0 of r?"]
         with pytest.raises(GatewayHardError, match="c down"):
             gw.complete_all([_subquestion(0)])
         gw.close()
         assert jobs == [["c0", "r0"], ["c0"]] and gw.round_trips == 2
         assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 1
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(memo=st.sets(st.integers(0, 5)),
+           reqs=st.lists(st.integers(0, 5), unique=True, max_size=4),
+           step=st.lists(st.integers(0, 5), unique=True, max_size=4),
+           down=st.sets(st.integers(0, 5), max_size=2),
+           blank=st.sets(st.integers(0, 5), max_size=2))
+    def test_a_ride_is_the_batch_then_the_step_alone(self, memo, reqs, step,
+                                                     down, blank):
+        """``complete_all(reqs, ahead)`` answers, fails and counts as
+        completing ``reqs`` and then the step ``ahead`` waits on alone
+        would, in no more round-trips. A request in ``down`` fails hard,
+        one in ``blank`` does not parse; ``memo`` is answered beforehand."""
+        armed = []
+
+        def reply(req, prompt):
+            branch = int(req.context["branch"])
+            if armed and branch in down:
+                raise GatewayHardError(f"down {branch}")
+            if armed and branch in blank:
+                return " "
+            return _echo_branch(req, prompt)
+
+        def outcome(call):
+            try:
+                return call()
+            except GatewayHardError as exc:
+                return exc
+
+        def run(ride):
+            armed.clear()
+            gw = Gateway(ScriptedBackend(reply), max_retries=0)
+            gw.complete_all([_subquestion(b) for b in sorted(memo)])
+            before = gw.round_trips
+            armed.append(True)
+            walk = _waiting([_subquestion(b) for b in step])
+            own = outcome(lambda: gw.complete_all(
+                [_subquestion(b) for b in reqs], walk if ride else None))
+            rode = walk.pending is None
+            if not rode:
+                # Left waiting on the same requests, then completed alone.
+                assert walk.pending == [_subquestion(b) for b in step]
+                walk.advance(outcome(lambda: gw.complete_all(walk.pending)))
+            gw.close()
+            return gw, own, walk, rode, gw.round_trips - before
+
+        def plain(outcome):
+            return repr(outcome) if isinstance(outcome, Exception) else outcome
+
+        gw1, own1, walk1, _, trips1 = run(ride=False)
+        gw2, own2, walk2, rode, trips2 = run(ride=True)
+        assert plain(own2) == plain(own1)
+        assert walk2.result == walk1.result
+        assert plain(walk2.error) == plain(walk1.error)
+        assert gw2.call_counts == gw1.call_counts
+        assert gw2.memo_hits == gw1.memo_hits
+        assert trips2 <= trips1
+        sends = set(reqs) - memo
+        assert rode == bool(sends and sends.isdisjoint(step))
+        # Each side's error names one of its own requests.
+        if isinstance(own2, Exception):
+            assert int(str(own2).split()[1]) in reqs
+        if walk2.error is not None:
+            assert int(str(walk2.error).split()[1]) in step
 
 
 class TestDrive:

@@ -8,7 +8,7 @@ from verity.errors import GatewayHardError, TransportError, ValidationError
 from verity.gateway import (Gateway, LLMRequest, PromptKind, RecordingBackend,
                             ScriptedBackend, drive)
 from verity.kg_builder import (BuildReport, SourceDocument, build_graph,
-                               entity_steps, extract_document)
+                               document_steps, entity_steps)
 from verity.kg_store import Entity, Triple
 from verity.oracle import RuleBasedOracle
 
@@ -36,7 +36,7 @@ class TestExtractEntities:
 class TestExtractEntityRelations:
     def test_relation_found(self, oracle_gateway):
         d = doc("Eisenhower commanded Anderson in Tunisia.")
-        triples, dropped = extract_document(d, oracle_gateway)
+        triples, dropped = drive(document_steps(d), oracle_gateway)
         identities = {t.identity for t in triples}
         assert ("eisenhower", "commanded", "anderson") in identities
 
@@ -46,7 +46,8 @@ class TestExtractEntityRelations:
         table = replace(tunisia_table, entities=[
             e for e in tunisia_table.entities if e != "Tunisia"])
         d = doc("Eisenhower commanded Anderson. Anderson fought in Tunisia.")
-        triples, dropped = extract_document(d, Gateway(RuleBasedOracle(table)))
+        triples, dropped = drive(document_steps(d),
+                                 Gateway(RuleBasedOracle(table)))
         assert dropped >= 1
         assert all(t.subject.key != "anderson" or t.object.key != "tunisia"
                    for t in triples)
@@ -57,16 +58,16 @@ class TestExtractEventTriples:
     document extraction returns them."""
 
     def test_event_sentence(self, oracle_gateway):
-        triples, _ = extract_document(
-            doc("The landing occurred in November 1942."), oracle_gateway)
+        triples, _ = drive(document_steps(
+            doc("The landing occurred in November 1942.")), oracle_gateway)
         assert [t.identity for t in triples] == \
             [("the landing", "occurred in", "november 1942")]
 
     def test_empty(self, oracle_gateway):
-        assert extract_document(doc(""), oracle_gateway) == ([], 0)
+        assert drive(document_steps(doc("")), oracle_gateway) == ([], 0)
 
     def test_no_event(self, oracle_gateway):
-        triples, _ = extract_document(doc("Quiet day."), oracle_gateway)
+        triples, _ = drive(document_steps(doc("Quiet day.")), oracle_gateway)
         assert triples == []
 
 
@@ -144,13 +145,13 @@ class TestChunking:
 
         gateway = Gateway(CountingOracle(tunisia_table))
         body = ("Eisenhower commanded Anderson. " * 300).strip()
-        extract_document(doc(body), gateway)
+        drive(document_steps(doc(body)), gateway)
         relation_calls = calls.count(PromptKind.GENERATE_RELATIONS)
         assert relation_calls >= 2
 
 
 def sequential_extract(doc, gateway):
-    """``extract_document`` one request at a time: all entity requests,
+    """``document_steps`` one request at a time: all entity requests,
     then the relations, then the event triples, chunk by chunk."""
     chunks = kg_builder._chunks(doc.body)
     entities, keys = [], set()
@@ -216,7 +217,7 @@ class TestExtractDocument:
     def test_single_chunk_takes_two_round_trips(self, tunisia_table):
         gateway = Gateway(noisy_oracle(tunisia_table))
         log = BatchLog(gateway)
-        triples, dropped = extract_document(doc(self.SENTENCES), gateway)
+        triples, dropped = drive(document_steps(doc(self.SENTENCES)), gateway)
         gateway.close()
         assert log.batches == [
             {PromptKind.EXTRACT_ENTITIES, PromptKind.EXTRACT_EVENT_TRIPLES},
@@ -232,7 +233,7 @@ class TestExtractDocument:
         monkeypatch.setattr(kg_builder, "CHUNK_CHARS", len(self.SENTENCES))
         assert kg_builder._chunks(body) == [self.SENTENCES] * 2
         gateway = Gateway(noisy_oracle(tunisia_table))
-        triples, dropped = extract_document(doc(body), gateway)
+        triples, dropped = drive(document_steps(doc(body)), gateway)
         gateway.close()
         expected, expected_dropped = sequential_extract(
             doc(body), Gateway(noisy_oracle(tunisia_table)))
@@ -241,7 +242,7 @@ class TestExtractDocument:
         assert sum(gateway.call_counts.values()) == 3
 
     def test_empty_document_sends_nothing(self, oracle_gateway):
-        assert extract_document(doc(" \n"), oracle_gateway) == ([], 0)
+        assert drive(document_steps(doc(" \n")), oracle_gateway) == ([], 0)
         assert sum(oracle_gateway.call_counts.values()) == 0
 
 
@@ -269,7 +270,7 @@ class TestExtractionFailure:
                                          PromptKind.EXTRACT_ENTITIES)
         with pytest.raises(GatewayHardError,
                            match="^extract_entities failed after 1 "):
-            extract_document(doc(self.BODY), gateway)
+            drive(document_steps(doc(self.BODY)), gateway)
         gateway.close()
         assert PromptKind.GENERATE_RELATIONS not in asked
 
@@ -278,7 +279,7 @@ class TestExtractionFailure:
                                          PromptKind.EXTRACT_EVENT_TRIPLES)
         with pytest.raises(GatewayHardError,
                            match="^extract_event_triples failed after 1 "):
-            extract_document(doc(self.BODY), gateway)
+            drive(document_steps(doc(self.BODY)), gateway)
         gateway.close()
         assert sorted(k.value for k in asked) == \
             ["extract_entities", "extract_event_triples"]
