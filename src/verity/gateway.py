@@ -446,15 +446,23 @@ class Gateway:
         are read from the memo, and ``ahead`` is resumed with the step's
         responses or its first error, before any error of ``reqs`` is
         raised. Each step is checked, counted and memoized as it would be
-        alone, so neither receives the other's error. A step that does not
-        ride is left waiting, with nothing of it sent or counted.
+        alone, so neither receives the other's error: a step that repeats a
+        request or misses a template slot is resumed with its
+        ``ValidationError``, and ``reqs`` go out without it. Any other step
+        that does not ride is left waiting, with nothing of it sent or
+        counted.
         """
         steps = [self._jobs(reqs)]
         if ahead is not None and ahead.pending is not None:
-            ride = self._jobs(ahead.pending)
-            sends = {key for _, _, key in steps[0] if key not in self._memo}
-            if sends and sends.isdisjoint(key for _, _, key in ride):
-                steps.append(ride)
+            try:
+                ride = self._jobs(ahead.pending)
+            except ValidationError as exc:
+                ahead.advance(exc)
+            else:
+                sends = {key for _, _, key in steps[0]
+                         if key not in self._memo}
+                if sends and sends.isdisjoint(key for _, _, key in ride):
+                    steps.append(ride)
         outcomes = self._complete(steps)
         if len(outcomes) > 1:
             ahead.advance(outcomes[1])

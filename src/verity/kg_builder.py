@@ -15,10 +15,9 @@ if the first batch failed. ``build_graph`` then skips the document and
 lists it in ``docs_failed``; the knowledge update passes the error on, and
 its claim is abandoned.
 
-The extractions are step generators (``entity_steps``, ``document_steps``;
-see :func:`verity.gateway.drive`), so retrieval and the knowledge update
-can run them inside a claim's own steps. ``build_graph`` drives
-``document_steps`` through a gateway.
+The extraction is a step generator (``document_steps``; see
+:func:`verity.gateway.drive`), so the knowledge update can run it inside a
+claim's own steps. ``build_graph`` drives it through a gateway.
 """
 
 from __future__ import annotations
@@ -118,17 +117,6 @@ def _parse_triples(doc: SourceDocument,
         triples += [Triple(Entity(s), r, Entity(o), source_id=doc.id)
                     for s, r, o in resp.parsed]
     return triples, malformed
-
-
-def entity_steps(doc: SourceDocument, seed: int = 0) -> Steps:
-    """A step generator that returns the entities of ``doc``, deduplicated
-    by normalized key, in first-mention order; its requests are at
-    ``seed``."""
-    if not doc.body.strip():
-        return []
-    [resps] = yield from _wave(_chunks(doc.body),
-                               [PromptKind.EXTRACT_ENTITIES], seed)
-    return _parse_entities(resps)
 
 
 def document_steps(doc: SourceDocument, seed: int = 0) -> Steps:

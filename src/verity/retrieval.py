@@ -1,24 +1,29 @@
 """Top-K knowledge retrieval for a sub-question.
 
-Pipeline: extract the question's entities (``kg_builder.entity_steps``,
-the question read as a document), match them exactly against the graph,
-take the one-hop subgraph, and when the candidate set exceeds the budget
-ask the model to rank candidate indices (never to regenerate triples)
-before truncating to K. ``retrieval_steps`` is the pipeline as a step
-generator (see :func:`verity.gateway.drive`), which the search runs inside
-an answer step; ``retrieve_context`` drives it through a gateway.
+Pipeline: link the question to the graph lexically (every span of the
+normalized question that lies between word boundaries, looked up in the
+graph's entity index, with no model call), take the one-hop subgraph, and
+when the candidate set exceeds the budget ask the model to rank candidate
+indices (never to regenerate triples) before truncating to K.
+``retrieval_steps`` is the pipeline as a step generator (see
+:func:`verity.gateway.drive`), which the search runs inside an answer step;
+``retrieve_context`` drives it through a gateway.
+
+The linker finds a graph key only where the question spells it out, up to
+case and whitespace. A paraphrase ("the U.S." for "united states") links
+nothing.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .gateway import (Gateway, GraphRead, LLMRequest, PromptKind, Steps,
                       drive)
-from .kg_builder import SourceDocument, entity_steps
-from .kg_store import KnowledgeGraph, Triple
+from .kg_store import KnowledgeGraph, Triple, normalize_entity
 
 log = logging.getLogger(__name__)
 
@@ -48,20 +53,35 @@ def render_candidates(triples: list[Triple]) -> str:
         for i, t in enumerate(triples))
 
 
+def question_keys(question: str) -> frozenset[str]:
+    """Every span of ``normalize_entity(question)`` that starts and ends on
+    a word boundary: no word character just before it or just after it.
+
+    These are exactly the places where the scan ``(?<!\\w)key(?!\\w)``
+    can match a key in the normalized question, so a graph key occurs in
+    the question in that sense if and only if it is in this set. The set
+    depends on the question alone, never on the graph.
+    """
+    text = normalize_entity(question)
+    starts = [m.start() for m in re.finditer(r"(?<!\w)", text)]
+    ends = [m.start() for m in re.finditer(r"(?!\w)", text)]
+    return frozenset(text[i:j] for i in starts for j in ends if j > i)
+
+
 def retrieval_steps(question: str, graph: KnowledgeGraph, k: int,
                     seed: int = 0) -> Steps:
-    """``retrieve_context`` as a step generator, its requests at ``seed``.
+    """``retrieve_context`` as a step generator, its ranking request at
+    ``seed``.
 
-    Once it knows the question's entities, just before it reads ``graph``,
-    it yields a ``GraphRead`` of their keys: the read returns the triples
-    that have one of them as subject or object, so only an insert of such
-    a triple can change it.
+    Its first step, before it reads ``graph``, is a ``GraphRead`` of every
+    key it looks up, ``question_keys(question)``, matched or not. The read
+    returns the triples that have one of those keys as subject or object,
+    so only an insert of such a triple can change it, whether the key is in
+    the graph yet or not.
     """
     if k < 1:
         raise ValidationError("retrieval cutoff K must be >= 1")
-    entities = yield from entity_steps(SourceDocument("question", question),
-                                       seed)
-    keys = frozenset(e.key for e in entities)
+    keys = question_keys(question)
     yield GraphRead(keys)
     matched = graph.match_entities(keys)
     candidates = graph.one_hop_subgraph(matched)

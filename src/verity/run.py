@@ -143,8 +143,8 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
     change what it reads. Otherwise it reads the graph only after claim
     i's update, when the run hands the begun search to claim i+1's
     ``search`` call. That takes its opening step, the root's
-    sub-questions and verdict, and its first question-entity step off its
-    own round-trips, and, past a read, its ranking or answer step too.
+    sub-questions and verdict, off its own round-trips, and, past a read,
+    its ranking or answer step too.
     Records, graphs, calls and memo hits are those of a run that searches
     one claim at a time, and an error of the claim ahead ends that claim,
     at its own step. On failure paths the run differs from one that takes

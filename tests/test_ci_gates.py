@@ -4,7 +4,9 @@ The traced benchmark pass wraps program functions by name, the hash-seed
 pass compares outputs under two ``PYTHONHASHSEED`` values, the claim clock
 times each claim from one search call to the next, and the pinned ``bigkg``
 output digest hashes a graph saved by copying its loaded file. All are
-cheap enough to check here on a small world. The file also holds two lint
+cheap enough to check here on a small world. So is the rule that the
+benchmark's pinned calls per claim rest on: only graph extraction asks the
+model for entities, never a search. The file also holds two lint
 gates that need only the standard library: no module in ``src/`` or
 ``tests/`` imports a name it never uses, and every backticked
 ``Class.attr`` in ``src/verity/`` and README names something the class has.
@@ -34,7 +36,7 @@ from verity.cli import main
 from verity.errors import GatewayHardError
 import verity.kg_builder as vbuilder
 import verity.run as vrun
-from verity.gateway import Gateway, ScriptedBackend
+from verity.gateway import Gateway, PromptKind, ScriptedBackend
 from verity.kg_builder import SourceDocument
 from verity.kg_store import KnowledgeGraph
 from verity.mcts import EngineConfig, SearchEngine
@@ -149,6 +151,47 @@ def test_search_is_called_once_per_claim_in_order():
     gateway.close()
     assert searched == [item.id for item in items]
     assert [r.id for r in record.results if r.error] == [items[1].id]
+
+
+def test_only_extraction_asks_for_entities():
+    """Retrieval links a question to the graph by looking its spans up in
+    the graph's keys, so a search sends no ``EXTRACT_ENTITIES`` request:
+    each one a run sends extracts a document that ``build_graph`` or a
+    knowledge update hands to ``document_steps``, and a run without
+    updates sends none."""
+    table, subset1, subset2 = carryover_world(num_linked=3)
+    corpus = [SourceDocument(f"{item.id}-{i}", sentence)
+              for item in subset1 for i, sentence in enumerate(item.evidence)]
+    oracle = RuleBasedOracle(table)
+    extracted, asked = [], []
+    document_steps = vbuilder.document_steps
+
+    def recorded(doc, seed=0):
+        extracted.append(doc.body)
+        return document_steps(doc, seed)
+
+    def reply(req, prompt):
+        if req.kind is PromptKind.EXTRACT_ENTITIES:
+            asked.append(req.context["document"])
+        return oracle.generate(req, prompt)
+
+    config = EngineConfig(n=8, h=3, b=2)
+    gateway = Gateway(ScriptedBackend(reply))
+    with mock.patch.object(vbuilder, "document_steps", recorded), \
+            mock.patch("verity.knowledge_update.document_steps", recorded):
+        base, _ = vbuilder.build_graph(corpus, gateway)
+        record, _, _ = run_detection(subset1 + subset2, base, config,
+                                     gateway)
+    gateway.close()
+    # Updates ran, and extracted documents beyond the corpus.
+    assert any(r.triples_added for r in record.results)
+    assert set(extracted) - {s for item in subset1 for s in item.evidence}
+    assert set(asked) == set(extracted)
+    searched = Gateway(ScriptedBackend(reply))
+    run_detection(subset1 + subset2, base, config, searched, updates=False)
+    searched.close()
+    assert searched.call_counts[PromptKind.EXTRACT_ENTITIES] == 0
+    assert searched.memo_hits[PromptKind.EXTRACT_ENTITIES] == 0
 
 
 def test_kg_out_equals_a_full_reserialization(tmp_path, capsys):

@@ -667,13 +667,16 @@ class TestSendAhead:
         own = gw.complete_all([_subquestion(2)], held)
         assert [r.parsed for r in own] == ["Q2 of c?"]
         assert [r.parsed for r in held.result] == ["Q1 of c?", "Q0 of c?"]
-        # A rider's requests must be distinct too.
-        with pytest.raises(ValidationError, match="distinct"):
-            gw.complete_all([_subquestion(3)],
-                            _waiting([_subquestion(4), _subquestion(4)]))
+        # A rider's requests must be distinct too. The rider, not the batch,
+        # gets the error, and the batch goes out alone.
+        repeated = _waiting([_subquestion(4), _subquestion(4)])
+        own = gw.complete_all([_subquestion(3)], repeated)
+        assert [r.parsed for r in own] == ["Q3 of c?"]
+        assert isinstance(repeated.error, ValidationError)
+        assert "distinct" in str(repeated.error)
         gw.close()
-        assert jobs == [["c0", "c1"], ["c2"]] and gw.round_trips == 2
-        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
+        assert jobs == [["c0", "c1"], ["c2"], ["c3"]] and gw.round_trips == 3
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 4
         assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 3
 
     def test_rider_error_waits_for_its_request(self):

@@ -8,7 +8,7 @@ from verity.errors import GatewayHardError, TransportError, ValidationError
 from verity.gateway import (Gateway, LLMRequest, PromptKind, RecordingBackend,
                             ScriptedBackend, drive)
 from verity.kg_builder import (BuildReport, SourceDocument, build_graph,
-                               document_steps, entity_steps)
+                               document_steps)
 from verity.kg_store import Entity, Triple
 from verity.oracle import RuleBasedOracle
 
@@ -17,20 +17,41 @@ def doc(body, id="doc-1"):
     return SourceDocument(id=id, body=body)
 
 
+def named_entities(body, table):
+    """The entity lists that ``document_steps`` over ``body`` names in its
+    relation requests, and the gateway it ran on."""
+    oracle = RuleBasedOracle(table)
+    named = []
+
+    def reply(req, prompt):
+        if req.kind is PromptKind.GENERATE_RELATIONS:
+            named.append(req.context["entities"])
+        return oracle.generate(req, prompt)
+
+    gateway = Gateway(ScriptedBackend(reply))
+    drive(document_steps(doc(body)), gateway)
+    gateway.close()
+    return named, gateway
+
+
 class TestExtractEntities:
-    def test_sentence(self, oracle_gateway):
-        entities = drive(entity_steps(
-            doc("Eisenhower commanded Anderson in Tunisia.")), oracle_gateway)
-        assert [e.surface for e in entities] == \
-            ["Eisenhower", "Anderson", "Tunisia"]
+    """The entities the document extraction finds, as its relation wave
+    names them."""
 
-    def test_empty_document(self, oracle_gateway):
-        assert drive(entity_steps(doc("")), oracle_gateway) == []
+    def test_sentence(self, tunisia_table):
+        named, _ = named_entities("Eisenhower commanded Anderson in Tunisia.",
+                                  tunisia_table)
+        assert named == ["Eisenhower, Anderson, Tunisia"]
 
-    def test_duplicate_mentions_single_entry(self, oracle_gateway):
-        entities = drive(entity_steps(
-            doc("Anderson met ANDERSON; anderson agreed.")), oracle_gateway)
-        assert len(entities) == 1
+    def test_empty_document(self, tunisia_table):
+        named, gateway = named_entities("", tunisia_table)
+        assert named == []
+        assert gateway.round_trips == 0
+
+    def test_duplicate_mentions_single_entry(self, tunisia_table):
+        named, _ = named_entities("Anderson met ANDERSON; anderson agreed.",
+                                  tunisia_table)
+        assert named == ["Anderson"]
 
 
 class TestExtractEntityRelations:

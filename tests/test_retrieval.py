@@ -1,16 +1,20 @@
 import logging
+import re
 
 import pytest
-from synth import closed_book_world
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from synth import carryover_world, closed_book_world, tabled_world
 
 from verity.errors import ValidationError
-from verity.gateway import (Gateway, LLMRequest, PromptKind, ScriptedBackend,
-                            drive)
-from verity.kg_builder import SourceDocument, build_graph, entity_steps
-from verity.kg_store import Entity, KnowledgeGraph, Triple
+from verity.gateway import Gateway, LLMRequest, PromptKind, ScriptedBackend
+from verity.kg_builder import SourceDocument, build_graph
+from verity.kg_store import Entity, KnowledgeGraph, Triple, normalize_entity
+from verity.mcts import EngineConfig
 from verity.oracle import RuleBasedOracle
-from verity.retrieval import (RANK_CANDIDATE_CAP, render_triples,
-                              retrieve_context)
+from verity.retrieval import (RANK_CANDIDATE_CAP, question_keys,
+                              render_triples, retrieve_context)
+from verity.run import run_detection
 
 
 def graph_with(n):
@@ -20,26 +24,130 @@ def graph_with(n):
     return g
 
 
-def question_entities(question, gateway):
-    """The entity keys retrieval matches for ``question``."""
-    entities = drive(entity_steps(SourceDocument("question", question)),
-                     gateway)
-    return {e.key for e in entities}
+# Word characters, separators, and letters whose lower case is longer
+# (\u0130) or depends on the letters around it (\u03a3).
+KEY_CHARS = "aZ_9 .'-\u00e9\u00df\u0130\u03a3\t"
+
+
+def graph_keys(graph):
+    return {key for t in graph.triples for key in (t.subject.key, t.object.key)}
+
+
+def scanned(graph, question):
+    """The graph keys that the oracle's ``(?<!\\w)key(?!\\w)`` scan finds
+    in ``question``, tried one by one."""
+    text = normalize_entity(question)
+    return {key for key in graph_keys(graph)
+            if re.search(r"(?<!\w)" + re.escape(key) + r"(?!\w)", text)}
 
 
 class TestQuestionEntities:
-    def test_oracle_entities(self, oracle_gateway):
-        keys = question_entities(
-            "Who was Anderson's superior during World War II?", oracle_gateway)
+    """The graph keys retrieval matches for a question."""
+
+    @pytest.fixture
+    def graph(self, tunisia_table):
+        graph = KnowledgeGraph()
+        for s, r, o in tunisia_table.facts + [
+                ("Anderson", "fought in", "World War II"),
+                ("Anders", "fought in", "Tunisia")]:
+            graph.add(s, r, o)
+        return graph
+
+    def test_oracle_entities(self, graph):
+        # The keys the oracle names as the question's entities; "anders"
+        # is a graph key too, but the question holds it only inside a word.
+        keys = graph.match_entities(question_keys(
+            "Who was Anderson's superior during World War II?"))
         assert keys == {"anderson", "world war ii"}
 
-    def test_empty_question(self, oracle_gateway):
-        assert question_entities("", oracle_gateway) == set()
+    def test_empty_question(self, graph):
+        assert question_keys("") == frozenset()
+        assert graph.match_entities(question_keys("")) == set()
 
-    def test_repeated_entity_single_key(self, oracle_gateway):
-        keys = question_entities("Anderson, yes Anderson himself.",
-                                 oracle_gateway)
+    def test_repeated_entity_single_key(self, graph):
+        keys = graph.match_entities(question_keys(
+            "Anderson, yes Anderson himself."))
         assert keys == {"anderson"}
+
+    def test_spans_between_word_boundaries(self):
+        # No span starts at the apostrophe, which follows a word character,
+        # or ends before the "s", which is one.
+        assert question_keys("  Alpha1's\twar ") == {
+            "alpha1", "alpha1's", "alpha1's war", "s", "s war", "war"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(surfaces=st.lists(st.text(KEY_CHARS, min_size=1, max_size=6),
+                             min_size=1, max_size=6),
+           data=st.data())
+    def test_matches_a_scan_of_every_key(self, surfaces, data):
+        """Over any graph and question, looking the question's spans up in
+        the graph finds exactly the keys that scanning for each key does."""
+        graph = KnowledgeGraph()
+        for subject, obj in zip(surfaces, surfaces[1:] + surfaces[:1]):
+            if normalize_entity(subject) and normalize_entity(obj):
+                graph.add(subject, "near", obj)
+        parts = st.one_of(st.sampled_from(surfaces),
+                          st.text(KEY_CHARS, max_size=4))
+        question = "".join(data.draw(st.lists(parts, max_size=8)))
+        assert graph.match_entities(question_keys(question)) == \
+            scanned(graph, question)
+
+
+def oracle_world(name):
+    """The world's table, its claims and the graph a run on it starts
+    from."""
+    if name == "tabled":
+        table, items = tabled_world(25, 25)
+        return table, items, KnowledgeGraph()
+    if name == "carryover":
+        table, subset1, subset2 = carryover_world(12)
+        # One document per evidence sentence, so that only the updates add
+        # "superior of".
+        corpus = [SourceDocument(f"{item.id}-{i}", sentence)
+                  for item in subset1
+                  for i, sentence in enumerate(item.evidence)]
+        items = subset1 + subset2
+    else:
+        table, items, corpus = closed_book_world()
+    gateway = Gateway(RuleBasedOracle(table))
+    start, _ = build_graph(corpus, gateway)
+    gateway.close()
+    return table, items, start
+
+
+@pytest.mark.parametrize("name", ["tabled", "carryover", "closed-book"])
+def test_lexical_keys_equal_the_oracle_entities(name):
+    """For every sub-question the oracle generates in a run at the
+    defaults with updates on, a graph that holds every key of the world's
+    table, and so every graph the world can build or update, matches the
+    same keys by lexical lookup as from the oracle's ``EXTRACT_ENTITIES``
+    answer."""
+    table, items, start = oracle_world(name)
+    oracle = RuleBasedOracle(table)
+    questions = set()
+
+    def reply(req, prompt):
+        text = oracle.generate(req, prompt)
+        if req.kind is PromptKind.GENERATE_SUBQUESTION:
+            questions.add(text.strip())
+        return text
+
+    gateway = Gateway(ScriptedBackend(reply))
+    run_detection(items, start, EngineConfig(seed=0), gateway)
+    world = KnowledgeGraph()
+    for s, r, o in table.facts + table.extraction_facts + table.event_facts:
+        world.add(s, r, o)
+    for surface in table.entities:
+        world.add(surface, "named", surface)
+    assert len(questions) >= len(items)
+    for question in sorted(questions):
+        resp = gateway.complete(LLMRequest(PromptKind.EXTRACT_ENTITIES,
+                                           {"document": question}))
+        linked = world.match_entities(question_keys(question))
+        assert linked
+        assert linked == world.match_entities(
+            Entity(surface).key for surface in resp.parsed)
+    gateway.close()
 
 
 class TestRetrieveContext:
@@ -62,8 +170,6 @@ class TestRetrieveContext:
 
     def test_over_budget_uses_ranked_order(self):
         def script(req, prompt):
-            if req.kind == PromptKind.EXTRACT_ENTITIES:
-                return "Anderson"
             if req.kind == PromptKind.RANK_TRIPLES:
                 return ", ".join(str(i) for i in reversed(range(8)))
             raise AssertionError(req.kind)
@@ -77,8 +183,6 @@ class TestRetrieveContext:
 
     def test_ranking_failure_falls_back_to_insertion_order(self):
         def script(req, prompt):
-            if req.kind == PromptKind.EXTRACT_ENTITIES:
-                return "Anderson"
             return "not a ranking at all"
 
         gateway = Gateway(ScriptedBackend(script))
@@ -89,8 +193,6 @@ class TestRetrieveContext:
 
     def test_ranking_fallback_warning_names_the_sub_question(self, caplog):
         def script(req, prompt):
-            if req.kind == PromptKind.EXTRACT_ENTITIES:
-                return "Anderson"
             return "not a ranking at all"
 
         gateway = Gateway(ScriptedBackend(script))
@@ -105,8 +207,6 @@ class TestRetrieveContext:
 
     def test_ranking_never_invents_triples(self):
         def script(req, prompt):
-            if req.kind == PromptKind.EXTRACT_ENTITIES:
-                return "Anderson"
             return "0, 1, 2, 3, 4, 5, 6, 99"  # invalid permutation
 
         gateway = Gateway(ScriptedBackend(script))
@@ -119,8 +219,6 @@ class TestRetrieveContext:
         seen = {}
 
         def script(req, prompt):
-            if req.kind == PromptKind.EXTRACT_ENTITIES:
-                return "Anderson"
             seen["lines"] = req.context["candidates"].count("\n") + 1
             return ", ".join(str(i) for i in range(RANK_CANDIDATE_CAP))
 

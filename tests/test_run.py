@@ -742,27 +742,27 @@ class TestSendAhead:
     @pytest.mark.parametrize("updates", [False, True])
     def test_hard_failure_of_a_question_ahead_ends_its_own_claim(self,
                                                                  updates):
-        """Claim 1's first question-entity request rides with claim 0's
-        steps and fails for good; claim 0 is decided and updated as if
-        nothing had failed, and claim 1 ends at that step."""
+        """A step of claim 1 rides with claim 0's steps and fails for good:
+        with updates on, its first answer request, which rides with claim
+        0's update once claim 1's graph read passes; with updates off, its
+        opening sub-question requests, since it cannot pass that read
+        before claim 0 ends. Claim 0 is decided and updated as if nothing
+        had failed, and claim 1 ends at that step."""
         table, items = tabled_world(2, 0)
         oracle = RuleBasedOracle(table)
-        questions = set()
+        failing = (PromptKind.ANSWER_SUBQUESTION if updates
+                   else PromptKind.GENERATE_SUBQUESTION)
         failed_during = []
         searching = []
         sent = []
 
         def reply(req, prompt):
             sent.append(req.kind)
-            if req.kind is PromptKind.EXTRACT_ENTITIES and \
-                    req.context["document"] in questions:
-                failed_during.append(searching[-1])
-                raise GatewayHardError("entities down")
-            text = oracle.generate(req, prompt)
-            if req.kind is PromptKind.GENERATE_SUBQUESTION and \
+            if req.kind is failing and \
                     req.context["claim"] == items[1].claim:
-                questions.add(text)
-            return text
+                failed_during.append(searching[-1])
+                raise GatewayHardError("step down")
+            return oracle.generate(req, prompt)
 
         search = SearchEngine.search
 
@@ -777,14 +777,45 @@ class TestSendAhead:
                                          updates=updates)
         gateway.close()
         assert PromptKind.ANSWER_SUBQUESTION in sent
-        assert failed_during == [items[0].id]
+        # With updates off, both of the opening step's sub-questions fail.
+        assert failed_during == [items[0].id] * (1 if updates else 2)
         first, second = record.results
         alone = Gateway(oracle)
         [clean], _ = one_claim_at_a_time(items[:1], KnowledgeGraph(),
                                          small_config(), alone, updates)
         alone.close()
         assert first.as_record() == clean
-        assert second.error == "entities down" and second.verdict is None
+        assert second.error == "step down" and second.verdict is None
+
+    def test_claim_ahead_waits_for_a_key_the_graph_lacks(self):
+        """On an empty graph, real-0's update declares alpha0, which no
+        triple has yet, and fake-0's question names it. fake-0's graph read
+        waits for that update, so its first answer request carries the
+        triple about alpha0 that the update inserted."""
+        table, items = tabled_world(1, 1)
+        oracle = RuleBasedOracle(table)
+        contexts = []
+
+        def reply(req, prompt):
+            if req.kind is PromptKind.ANSWER_SUBQUESTION and \
+                    req.context["claim"] == items[1].claim:
+                contexts.append(req.context["triples"])
+            return oracle.generate(req, prompt)
+
+        gateway = Gateway(ScriptedBackend(reply))
+        with read_branches() as seen:
+            record, _, grown = run_detection(items, KnowledgeGraph(),
+                                             small_config(), gateway)
+        gateway.close()
+        assert seen == {"waited": 1}
+        assert "(Alpha0; commanded; Gamma0)" in contexts[0]
+        assert "alpha0" in {t.subject.key for t in grown.triples}
+        alone = Gateway(RuleBasedOracle(table))
+        results, kg_after = one_claim_at_a_time(items, KnowledgeGraph(),
+                                                small_config(), alone)
+        alone.close()
+        assert [r.as_record() for r in record.results] == results
+        assert record.kg_after == kg_after
 
     def test_no_claim_reads_the_graph_before_the_one_before_commits(
             self, monkeypatch):
@@ -987,11 +1018,11 @@ class FaultyOracle:
     def track(self, items):
         """Note the claim each call belongs to while the block runs.
 
-        A request that names a claim belongs to that claim, and a
-        question-entity or ranking request to the claim that asked the
-        question, wherever they are sent: a claim running ahead sends them
-        while the claim before it is searched or updated. Any other call
-        belongs to the claim being searched or updated.
+        A request that names a claim belongs to that claim, and a ranking
+        request to the claim that asked the question, wherever they are
+        sent: a claim running ahead sends them while the claim before it is
+        searched or updated. Any other call belongs to the claim being
+        searched or updated.
         """
         self.ids = {item.claim: item.id for item in items}
         search = SearchEngine.search
@@ -1005,9 +1036,7 @@ class FaultyOracle:
 
     def _owner(self, req) -> str:
         claim = req.context.get("claim")
-        if req.kind is PromptKind.EXTRACT_ENTITIES:
-            claim = self.asked_by.get(req.context["document"])
-        elif req.kind is PromptKind.RANK_TRIPLES:
+        if req.kind is PromptKind.RANK_TRIPLES:
             claim = self.asked_by.get(req.context["question"])
         return self.ids.get(claim, self.claim)
 
@@ -1220,22 +1249,22 @@ class TestRunSequential:
     def test_carryover_round_trips(self):
         """Each Real claim's update declares the keys it can write, and the
         next claim, which names other entities, reads the graph and sends
-        its answer step with that update's relation batch: 3.83
-        round-trips per claim, where waiting for every update took 4.44
-        (160 for 36 claims). Calls and memo hits are those of one claim at
+        its answer step with that update's relation batch: 3.44
+        round-trips per claim, where waiting for every update took 4.06
+        (146 for 36 claims). Calls and memo hits are those of one claim at
         a time."""
         cells, _, _, gateway, built = _carryover_run()
         claims = sum(len(c.record.results) for c in cells)
         assert built == 48 and claims == 36
-        assert gateway.round_trips - built == 138
+        assert gateway.round_trips - built == 124
         assert {k: n for k, n in gateway.call_counts.items() if n} == {
-            PromptKind.EXTRACT_ENTITIES: 84,
+            PromptKind.EXTRACT_ENTITIES: 48,
             PromptKind.GENERATE_RELATIONS: 48,
             PromptKind.EXTRACT_EVENT_TRIPLES: 48,
             PromptKind.GENERATE_SUBQUESTION: 48,
             PromptKind.ANSWER_SUBQUESTION: 48,
             PromptKind.FINAL_VERDICT: 72}
-        assert sum(gateway.memo_hits.values()) == 192
+        assert sum(gateway.memo_hits.values()) == 156
 
     def test_three_subset_tags(self):
         table, items = tabled_world(num_real=3, num_fake=0)
