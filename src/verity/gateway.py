@@ -535,10 +535,11 @@ class Gateway:
 
 @dataclass(frozen=True)
 class GraphRead:
-    """Yielded just before a step generator reads the triples about the
-    entity keys ``keys``, which an earlier claim's update may still add to;
-    the generator receives None."""
-    keys: frozenset[str]
+    """Yielded just before a step generator reads the triples about every
+    entity key that occurs in ``text``, a normalized question, between word
+    boundaries (see :func:`verity.retrieval.word_spans`), which an earlier
+    claim's update may still add to; the generator receives None."""
+    text: str
 
 
 @dataclass(frozen=True)

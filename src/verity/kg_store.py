@@ -180,6 +180,8 @@ class KnowledgeGraph:
         # Index keys whose set no other graph holds; copy() empties it on
         # both sides, so the next write to any key copies its set first.
         self._owned: set[str] = set()
+        # The length of the longest index key; no key is longer.
+        self._longest_key = 0
         self._next_seq = 0
         # Interning tables, keyed by the string exactly as written.
         self._entities: dict[str, Entity] = {}
@@ -217,6 +219,7 @@ class KnowledgeGraph:
             if key not in owned:
                 index[key] = set(index.get(key, ()))
                 owned.add(key)
+                self._longest_key = max(self._longest_key, len(key))
             index[key].add(idx)
         self._next_seq = max(self._next_seq, triple.seq + 1)
         return True
@@ -233,6 +236,11 @@ class KnowledgeGraph:
         if entity is None:
             entity = self._entities[surface] = Entity(surface)
         return entity
+
+    @property
+    def longest_key(self) -> int:
+        """The length of the longest entity key in the index, 0 if none."""
+        return self._longest_key
 
     def match_entities(self, query_keys: Iterable[str]) -> set[str]:
         """Exact intersection of normalized query keys with indexed keys."""
@@ -256,6 +264,7 @@ class KnowledgeGraph:
         snap._identities = set(self._identities)
         snap._entity_index = dict(self._entity_index)
         self._owned = set()
+        snap._longest_key = self._longest_key
         snap._next_seq = self._next_seq
         snap._entities = dict(self._entities)
         snap._relation_keys = dict(self._relation_keys)

@@ -12,8 +12,8 @@ nothing would ever read the children it added.
 The search and its expansions are step generators (see
 :func:`verity.gateway.drive`): they yield the requests each step needs and
 hold no gateway. The first step holds the root's sub-questions and its
-evidence-free verdict, and an answer step yields a ``GraphRead`` of every
-key its retrieval looks up (``retrieval.question_keys``) before that
+evidence-free verdict, and an answer step yields a ``GraphRead`` of its
+normalized sub-question (``retrieval.retrieval_steps``) before its
 retrieval reads the graph.
 ``SearchEngine.search`` drives one claim's steps through the engine's
 gateway; ``run_detection`` runs the next claim's steps ahead, up to a

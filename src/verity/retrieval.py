@@ -1,10 +1,11 @@
 """Top-K knowledge retrieval for a sub-question.
 
 Pipeline: link the question to the graph lexically (every span of the
-normalized question that lies between word boundaries, looked up in the
-graph's entity index, with no model call), take the one-hop subgraph, and
-when the candidate set exceeds the budget ask the model to rank candidate
-indices (never to regenerate triples) before truncating to K.
+normalized question that lies between word boundaries and is no longer
+than the graph's longest key, looked up in the graph's entity index, with
+no model call), take the one-hop subgraph, and when the candidate set
+exceeds the budget ask the model to rank candidate indices (never to
+regenerate triples) before truncating to K.
 ``retrieval_steps`` is the pipeline as a step generator (see
 :func:`verity.gateway.drive`), which the search runs inside an answer step;
 ``retrieve_context`` drives it through a gateway.
@@ -18,7 +19,9 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import ValidationError
 from .gateway import (Gateway, GraphRead, LLMRequest, PromptKind, Steps,
@@ -29,6 +32,10 @@ log = logging.getLogger(__name__)
 
 # The ranking prompt is capped to keep it inside a model context budget.
 RANK_CANDIDATE_CAP = 50
+# Where a span may start and end: no word character just before, or just
+# after.
+_STARTS = re.compile(r"(?<!\w)")
+_ENDS = re.compile(r"(?!\w)")
 
 
 @dataclass
@@ -53,19 +60,22 @@ def render_candidates(triples: list[Triple]) -> str:
         for i, t in enumerate(triples))
 
 
-def question_keys(question: str) -> frozenset[str]:
-    """Every span of ``normalize_entity(question)`` that starts and ends on
-    a word boundary: no word character just before it or just after it.
+def word_spans(text: str, longest: int) -> Iterator[str]:
+    """Every span of ``text`` of at most ``longest`` characters that starts
+    and ends on a word boundary: no word character just before it or just
+    after it.
 
     These are exactly the places where the scan ``(?<!\\w)key(?!\\w)``
-    can match a key in the normalized question, so a graph key occurs in
-    the question in that sense if and only if it is in this set. The set
-    depends on the question alone, never on the graph.
+    can match a key of at most ``longest`` characters in ``text``. The
+    spans are made one at a time, and each start tries only the ends
+    within ``longest`` characters, so the work grows with the length of
+    ``text``, not with its square.
     """
-    text = normalize_entity(question)
-    starts = [m.start() for m in re.finditer(r"(?<!\w)", text)]
-    ends = [m.start() for m in re.finditer(r"(?!\w)", text)]
-    return frozenset(text[i:j] for i in starts for j in ends if j > i)
+    ends = [m.start() for m in _ENDS.finditer(text)]
+    for m in _STARTS.finditer(text):
+        i = m.start()
+        for j in ends[bisect_right(ends, i):bisect_right(ends, i + longest)]:
+            yield text[i:j]
 
 
 def retrieval_steps(question: str, graph: KnowledgeGraph, k: int,
@@ -73,17 +83,18 @@ def retrieval_steps(question: str, graph: KnowledgeGraph, k: int,
     """``retrieve_context`` as a step generator, its ranking request at
     ``seed``.
 
-    Its first step, before it reads ``graph``, is a ``GraphRead`` of every
-    key it looks up, ``question_keys(question)``, matched or not. The read
-    returns the triples that have one of those keys as subject or object,
-    so only an insert of such a triple can change it, whether the key is in
-    the graph yet or not.
+    Its first step, before it reads ``graph``, is a ``GraphRead`` of the
+    normalized question. The read returns the triples whose subject or
+    object key occurs in that text between word boundaries, so only an
+    insert of a triple with such a key can change it, whether the key is in
+    the graph yet or not. It then looks up the question's ``word_spans`` no
+    longer than the graph's longest key.
     """
     if k < 1:
         raise ValidationError("retrieval cutoff K must be >= 1")
-    keys = question_keys(question)
-    yield GraphRead(keys)
-    matched = graph.match_entities(keys)
+    text = normalize_entity(question)
+    yield GraphRead(text)
+    matched = graph.match_entities(word_spans(text, graph.longest_key))
     candidates = graph.one_hop_subgraph(matched)
     result = RetrievalResult(question, matched, candidates)
     if len(candidates) <= k:

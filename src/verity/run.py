@@ -17,6 +17,7 @@ from .jsonl import write_lines
 from .kg_store import KnowledgeGraph
 from .knowledge_update import apply_update, extract_new_knowledge
 from .mcts import EngineConfig, SearchEngine, paths_digest
+from .retrieval import word_spans
 from .metrics import MetricsReport, compute_metrics
 from .verdict import Verdict
 
@@ -86,10 +87,10 @@ class _ClaimAhead:
     by ``run_detection`` from ``SearchEngine.search_steps``, and it moves
     only inside ``complete_all``, by at most a read and a step per batch of
     the current claim.
-    First, if it waits at a ``GraphRead`` whose keys are disjoint from the
-    keys the current claim's update has declared it can write
-    (``GraphWrite``), it passes the read, since no triple of that update
-    can then change what the read returns. Then the batch goes to
+    First, if it waits at a ``GraphRead`` whose text holds, between word
+    boundaries, none of the keys the current claim's update has declared
+    it can write (``GraphWrite``), it passes the read, since no triple of
+    that update can then change what the read returns. Then the batch goes to
     ``Gateway.complete_all`` with the search as its ``ahead``, where the
     step the search waits on rides if the batch reaches the backend and
     shares none of that step's memo misses. Whatever it has not passed by
@@ -115,7 +116,8 @@ class _ClaimAhead:
         walk = self.ahead
         if (walk is not None and isinstance(walk.step, GraphRead)
                 and self.writes is not None
-                and walk.step.keys.isdisjoint(self.writes)):
+                and self.writes.isdisjoint(word_spans(
+                    walk.step.text, max(map(len, self.writes), default=0)))):
             walk.advance(None)
         return self.gateway.complete_all(reqs, walk)
 
@@ -138,9 +140,9 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
     (``Gateway.complete_all``, given claim i+1's search as ``ahead``), and
     resumes claim i+1 with that step's answers. Claim i+1 stops at each
     graph read. It passes one at a batch of claim i's update only when
-    the keys that update declared it can write and the keys of the read
-    have none in common (``_ClaimAhead``), so no triple of claim i can
-    change what it reads. Otherwise it reads the graph only after claim
+    the question it reads for names none of the keys that update declared
+    it can write (``_ClaimAhead``), so no triple of claim i can change
+    what it reads. Otherwise it reads the graph only after claim
     i's update, when the run hands the begun search to claim i+1's
     ``search`` call. That takes its opening step, the root's
     sub-questions and verdict, off its own round-trips, and, past a read,

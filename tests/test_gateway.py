@@ -825,7 +825,7 @@ class TestDrive:
 
     def test_graph_read_sends_nothing(self):
         def steps():
-            read = yield GraphRead(frozenset({"alpha"}))
+            read = yield GraphRead("alpha")
             write = yield GraphWrite(frozenset({"beta"}))
             [resp] = yield [_subquestion(0)]
             return read, write, resp.parsed
@@ -834,7 +834,7 @@ class TestDrive:
         declared = []
         gw.declare_writes = declared.append
         walk = Stepper(steps())
-        assert walk.step == GraphRead(frozenset({"alpha"}))
+        assert walk.step == GraphRead("alpha")
         assert walk.pending is None
         assert drive(walk, gw) == (None, None, "Q0 of c?")
         gw.close()

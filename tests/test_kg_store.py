@@ -466,6 +466,7 @@ class TestCopyOnWrite:
             for t in triples:
                 assert rebuilt.insert_triple(t)
             assert graph._entity_index == rebuilt._entity_index
+            assert graph.longest_key == rebuilt.longest_key
             for key in keys:
                 assert graph.one_hop_subgraph({key}) == \
                     rebuilt.one_hop_subgraph({key})
@@ -486,6 +487,19 @@ def test_copy_is_independent():
     assert len(snap) == 1
     assert len(g) == 2
     assert snap.match_entities({"c"}) == set()
+
+
+def test_longest_key_is_kept_per_copy(tmp_path):
+    g = KnowledgeGraph()
+    assert g.longest_key == 0
+    g.add("a", "r", "B  b")
+    snap = g.copy()
+    g.add("Cc  cc", "r", "d")
+    snap.add("ee", "r", "a")
+    assert (g.longest_key, snap.longest_key) == (5, 3)
+    path = tmp_path / "g.jsonl"
+    g.save(str(path))
+    assert KnowledgeGraph.load(str(path)).longest_key == 5
 
 
 class TestCanonicalLine:

@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,8 @@ from verity.kg_builder import SourceDocument, build_graph
 from verity.kg_store import Entity, KnowledgeGraph, Triple, normalize_entity
 from verity.mcts import EngineConfig
 from verity.oracle import RuleBasedOracle
-from verity.retrieval import (RANK_CANDIDATE_CAP, question_keys,
-                              render_triples, retrieve_context)
+from verity.retrieval import (RANK_CANDIDATE_CAP, render_triples,
+                              retrieve_context, word_spans)
 from verity.run import run_detection
 
 
@@ -31,6 +32,12 @@ KEY_CHARS = "aZ_9 .'-\u00e9\u00df\u0130\u03a3\t"
 
 def graph_keys(graph):
     return {key for t in graph.triples for key in (t.subject.key, t.object.key)}
+
+
+def linked(graph, question):
+    """The graph keys retrieval looks up and finds for ``question``."""
+    return graph.match_entities(word_spans(normalize_entity(question),
+                                           graph.longest_key))
 
 
 def scanned(graph, question):
@@ -56,24 +63,55 @@ class TestQuestionEntities:
     def test_oracle_entities(self, graph):
         # The keys the oracle names as the question's entities; "anders"
         # is a graph key too, but the question holds it only inside a word.
-        keys = graph.match_entities(question_keys(
-            "Who was Anderson's superior during World War II?"))
+        keys = linked(graph,
+                      "Who was Anderson's superior during World War II?")
         assert keys == {"anderson", "world war ii"}
 
     def test_empty_question(self, graph):
-        assert question_keys("") == frozenset()
-        assert graph.match_entities(question_keys("")) == set()
+        assert list(word_spans("", graph.longest_key)) == []
+        assert linked(graph, "") == set()
 
     def test_repeated_entity_single_key(self, graph):
-        keys = graph.match_entities(question_keys(
-            "Anderson, yes Anderson himself."))
+        keys = linked(graph, "Anderson, yes Anderson himself.")
         assert keys == {"anderson"}
 
     def test_spans_between_word_boundaries(self):
         # No span starts at the apostrophe, which follows a word character,
         # or ends before the "s", which is one.
-        assert question_keys("  Alpha1's\twar ") == {
+        text = normalize_entity("  Alpha1's\twar ")
+        assert set(word_spans(text, len(text))) == {
             "alpha1", "alpha1's", "alpha1's war", "s", "s war", "war"}
+        # None longer than the bound.
+        assert set(word_spans(text, 6)) == {"alpha1", "s", "s war", "war"}
+
+    def test_long_question_looks_up_no_span_longer_than_a_key(
+            self, graph, monkeypatch):
+        """A runaway sub-question of 400 words links the keys it names, at
+        both ends, and retrieval looks up only spans up to the graph's
+        longest key, one at a time: every span of it, held at once, would
+        take about 100 MiB."""
+        question = ("Anderson " + " ".join(f"word{i}" for i in range(400))
+                    + " World War II")
+        lookup = graph.match_entities
+
+        def match(keys):
+            def checked():
+                for key in keys:
+                    assert len(key) <= graph.longest_key
+                    yield key
+            return lookup(checked())
+
+        monkeypatch.setattr(graph, "match_entities", match)
+        gateway = Gateway(ScriptedBackend(None))
+        tracemalloc.start()
+        try:
+            result = retrieve_context(question, graph, len(graph), gateway)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        gateway.close()
+        assert result.matched_keys == {"anderson", "world war ii"}
+        assert peak < 1 << 20
 
     @settings(max_examples=300, deadline=None)
     @given(surfaces=st.lists(st.text(KEY_CHARS, min_size=1, max_size=6),
@@ -89,8 +127,9 @@ class TestQuestionEntities:
         parts = st.one_of(st.sampled_from(surfaces),
                           st.text(KEY_CHARS, max_size=4))
         question = "".join(data.draw(st.lists(parts, max_size=8)))
-        assert graph.match_entities(question_keys(question)) == \
-            scanned(graph, question)
+        assert graph.longest_key == max(map(len, graph_keys(graph)),
+                                        default=0)
+        assert linked(graph, question) == scanned(graph, question)
 
 
 def oracle_world(name):
@@ -143,9 +182,9 @@ def test_lexical_keys_equal_the_oracle_entities(name):
     for question in sorted(questions):
         resp = gateway.complete(LLMRequest(PromptKind.EXTRACT_ENTITIES,
                                            {"document": question}))
-        linked = world.match_entities(question_keys(question))
-        assert linked
-        assert linked == world.match_entities(
+        keys = linked(world, question)
+        assert keys
+        assert keys == world.match_entities(
             Entity(surface).key for surface in resp.parsed)
     gateway.close()
 

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -24,6 +25,7 @@ from verity.kg_store import KnowledgeGraph, Triple
 from verity.knowledge_update import apply_update, extract_new_knowledge
 from verity.mcts import EngineConfig, SearchEngine, paths_digest
 from verity.oracle import RuleBasedOracle
+from verity.retrieval import word_spans
 from verity.run import (ClaimResult, _ClaimAhead, format_cells, run_detection,
                         run_sequential)
 from verity.verdict import Verdict
@@ -448,6 +450,12 @@ def opening_step(config, item):
                                        item.id)).pending
 
 
+def names_any(text, keys):
+    """Whether ``text`` holds any of ``keys`` between word boundaries."""
+    return any(re.search(r"(?<!\w)" + re.escape(key) + r"(?!\w)", text)
+               for key in keys)
+
+
 @contextlib.contextmanager
 def read_branches():
     """Count, at each write declaration that finds the claim ahead at a
@@ -459,7 +467,7 @@ def read_branches():
     def counted(self, keys):
         step = self.ahead.step if self.ahead is not None else None
         if isinstance(step, GraphRead):
-            branch = "released" if step.keys.isdisjoint(keys) else "waited"
+            branch = "waited" if names_any(step.text, keys) else "released"
             seen[branch] += 1
         return declare(self, keys)
 
@@ -844,12 +852,15 @@ class TestSendAhead:
             real = getattr(KnowledgeGraph, name)
 
             def read(self, keys):
-                # The claim whose search is running the read.
+                # Every key the question read for can name, whatever the
+                # graph's longest key, and the claim whose search is
+                # running the read.
                 frame = sys._getframe(1)
+                text = frame.f_locals["text"]
+                named = set(word_spans(text, len(text)))
                 while frame.f_code is not searches:
                     frame = frame.f_back
-                keys = set(keys)
-                events.append(("read", frame.f_locals["claim_id"], keys))
+                events.append(("read", frame.f_locals["claim_id"], named))
                 return real(self, keys)
             return read
 
