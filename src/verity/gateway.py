@@ -335,6 +335,8 @@ class Gateway:
     Given a second caller's ``Stepper``, ``complete_all`` also sends the
     step it waits on in the same round-trip, when the batch reaches the
     backend and that step asks none of the batch's misses.
+    ``complete_steps`` sends the misses of several callers' steps in one
+    batch and settles each step as it would be settled alone.
 
     ``call_counts`` counts calls that reached the backend, by kind;
     ``memo_hits`` counts answers served from the memo; ``round_trips``
@@ -440,14 +442,11 @@ class Gateway:
         request order is raised.
 
         ``ahead`` is a later caller's ``Stepper``. The step it waits on
-        rides along only when ``reqs`` misses the memo and none of those
-        misses is a request of the step: then the step's misses go to the
-        backend in the same batch, after those of ``reqs``, its memo hits
-        are read from the memo, and ``ahead`` is resumed with the step's
-        responses or its first error, before any error of ``reqs`` is
-        raised. Each step is checked, counted and memoized as it would be
-        alone, so neither receives the other's error: a step that repeats a
-        request or misses a template slot is resumed with its
+        rides along only when ``reqs`` misses the memo: it is then the
+        second step of ``complete_steps``, which leaves it waiting if it
+        would send a request that ``reqs`` sends. A step that rides is
+        resumed with its responses or its first error, before any error of
+        ``reqs`` is raised. A step that fails validation is resumed with its
         ``ValidationError``, and ``reqs`` go out without it. Any other step
         that does not ride is left waiting, with nothing of it sent or
         counted.
@@ -459,16 +458,38 @@ class Gateway:
             except ValidationError as exc:
                 ahead.advance(exc)
             else:
-                sends = {key for _, _, key in steps[0]
-                         if key not in self._memo}
-                if sends and sends.isdisjoint(key for _, _, key in ride):
+                if any(key not in self._memo for _, _, key in steps[0]):
                     steps.append(ride)
         outcomes = self._complete(steps)
-        if len(outcomes) > 1:
+        if len(outcomes) > 1 and outcomes[1] is not None:
             ahead.advance(outcomes[1])
         if isinstance(outcomes[0], Exception):
             raise outcomes[0]
         return outcomes[0]
+
+    def complete_steps(self, steps: Sequence[Sequence[LLMRequest]]) -> list:
+        """Each step's outcome, the memo misses of all steps sent in one
+        backend batch.
+
+        A step is a list of distinct requests, checked, counted and
+        memoized as it would be alone: its outcome is its responses in
+        order, or the first error among its calls, or the
+        ``ValidationError`` of a repeated request or a missing template
+        slot, in which case nothing of it is sent. A step that would send a
+        request that an earlier step sends, or that an earlier waiting step
+        would send, waits: its outcome is None and nothing of it is sent or
+        counted. Asked again in a later batch, it reads that request from
+        the memo, or sends it again if its answer failed or did not parse,
+        so each request reaches the backend in step order, as if the steps
+        had been completed one by one.
+        """
+        jobs: list = []
+        for reqs in steps:
+            try:
+                jobs.append(self._jobs(reqs))
+            except ValidationError as exc:
+                jobs.append(exc)
+        return self._complete(jobs)
 
     @staticmethod
     def _jobs(reqs: Sequence[LLMRequest]) -> list[tuple[LLMRequest, str, str]]:
@@ -478,22 +499,38 @@ class Gateway:
             prompt = render_prompt(req)
             jobs.append((req, prompt, request_hash(req, prompt)))
         if len({key for _, _, key in jobs}) < len(jobs):
-            raise ValidationError("complete_all needs distinct requests")
+            raise ValidationError("a step needs distinct requests")
         return jobs
 
-    def _complete(self, steps: list[list[tuple[LLMRequest, str, str]]]) -> list:
-        """Each step's outcome, every memo miss sent in one backend batch."""
-        misses = [(s, i) for s, jobs in enumerate(steps)
-                  for i, (_, _, key) in enumerate(jobs)
-                  if key not in self._memo]
+    def _complete(self, steps: list) -> list:
+        """``complete_steps`` on steps already rendered (``_jobs``); a step
+        that is an error is its own outcome."""
+        outcomes: list = list(steps)
+        sending: list[int] = []
+        misses: list[tuple[int, int]] = []
+        # The keys that an earlier step sends or waits to send.
+        claimed: set[str] = set()
+        for s, jobs in enumerate(steps):
+            if isinstance(jobs, Exception):
+                continue
+            mine = [i for i, (_, _, key) in enumerate(jobs)
+                    if key not in self._memo]
+            keys = {jobs[i][2] for i in mine}
+            if keys.isdisjoint(claimed):
+                sending.append(s)
+                misses += [(s, i) for i in mine]
+            else:
+                outcomes[s] = None
+            claimed |= keys
         fresh: dict[tuple[int, int], Any] = {}
         if misses:
             self.round_trips += 1
-            outcomes = self._send([steps[s][i][:2] for s, i in misses])
-            fresh = dict(zip(misses, outcomes))
-        return [self._settle(jobs, {i: fresh[s, i] for i in range(len(jobs))
-                                    if (s, i) in fresh})
-                for s, jobs in enumerate(steps)]
+            answers = self._send([steps[s][i][:2] for s, i in misses])
+            fresh = dict(zip(misses, answers))
+        for s in sending:
+            outcomes[s] = self._settle(steps[s], {
+                i: fresh[s, i] for i in range(len(steps[s])) if (s, i) in fresh})
+        return outcomes
 
     def _settle(self, jobs: list[tuple[LLMRequest, str, str]],
                 fresh: dict[int, Any]) -> list[LLMResponse] | Exception:
@@ -530,7 +567,7 @@ class Gateway:
 # Gateway: each yields a list of distinct requests, receives their
 # responses (or has the batch's error raised at that yield), and returns
 # its result. Whoever drives one owns the round-trips, so a driver can send
-# the steps of two generators in one batch.
+# the steps of several generators in one batch (``drive_all``).
 
 
 @dataclass(frozen=True)
@@ -611,3 +648,36 @@ def drive(steps: "Steps | Stepper", gateway: Gateway) -> Any:
     if walk.error is not None:
         raise walk.error
     return walk.result
+
+
+def drive_all(steps_list: Sequence[Steps], gateway: Gateway) -> list[Stepper]:
+    """Run every generator of ``steps_list`` to its end together, and return
+    each one's ended ``Stepper``, which holds its ``result`` or its
+    ``error``.
+
+    Each round passes every ``GraphWrite`` to ``gateway.declare_writes``,
+    then sends the step every unfinished generator waits on in one
+    ``gateway.complete_steps`` batch, and resumes each generator with its
+    own responses or its own error. A step that batch leaves waiting is
+    asked again in the next round. So a request that several generators
+    reach in one round goes to the backend in list order. If no generator
+    reaches a request in an earlier round than an earlier generator that
+    asks it too, then, against a backend whose answer depends only on the
+    request and on how often it was sent before, calls, memo hits and every
+    generator's outcome are those of driving each generator alone, in list
+    order.
+    """
+    walks = [Stepper(steps) for steps in steps_list]
+    while True:
+        for walk in walks:
+            while walk.step is not None and walk.pending is None:
+                if isinstance(walk.step, GraphWrite):
+                    gateway.declare_writes(walk.step.keys)
+                walk.advance(None)
+        waiting = [walk for walk in walks if walk.pending is not None]
+        if not waiting:
+            return walks
+        outcomes = gateway.complete_steps([walk.pending for walk in waiting])
+        for walk, outcome in zip(waiting, outcomes):
+            if outcome is not None:
+                walk.advance(outcome)

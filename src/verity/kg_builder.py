@@ -5,19 +5,21 @@ relation extraction (the relation wording may be generated, not quoted) and
 event-centered triple extraction where subjects and objects can be
 multi-word phrases such as times and places.
 
-A document costs two model round-trips, in dependency order. The first
-batch asks for the entities and the event triples of every distinct chunk;
-the second, sent only if some entity was found, asks for every chunk's
+A document's extraction takes two steps, in dependency order. The first
+asks for the entities and the event triples of every distinct chunk; the
+second, sent only if some entity was found, asks for every chunk's
 relations, naming those entities. A chunk that repeats is asked once. When
-a request fails for good, the batch raises the first failure in request
+a request fails for good, the step raises the first failure in request
 order, entity requests before event ones, and no relation request is sent
-if the first batch failed. ``build_graph`` then skips the document and
+if the first step failed. ``build_graph`` then skips the document and
 lists it in ``docs_failed``; the knowledge update passes the error on, and
 its claim is abandoned.
 
 The extraction is a step generator (``document_steps``; see
 :func:`verity.gateway.drive`), so the knowledge update can run it inside a
-claim's own steps. ``build_graph`` drives it through a gateway.
+claim's own steps. ``build_graph`` drives the documents of a window
+together (:func:`verity.gateway.drive_all`), so a window takes two
+round-trips, not two per document.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 
 from .errors import GatewayHardError, ValidationError
 from .gateway import (Gateway, GraphWrite, LLMRequest, LLMResponse,
-                      PromptKind, Steps, drive)
+                      PromptKind, Steps, drive_all)
 from .jsonl import write_lines
 from .kg_store import Entity, KnowledgeGraph, Triple
 
@@ -38,6 +40,9 @@ log = logging.getLogger(__name__)
 # Long documents are chunked so each prompt fits a model context budget;
 # the entity list is re-sent with every chunk.
 CHUNK_CHARS = 4000
+
+# Documents whose extraction runs together; bounds the prompts held at once.
+BUILD_WINDOW = 64
 
 
 @dataclass
@@ -165,25 +170,42 @@ def document_steps(doc: SourceDocument, seed: int = 0) -> Steps:
 def build_graph(corpus: list[SourceDocument],
                 gateway: Gateway) -> tuple[KnowledgeGraph, BuildReport]:
     """Union of both extraction modes over all trusted documents, asked at
-    seed 0."""
+    seed 0.
+
+    The corpus runs in order, ``BUILD_WINDOW`` documents at a time: every
+    document of a window sends its step in the same backend batch, so a
+    window of single-chunk documents takes two round-trips. A document that
+    would send a request that an earlier document of its window sends, or
+    waits to send, waits a round and then reads the memo
+    (``Gateway.complete_steps``). Two documents can share a relation request
+    only if they share a chunk, and then the later one's first step waits
+    until the earlier one's has been sent, so no document reaches a request
+    before an earlier one that asks it too. The graph, the report, calls and memo
+    hits are therefore those of extracting one document at a time. The
+    triples are inserted in corpus order once the window is done.
+    """
     for doc in corpus:
         if not doc.trusted:
             raise ValidationError(f"document {doc.id} is not trusted")
     graph = KnowledgeGraph()
     report = BuildReport()
-    for doc in corpus:
-        try:
-            triples, dropped = drive(document_steps(doc), gateway)
-        except GatewayHardError as exc:
-            log.warning("skipping doc %s: %s", doc.id, exc)
-            report.docs_failed.append(doc.id)
-            continue
-        report.docs_processed += 1
-        report.triples_dropped += dropped
-        for triple in triples:
-            if graph.add(triple.subject.surface, triple.relation,
-                         triple.object.surface, source_id=doc.id):
-                report.triples_added += 1
-            else:
-                report.triples_duplicate += 1
+    for start in range(0, len(corpus), BUILD_WINDOW):
+        window = corpus[start:start + BUILD_WINDOW]
+        walks = drive_all([document_steps(doc) for doc in window], gateway)
+        for doc, walk in zip(window, walks):
+            if isinstance(walk.error, GatewayHardError):
+                log.warning("skipping doc %s: %s", doc.id, walk.error)
+                report.docs_failed.append(doc.id)
+                continue
+            if walk.error is not None:
+                raise walk.error
+            triples, dropped = walk.result
+            report.docs_processed += 1
+            report.triples_dropped += dropped
+            for triple in triples:
+                if graph.add(triple.subject.surface, triple.relation,
+                             triple.object.surface, source_id=doc.id):
+                    report.triples_added += 1
+                else:
+                    report.triples_duplicate += 1
     return graph, report

@@ -6,12 +6,19 @@ one statement per sentence, "<subject> <relation> <object>.".
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
+import threading
+from unittest import mock
 
 from verity.dataset import NewsItem
-from verity.gateway import Gateway, PromptKind
-from verity.kg_builder import SourceDocument
-from verity.oracle import FactTable
+from verity.errors import GatewayHardError, TransportError
+from verity.gateway import Gateway, PromptKind, drive, request_hash
+from verity.kg_builder import BuildReport, SourceDocument, document_steps
+from verity.kg_store import KnowledgeGraph
+from verity.mcts import SearchEngine
+from verity.oracle import FactTable, RuleBasedOracle
 from verity.verdict import Verdict
 
 
@@ -64,6 +71,98 @@ class BatchLog:
             return inner(jobs)
 
         gateway._send = send
+
+
+def build_one_by_one(corpus: list[SourceDocument], gateway: Gateway
+                     ) -> tuple[KnowledgeGraph, BuildReport]:
+    """What ``build_graph`` returns, with each document's extraction driven
+    alone, in corpus order."""
+    graph, report = KnowledgeGraph(), BuildReport()
+    for doc in corpus:
+        try:
+            triples, dropped = drive(document_steps(doc), gateway)
+        except GatewayHardError:
+            report.docs_failed.append(doc.id)
+            continue
+        report.docs_processed += 1
+        report.triples_dropped += dropped
+        for t in triples:
+            if graph.add(t.subject.surface, t.relation, t.object.surface,
+                         source_id=doc.id):
+                report.triples_added += 1
+            else:
+                report.triples_duplicate += 1
+    return graph, report
+
+
+# Faults a backend call may meet; "garbage" is text no parser accepts.
+FAULTS = ("transport", "hard", "garbage")
+
+
+class FaultyOracle:
+    """The oracle behind injected faults, and the claims each fault hit.
+
+    Whether a call fails depends only on the salt, the request and how often
+    that request was sent before, so a run is the same whatever order a
+    batch's calls finish in.
+    """
+
+    def __init__(self, table, salt: int, percent: int, kinds):
+        self.oracle = RuleBasedOracle(table)
+        self.salt, self.percent, self.kinds = salt, percent, kinds
+        self.sent: dict[str, int] = {}
+        self.hit: dict[str, set[str]] = {}
+        self.claim = ""
+        self.ids: dict[str, str] = {}
+        # The claim each generated sub-question was asked for.
+        self.asked_by: dict[str, str] = {}
+        self._lock = threading.Lock()
+
+    @contextlib.contextmanager
+    def track(self, items):
+        """Note the claim each call belongs to while the block runs.
+
+        A request that names a claim belongs to that claim, and a ranking
+        request to the claim that asked the question, wherever they are
+        sent: a claim running ahead sends them while the claim before it is
+        searched or updated. Any other call belongs to the claim being
+        searched or updated.
+        """
+        self.ids = {item.claim: item.id for item in items}
+        search = SearchEngine.search
+
+        def tracked(engine, claim, graph, claim_id="", **kwargs):
+            self.claim = claim_id
+            return search(engine, claim, graph, claim_id, **kwargs)
+
+        with mock.patch.object(SearchEngine, "search", tracked):
+            yield
+
+    def _owner(self, req) -> str:
+        claim = req.context.get("claim")
+        if req.kind is PromptKind.RANK_TRIPLES:
+            claim = self.asked_by.get(req.context["question"])
+        return self.ids.get(claim, self.claim)
+
+    def generate(self, req, prompt):
+        key = request_hash(req, prompt)
+        with self._lock:
+            attempt = self.sent[key] = self.sent.get(key, -1) + 1
+        draw = hashlib.sha256(f"{self.salt}:{key}:{attempt}".encode()).digest()
+        if draw[0] * 100 < self.percent * 256:
+            fault = self.kinds[draw[1] % len(self.kinds)]
+            with self._lock:
+                self.hit.setdefault(fault, set()).add(self._owner(req))
+            if fault == "transport":
+                raise TransportError("injected")
+            if fault == "hard":
+                raise GatewayHardError("injected")
+            return " \n "
+        text = self.oracle.generate(req, prompt)
+        if req.kind is PromptKind.GENERATE_SUBQUESTION:
+            with self._lock:
+                self.asked_by[text.strip()] = req.context["claim"]
+        return text
 
 
 def tabled_world(num_real: int = 25, num_fake: int = 25):

@@ -4,9 +4,11 @@ The traced benchmark pass wraps program functions by name, the hash-seed
 pass compares outputs under two ``PYTHONHASHSEED`` values, the claim clock
 times each claim from one search call to the next, and the pinned ``bigkg``
 output digest hashes a graph saved by copying its loaded file. All are
-cheap enough to check here on a small world. So is the rule that the
-benchmark's pinned calls per claim rest on: only graph extraction asks the
-model for entities, never a search. The file also holds two lint
+cheap enough to check here on a small world, and so is a hash-seed pass
+over ``verity build-kg``, whose documents finish in any order. So is the
+rule that the benchmark's pinned calls per claim rest on: only graph
+extraction asks the model for entities, never a search. The file also
+holds two lint
 gates that need only the standard library: no module in ``src/`` or
 ``tests/`` imports a name it never uses, and every backticked
 ``Class.attr`` in ``src/verity/`` and README names something the class has.
@@ -26,8 +28,8 @@ import textwrap
 from pathlib import Path
 from unittest import mock
 
-from synth import (carryover_world, save_dataset, tabled_world,
-                   write_facts)
+from synth import (build_one_by_one, carryover_world, save_dataset,
+                   tabled_world, write_facts)
 
 # Importing any verity module loads the package, and with it every module
 # the tracer wraps.
@@ -37,7 +39,7 @@ from verity.errors import GatewayHardError
 import verity.kg_builder as vbuilder
 import verity.run as vrun
 from verity.gateway import Gateway, PromptKind, ScriptedBackend
-from verity.kg_builder import SourceDocument
+from verity.kg_builder import BUILD_WINDOW, SourceDocument
 from verity.kg_store import KnowledgeGraph
 from verity.mcts import EngineConfig, SearchEngine
 from verity.oracle import RuleBasedOracle
@@ -121,6 +123,47 @@ def test_outputs_do_not_depend_on_hash_seed(tmp_path):
     triples, real, round_trips = map(int, outputs[0][0].split()[2:])
     # Updates wrote the graph, and subset 2 was decided from what they wrote.
     assert triples > 0 and real == 4 and round_trips > 0
+
+
+_BUILD_KG = "import sys\nfrom verity.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+
+def test_build_kg_bytes_do_not_depend_on_completion_order(tmp_path):
+    """``build_graph`` sends the documents of a window together, so their
+    calls finish in any order; ``verity build-kg`` over more than one
+    window must still write the same graph and report under either hash
+    seed, and the bytes of a build one document at a time."""
+    table, _ = tabled_world(num_real=BUILD_WINDOW, num_fake=0)
+    bodies = [f"Alpha{i} commanded Gamma{i}. Beta{i} served in Gamma{i}."
+              for i in range(BUILD_WINDOW)]
+    docs = [SourceDocument(f"d{i}", body)
+            for i, body in enumerate(bodies + bodies[:5] + [""])]
+    facts, corpus = tmp_path / "facts.json", tmp_path / "corpus.jsonl"
+    write_facts(facts, table)
+    corpus.write_text("".join(json.dumps({"id": d.id, "body": d.body}) + "\n"
+                              for d in docs))
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    outputs = []
+    for seed in ("1", "2"):
+        kg = tmp_path / f"kg-{seed}.jsonl"
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", _BUILD_KG, "build-kg", "--corpus",
+             str(corpus), "--out", str(kg), "--backend", "oracle",
+             "--facts", str(facts)],
+            env=env, capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((kg.read_bytes(),
+                        Path(f"{kg}.report.json").read_bytes()))
+    gateway = Gateway(RuleBasedOracle(table))
+    graph, report = build_one_by_one(docs, gateway)
+    gateway.close()
+    graph.save(str(tmp_path / "alone.jsonl"))
+    report.save(str(tmp_path / "alone.report.json"))
+    assert outputs[0] == outputs[1] == (
+        (tmp_path / "alone.jsonl").read_bytes(),
+        (tmp_path / "alone.report.json").read_bytes())
+    assert report.docs_processed == len(docs) and report.triples_duplicate
 
 
 def test_search_is_called_once_per_claim_in_order():

@@ -15,7 +15,8 @@ from verity.errors import (FormatError, GatewayHardError, ReplayMissError,
 from verity.gateway import (MAX_IN_FLIGHT, Gateway, GraphRead, GraphWrite,
                             HttpChatBackend, LLMRequest, PromptKind,
                             RecordingBackend, ReplayBackend, ScriptedBackend,
-                            Stepper, drive, parse_entities, parse_ranking,
+                            Stepper, drive, drive_all, parse_entities,
+                            parse_ranking,
                             parse_triples, parse_verdict, render_prompt,
                             request_hash)
 from verity.kg_store import KnowledgeGraph
@@ -598,24 +599,27 @@ def _waiting(reqs):
     return Stepper(steps())
 
 
+def _spied(reply=_echo_branch, **kwargs):
+    """A gateway over ``reply``, and the claim and branch of each request of
+    each backend batch it sends."""
+    gw = Gateway(ScriptedBackend(reply), **kwargs)
+    jobs = []
+    send = gw._send
+
+    def spy(batch):
+        jobs.append([req.context["claim"] + req.context["branch"]
+                     for req, _ in batch])
+        return send(batch)
+
+    gw._send = spy
+    return gw, jobs
+
+
 class TestSendAhead:
     """A rider, another caller's step, goes out with a batch that sends."""
 
-    def _gateway(self, reply=_echo_branch, **kwargs):
-        gw = Gateway(ScriptedBackend(reply), **kwargs)
-        jobs = []
-        send = gw._send
-
-        def spy(batch):
-            jobs.append([req.context["claim"] + req.context["branch"]
-                         for req, _ in batch])
-            return send(batch)
-
-        gw._send = spy
-        return gw, jobs
-
     def test_riders_follow_the_next_batch_that_sends(self):
-        gw, jobs = self._gateway()
+        gw, jobs = _spied()
         gw.complete(_subquestion(0))
         riders = [_subquestion(0, "r"), _subquestion(1, "r")]
         rider = _waiting(riders)
@@ -633,7 +637,7 @@ class TestSendAhead:
         assert gw.round_trips == 2
 
     def test_hand_off_counts_as_sent_not_as_a_memo_hit(self):
-        gw, jobs = self._gateway()
+        gw, jobs = _spied()
         gw.complete(_subquestion(0, "r"))
         rider = _waiting([_subquestion(0, "r"), _subquestion(1, "r")])
         gw.complete_all([_subquestion(0)], rider)
@@ -649,7 +653,7 @@ class TestSendAhead:
         assert len(jobs) == 2
 
     def test_skipped_riders(self):
-        gw, jobs = self._gateway()
+        gw, jobs = _spied()
         # A rider that would send a request the batch sends waits.
         rider = _waiting([_subquestion(1), _subquestion(2)])
         own = gw.complete_all([_subquestion(0), _subquestion(1)], rider)
@@ -693,7 +697,7 @@ class TestSendAhead:
                 return " "
             return _echo_branch(req, prompt)
 
-        gw, jobs = self._gateway(reply, max_retries=1, backoff=0.0)
+        gw, jobs = _spied(reply, max_retries=1, backoff=0.0)
         # The carrying batch does not raise its rider's error: the rider
         # is resumed with that error.
         rider = _waiting([_subquestion(b, "r") for b in (2, 1, 0)])
@@ -720,7 +724,7 @@ class TestSendAhead:
                 raise GatewayHardError("c down")
             return _echo_branch(req, prompt)
 
-        gw, jobs = self._gateway(reply)
+        gw, jobs = _spied(reply)
         rider = _waiting([_subquestion(0, "r")])
         with pytest.raises(GatewayHardError, match="c down"):
             gw.complete_all([_subquestion(0)], rider)
@@ -795,6 +799,102 @@ class TestSendAhead:
             assert int(str(own2).split()[1]) in reqs
         if walk2.error is not None:
             assert int(str(walk2.error).split()[1]) in step
+
+
+class TestCompleteSteps:
+    """Several callers' steps, each settled as it would be alone."""
+
+    def test_each_step_gets_its_own_outcome(self):
+        def reply(req, prompt):
+            if req.context["claim"] == "down":
+                raise GatewayHardError("down")
+            return _echo_branch(req, prompt)
+
+        gw, jobs = _spied(reply, max_retries=0)
+        gw.complete(_subquestion(0, "b"))
+        repeated = [_subquestion(5, "r"), _subquestion(5, "r")]
+        unslotted = [LLMRequest(PromptKind.GENERATE_SUBQUESTION, {})]
+        a, down, b, bad, gap = gw.complete_steps([
+            [_subquestion(0, "a")], [_subquestion(0, "down")],
+            [_subquestion(0, "b"), _subquestion(1, "b")], repeated,
+            unslotted])
+        gw.close()
+        assert [r.parsed for r in a] == ["Q0 of a?"]
+        assert str(down) == "down"
+        assert [r.parsed for r in b] == ["Q0 of b?", "Q1 of b?"]
+        assert isinstance(bad, ValidationError) and "distinct" in str(bad)
+        assert isinstance(gap, ValidationError) and "slot" in str(gap)
+        assert jobs == [["b0"], ["a0", "down0", "b1"]] and gw.round_trips == 2
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
+        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 1
+
+    def test_a_step_waits_behind_a_send_it_shares(self):
+        gw, jobs = _spied()
+        gw.complete(_subquestion(9))
+        # The second step shares a send with the first, and the third one
+        # with the waiting second; the fourth shares only a memo hit.
+        outcomes = gw.complete_steps([
+            [_subquestion(0), _subquestion(9)],
+            [_subquestion(1, "x"), _subquestion(0)],
+            [_subquestion(1, "x")],
+            [_subquestion(9), _subquestion(2)]])
+        assert outcomes[1] is None and outcomes[2] is None
+        assert [r.parsed for r in outcomes[3]] == ["Q9 of c?", "Q2 of c?"]
+        assert jobs[1:] == [["c0", "c2"]]
+        # Asked again, the waiting steps go out in order.
+        second, third = gw.complete_steps([[_subquestion(1, "x"),
+                                            _subquestion(0)],
+                                           [_subquestion(1, "x")]])
+        assert [r.parsed for r in second] == ["Q1 of x?", "Q0 of c?"]
+        assert third is None
+        [third] = gw.complete_steps([[_subquestion(1, "x")]])
+        gw.close()
+        assert [r.parsed for r in third] == ["Q1 of x?"]
+        assert jobs[2:] == [["x1"]] and gw.round_trips == 3
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 4
+        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 4
+
+
+class TestDriveAll:
+    def test_generators_run_together(self):
+        def steps(claim, rounds):
+            got = []
+            for b in range(rounds):
+                if b == 1:
+                    yield GraphWrite(frozenset({claim}))
+                [resp] = yield [_subquestion(b, claim)]
+                got.append(resp.parsed)
+            return got
+
+        def failing():
+            yield [_subquestion(0, "down")]
+
+        def reply(req, prompt):
+            if req.context["claim"] == "down":
+                raise GatewayHardError("down")
+            return _echo_branch(req, prompt)
+
+        gw = Gateway(ScriptedBackend(reply), max_retries=0)
+        declared = []
+        gw.declare_writes = declared.append
+        a, down, b, again = drive_all(
+            [steps("a", 3), failing(), steps("b", 1), steps("a", 2)], gw)
+        gw.close()
+        assert a.result == ["Q0 of a?", "Q1 of a?", "Q2 of a?"]
+        assert str(down.error) == "down" and down.result is None
+        assert b.result == ["Q0 of b?"]
+        # The repeat of a's first steps waited a round for each, so it read
+        # both from the memo.
+        assert again.result == ["Q0 of a?", "Q1 of a?"]
+        assert gw.round_trips == 3
+        assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 4
+        assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 2
+        assert declared == [frozenset({"a"})] * 2
+
+    def test_nothing_to_drive(self):
+        gw = Gateway(ScriptedBackend(_echo_branch))
+        assert drive_all([], gw) == []
+        assert gw.round_trips == 0
 
 
 class TestDrive:

@@ -1,14 +1,20 @@
-from dataclasses import replace
+import collections
+import math
+from dataclasses import asdict, replace
+from unittest import mock
 
 import pytest
-from synth import BatchLog
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from synth import (FAULTS, BatchLog, FaultyOracle, build_one_by_one,
+                   carryover_world, closed_book_world, tabled_world)
 
 from verity import kg_builder
 from verity.errors import GatewayHardError, TransportError, ValidationError
 from verity.gateway import (Gateway, LLMRequest, PromptKind, RecordingBackend,
-                            ScriptedBackend, drive)
-from verity.kg_builder import (BuildReport, SourceDocument, build_graph,
-                               document_steps)
+                            ReplayBackend, ScriptedBackend, drive)
+from verity.kg_builder import (BUILD_WINDOW, CHUNK_CHARS, BuildReport,
+                               SourceDocument, build_graph, document_steps)
 from verity.kg_store import Entity, Triple
 from verity.oracle import RuleBasedOracle
 
@@ -129,20 +135,199 @@ class TestBuildGraph:
 
     def test_transcript_replay_builds_identical_file(self, tmp_path,
                                                      tunisia_table):
-        from verity.gateway import ReplayBackend
+        """The documents of a window complete in any order, so the
+        transcript's lines do too; it holds the lines of a build one
+        document at a time, and replaying it builds the same file."""
         corpus = [doc("Eisenhower commanded Anderson in Tunisia.", id="a"),
-                  doc("The landing occurred in November 1942.", id="b")]
-        transcript = tmp_path / "transcript.jsonl"
-        recording = Gateway(RecordingBackend(RuleBasedOracle(tunisia_table),
-                                             str(transcript)))
-        graph, _ = build_graph(corpus, recording)
-        first = tmp_path / "first.jsonl"
-        graph.save(str(first))
-        replayed = Gateway(ReplayBackend.from_path(str(transcript)))
+                  doc("The landing occurred in November 1942.", id="b"),
+                  doc("Eisenhower commanded Anderson in Tunisia.", id="c"),
+                  doc("Anderson fought in Tunisia.", id="d"),
+                  doc("", id="e")]
+        saved = []
+        for build in (build_graph, build_one_by_one):
+            transcript = tmp_path / f"{build.__name__}.jsonl"
+            recording = Gateway(RecordingBackend(
+                RuleBasedOracle(tunisia_table), str(transcript)))
+            graph, _ = build(corpus, recording)
+            recording.close()
+            graph.save(str(tmp_path / "kg.jsonl"))
+            saved.append((sorted(transcript.read_text().splitlines()),
+                          (tmp_path / "kg.jsonl").read_bytes()))
+        assert saved[0] == saved[1]
+        replayed = Gateway(ReplayBackend.from_path(
+            str(tmp_path / "build_graph.jsonl")))
         graph2, _ = build_graph(corpus, replayed)
-        second = tmp_path / "second.jsonl"
-        graph2.save(str(second))
-        assert first.read_bytes() == second.read_bytes()
+        replayed.close()
+        graph2.save(str(tmp_path / "replayed.jsonl"))
+        assert (tmp_path / "replayed.jsonl").read_bytes() == saved[0][1]
+
+
+def single_chunk_corpus(n):
+    """``n`` one-sentence documents, each naming its own entities, and an
+    oracle table that knows them."""
+    table, _ = tabled_world(n, 0)
+    return table, [doc(f"Alpha{i} commanded Gamma{i}.", id=f"d{i}")
+                   for i in range(n)]
+
+
+class TestBuildRoundTrips:
+    @pytest.mark.parametrize("n", [1, 2, BUILD_WINDOW, BUILD_WINDOW + 1,
+                                   2 * BUILD_WINDOW + 3])
+    def test_two_round_trips_per_window(self, n):
+        table, corpus = single_chunk_corpus(n)
+        gateway = Gateway(RuleBasedOracle(table))
+        log = BatchLog(gateway)
+        graph, report = build_graph(corpus, gateway)
+        gateway.close()
+        windows = math.ceil(n / BUILD_WINDOW)
+        assert gateway.round_trips == 2 * windows
+        assert log.batches == [
+            {PromptKind.EXTRACT_ENTITIES, PromptKind.EXTRACT_EVENT_TRIPLES},
+            {PromptKind.GENERATE_RELATIONS}] * windows
+        assert log.sizes[:2] == [2 * min(n, BUILD_WINDOW),
+                                 min(n, BUILD_WINDOW)]
+        assert report.docs_processed == len(graph) == n
+        # One document at a time takes two round-trips per document.
+        alone = Gateway(RuleBasedOracle(table))
+        graph1, report1 = build_one_by_one(corpus, alone)
+        alone.close()
+        assert alone.round_trips == 2 * n
+        assert graph.content_digest() == graph1.content_digest()
+        assert report == report1
+        assert gateway.call_counts == alone.call_counts
+
+    @pytest.mark.parametrize("world, alone_trips", [
+        ("carryover", 48), ("closed_book", 100)])
+    def test_worlds_build_as_one_document_at_a_time(self, world,
+                                                   alone_trips):
+        if world == "carryover":
+            table, subset1, _ = carryover_world(12)
+            corpus = [SourceDocument(f"{item.id}-{i}", sentence)
+                      for item in subset1
+                      for i, sentence in enumerate(item.evidence)]
+        else:
+            table, _, corpus = closed_book_world()
+        sides = []
+        for build in (build_graph, build_one_by_one):
+            gateway = Gateway(RuleBasedOracle(table))
+            graph, report = build(corpus, gateway)
+            gateway.close()
+            sides.append((graph.content_digest(), report, gateway.call_counts,
+                          gateway.memo_hits, gateway.round_trips))
+        assert sides[0][:4] == sides[1][:4]
+        assert (sides[0][4], sides[1][4]) == (2, alone_trips)
+
+    def test_repeated_documents_wait_for_the_memo(self, tunisia_table):
+        """A document whose requests an earlier one sends waits a round and
+        then reads them from the memo, as it would after that document."""
+        body = "Eisenhower commanded Anderson in Tunisia."
+        corpus = [doc(body, id=str(i)) for i in range(3)]
+        gateway = Gateway(RuleBasedOracle(tunisia_table))
+        log = BatchLog(gateway)
+        _, report = build_graph(corpus, gateway)
+        gateway.close()
+        assert report.docs_processed == 3 and report.triples_duplicate > 0
+        assert log.sizes == [2, 1] and gateway.round_trips == 2
+        assert sum(gateway.call_counts.values()) == 3
+        assert sum(gateway.memo_hits.values()) == 6
+
+    def test_a_waiting_document_keeps_its_place(self, tunisia_table):
+        """b waits for a's first chunk, and e, which shares only b's second
+        chunk, waits behind b: that chunk's first call, which fails, is
+        b's, as it is one document at a time, and e's second call
+        succeeds."""
+        first, second = ("Eisenhower commanded Anderson.",
+                         " Anderson fought in Tunisia.")
+        corpus = [doc(first, id="a"), doc(first + second, id="b"),
+                  doc("The landing occurred in November 1942." + second,
+                      id="e")]
+
+        def gateway():
+            oracle = RuleBasedOracle(tunisia_table)
+            sent = collections.Counter()
+
+            def reply(req, prompt):
+                sent[prompt] += 1
+                if "fought" in req.context["document"] and \
+                        req.kind is PromptKind.EXTRACT_ENTITIES and \
+                        sent[prompt] == 1:
+                    raise GatewayHardError("down once")
+                return oracle.generate(req, prompt)
+
+            return Gateway(ScriptedBackend(reply), max_retries=0)
+
+        with mock.patch.object(kg_builder, "CHUNK_CHARS", len(first) + 1):
+            assert kg_builder._chunks(first + second) == [first, second]
+            batched, alone = gateway(), gateway()
+            graph, report = build_graph(corpus, batched)
+            graph1, report1 = build_one_by_one(corpus, alone)
+        batched.close()
+        alone.close()
+        assert report.docs_failed == report1.docs_failed == ["b"]
+        assert graph.content_digest() == graph1.content_digest()
+        assert batched.call_counts == alone.call_counts
+        assert batched.memo_hits == alone.memo_hits
+
+
+# The oracle table of carryover_world(3), with one event it can extract.
+BUILD_TABLE = replace(carryover_world(3)[0], event_facts=[
+    ("the landing", "occurred in", "november 1942")])
+SENTENCES = ("Cmdr0 commanded Camp0.", "Aide0 served in Camp0.",
+             "Cmdr1 commanded Camp1.", "Cmdr0 met Aide0.",
+             "The landing occurred in November 1942.", "Quiet day.")
+# Longer than CHUNK_CHARS, so it is extracted in several chunks.
+LONG_BODY = " ".join(SENTENCES[:4] * (CHUNK_CHARS // 80 + 1))
+BODIES = st.one_of(
+    st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=3).map(
+        " ".join),
+    st.sampled_from(("", " \n", LONG_BODY)))
+
+
+class TestBuildGraphEqualsOneDocumentAtATime:
+    def test_property(self):
+        """``build_graph`` gives the graph, report, calls, memo hits and
+        per-request sends of ``build_one_by_one``, in no more round-trips,
+        over corpora with repeated, blank and long bodies, windows smaller
+        than the corpus, and calls that fail for good. With 30-character
+        chunks every sentence after a body's first is a chunk that other
+        bodies share, so a document held back by one chunk has a later
+        document's shared chunk behind it."""
+        seen = collections.Counter()
+
+        @settings(max_examples=300, deadline=None)
+        @given(bodies=st.lists(BODIES, max_size=BUILD_WINDOW + 4),
+               window=st.sampled_from((BUILD_WINDOW, 2, 3)),
+               chunk=st.sampled_from((30, CHUNK_CHARS)),
+               salt=st.integers(0, 2**32), percent=st.integers(0, 50),
+               kinds=st.lists(st.sampled_from(FAULTS), min_size=1,
+                              max_size=3, unique=True),
+               retries=st.integers(0, 1))
+        @example(bodies=[SENTENCES[i % 3] for i in range(BUILD_WINDOW + 3)],
+                 window=BUILD_WINDOW, chunk=CHUNK_CHARS, salt=0, percent=10,
+                 kinds=["hard"], retries=0)
+        def check(bodies, window, chunk, salt, percent, kinds, retries):
+            corpus = [doc(body, id=f"d{i}") for i, body in enumerate(bodies)]
+            sides = []
+            for build in (build_graph, build_one_by_one):
+                faulty = FaultyOracle(BUILD_TABLE, salt, percent, kinds)
+                gateway = Gateway(ScriptedBackend(faulty.generate),
+                                  max_retries=retries, backoff=0.0)
+                with mock.patch.object(kg_builder, "BUILD_WINDOW", window), \
+                        mock.patch.object(kg_builder, "CHUNK_CHARS", chunk):
+                    graph, report = build(corpus, gateway)
+                gateway.close()
+                sides.append((graph.content_digest(), asdict(report),
+                              gateway.call_counts, gateway.memo_hits,
+                              faulty.sent, gateway.round_trips))
+            batched, alone = sides
+            assert batched[:5] == alone[:5]
+            assert batched[5] <= alone[5]
+            seen["failed"] += bool(batched[1]["docs_failed"])
+            seen["repeated"] += len(set(bodies)) < len(bodies)
+            seen["windows"] += len(bodies) > window
+
+        check()
+        assert seen["failed"] and seen["repeated"] and seen["windows"]
 
 
 def test_report_saved_as_indented_json(tmp_path):
