@@ -5,9 +5,10 @@ verdict (A3). A2 only follows A1; A3 only follows the root or A2. Each
 search iteration is one select -> expand -> back-propagate round; leaves
 register reasoning paths, rewards follow the majority of completed-path
 verdicts, and the final verdict is a majority vote with ties broken to Fake.
-The last iteration expands its node only if that expansion can complete a
-path (an A3, or an A2 at the height limit); otherwise the search ends, since
-nothing would ever read the children it added.
+Each of the last ``LOOKAHEAD`` iterations first asks whether any outcome of
+its expansion and of the iterations left after it can complete a path
+(``can_finish``); if none can, the search ends, since nothing would ever
+read the children those iterations added.
 
 The search and its expansions are step generators (see
 :func:`verity.gateway.drive`): they yield the requests each step needs and
@@ -151,13 +152,53 @@ def legal_actions(tree: SearchTree, node: SearchNode) -> list[ActionKind]:
     return [ActionKind.A1, ActionKind.A3]
 
 
-def completes_path(tree: SearchTree, node: SearchNode) -> bool:
-    """Whether expanding ``node``'s first pending action can complete a
-    path in that same expansion: an A3 always can, and an A2 only at the
-    height limit, where its children take the forced verdict."""
+# Iterations left at which the search starts to ask ``can_finish``: the
+# longest run of expansions a pending node needs to complete a path (an A2,
+# an A1 under its child, then that child's A3). It bounds a lookahead to
+# (b+1) + (b+1)**2 replayed selects.
+LOOKAHEAD = 3
+
+
+def can_finish(tree: SearchTree, node: SearchNode,
+               rng_state: tuple, left: int) -> bool:
+    """Whether, for some replies of the model, expanding ``node`` and the
+    ``left - 1`` iterations after it complete a path.
+
+    An A3 always completes one, and an A2 at the height limit does unless
+    its answer fails. Otherwise each structural outcome of the expansion
+    (0..b children for an A1, where 0 leaves the action pending, and 0 or
+    b for an A2) is grown on the tree, ``select`` is replayed on a copy of
+    ``rng_state``, the claim's rng after this iteration's select, and the
+    outcome is undone. Until a path completes nothing is back-propagated,
+    so the replay sees the q and v the search would.
+    """
     action = node.pending[0]
-    return action == ActionKind.A3 or (
-        action == ActionKind.A2 and node.depth + 1 == tree.config.h)
+    if action == ActionKind.A3 or (
+            action == ActionKind.A2 and node.depth + 1 == tree.config.h):
+        return True
+    if left == 1:
+        return False
+    b = tree.config.b
+    pending = list(node.pending)
+    chain = tree.path_to(node)
+    opened = [n.open for n in chain]
+    rng = random.Random()
+    for k in range(b + 1) if action == ActionKind.A1 else (0, b):
+        for _ in range(k):
+            tree.add_child(node, action, "")
+        try:
+            rng.setstate(rng_state)
+            nxt = select(tree, rng)
+            if nxt is not None and can_finish(tree, nxt, rng.getstate(),
+                                              left - 1):
+                return True
+        finally:
+            del tree.nodes[len(tree.nodes) - k:]
+            del node.children[len(node.children) - k:]
+            node.pending[:] = pending
+            for n, was_open in zip(chain, opened):
+                n.open = was_open
+    return False
 
 
 def uct_score(q: float, v: int, v_parent: int, alpha: float) -> float:
@@ -346,10 +387,13 @@ class SearchEngine:
         evidence-free verdict: both read only the claim and the seed. The
         first iteration always expands the root's A1 with those
         sub-questions' answers, and the root's A3, whenever it comes, takes
-        that verdict. The last iteration expands only a node whose
-        expansion can complete a path (``completes_path``): children added
-        there would never be expanded, and no verdict, path or update reads
-        them. So a search with ``n`` = 1 sends nothing.
+        that verdict. With ``LOOKAHEAD`` or fewer iterations left, the
+        search goes on only if some outcome of the selected node's
+        expansion lets a path complete before the budget runs out
+        (``can_finish``). Otherwise it ends there: the
+        iterations left would complete no path, and no verdict, path or
+        update reads the children they add. So a search with ``n`` = 1
+        sends nothing.
         """
         if not claim.strip():
             raise ValidationError("claim must be non-empty")
@@ -358,8 +402,9 @@ class SearchEngine:
         early: dict[ActionKind, list[LLMResponse]] = {}
         for i in range(self.config.n):
             node = select(tree, rng)
-            if node is None or (i == self.config.n - 1
-                                and not completes_path(tree, node)):
+            left = self.config.n - i
+            if node is None or (left <= LOOKAHEAD and not can_finish(
+                    tree, node, rng.getstate(), left)):
                 break
             if i == 0:
                 transcript = _render_transcript([])

@@ -4,17 +4,18 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synth import BatchLog, tabled_world
+from verity import mcts
 from verity.dataset import NewsItem
 from verity.errors import GatewayHardError, ValidationError
 from verity.gateway import (Gateway, PromptKind, ScriptedBackend, drive,
                             request_hash)
 from verity.kg_store import KnowledgeGraph
-from verity.mcts import (ActionKind, EngineConfig, ReasoningPath, SearchEngine,
-                         SearchTree, backpropagate, completes_path,
+from verity.mcts import (LOOKAHEAD, ActionKind, EngineConfig, ReasoningPath,
+                         SearchEngine, SearchTree, backpropagate, can_finish,
                          legal_actions, majority_verdict, path_reward,
                          paths_digest, select, uct_score)
 from verity.oracle import RuleBasedOracle
@@ -78,22 +79,28 @@ class TestLegalActions:
         assert legal_actions(tree3, a2b) == [ActionKind.A3]
 
     def test_completes_path(self):
-        """An A3 and the A2 whose children take the forced verdict complete
-        a path; an A1 and an A2 above the height limit do not."""
+        """With one iteration left, an A3 and the A2 whose children take the
+        forced verdict can complete a path; an A1 and an A2 above the height
+        limit cannot."""
         tree = make_tree(h=4)
+        state = random.Random(0).getstate()
+
+        def completes(node):
+            return can_finish(tree, node, state, 1)
+
         assert tree.root.pending[0] is ActionKind.A1
-        assert not completes_path(tree, tree.root)
+        assert not completes(tree.root)
         a1 = tree.add_child(tree.root, ActionKind.A1, "q")
-        assert not completes_path(tree, a1)
+        assert not completes(a1)
         assert tree.root.pending == [ActionKind.A3]
-        assert completes_path(tree, tree.root)
+        assert completes(tree.root)
         a2 = tree.add_child(a1, ActionKind.A2, "a")
-        assert not completes_path(tree, a2)
+        assert not completes(a2)
         last_a1 = tree.add_child(a2, ActionKind.A1, "q")
         assert last_a1.depth + 1 == tree.config.h
-        assert completes_path(tree, last_a1)
+        assert completes(last_a1)
         assert a2.pending == [ActionKind.A3]
-        assert completes_path(tree, a2)
+        assert completes(a2)
 
 
 class TestUctScore:
@@ -390,50 +397,121 @@ class TestSearch:
         assert gateway.round_trips < len(batches)
 
 
+def garbled_search(n, h, b, seed, pick, salt, percent):
+    """One search of ``tabled_world(3, 3)``'s claim ``pick`` in which
+    ``percent`` of the asks, chosen by a hash of the salt, the request and
+    how often it was asked, get garbage. Returns the verdict, paths and
+    digest, and the backend calls."""
+    table, items = tabled_world(3, 3)
+    item = items[pick]
+    oracle = RuleBasedOracle(table)
+    asked: dict[str, int] = {}
+
+    def reply(req, prompt):
+        key = request_hash(req, prompt)
+        asked[key] = asked.get(key, -1) + 1
+        draw = hashlib.sha256(f"{salt}:{key}:{asked[key]}".encode()).digest()
+        if draw[0] * 100 < percent * 256:
+            return " \n "
+        return oracle.generate(req, prompt)
+
+    gateway = Gateway(ScriptedBackend(reply))
+    engine = SearchEngine(gateway, EngineConfig(n=n, h=h, b=b, seed=seed))
+    verdict, paths, tree = engine.search(item.claim, KnowledgeGraph(),
+                                         claim_id=item.id)
+    gateway.close()
+    structural_check(tree, engine.config)
+    return ((verdict, [(p.steps, p.verdict, p.node_ids) for p in paths],
+             paths_digest(paths)), sum(gateway.call_counts.values()))
+
+
+def tree_state(tree):
+    return [(n.id, n.parent, n.action, n.text, n.depth, n.q, n.v,
+             list(n.children), n.verdict, list(n.pending), n.open)
+            for n in tree.nodes], len(tree.completed_paths)
+
+
 class TestLastIteration:
-    """The last iteration expands only a node that can complete a path."""
+    """A search ends once no path can complete in its remaining
+    iterations."""
 
     @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(1, 6), h=st.integers(2, 6), b=st.integers(1, 3),
+    @given(n=st.integers(1, 10), h=st.integers(2, 6), b=st.integers(1, 3),
            seed=st.integers(0, 2**16), pick=st.integers(0, 5),
            salt=st.integers(0, 2**32), percent=st.integers(0, 40))
+    # Only the lookahead's outcome of a failed answer completes a path here.
+    @example(n=7, h=6, b=2, seed=10401, pick=2, salt=2447378075, percent=30)
     def test_skipping_changes_no_output(self, n, h, b, seed, pick, salt,
                                         percent):
-        """Against the search that expands every last node, as it did
-        before the rule: the same verdict, paths and digest, and no more
-        backend calls. ``percent`` of the asks, chosen by a hash of the
-        salt, the request and how often it was asked, get garbage."""
-        table, items = tabled_world(3, 3)
-        item = items[pick]
-        oracle = RuleBasedOracle(table)
-
-        def run():
-            asked: dict[str, int] = {}
-
-            def reply(req, prompt):
-                key = request_hash(req, prompt)
-                asked[key] = asked.get(key, -1) + 1
-                draw = hashlib.sha256(
-                    f"{salt}:{key}:{asked[key]}".encode()).digest()
-                if draw[0] * 100 < percent * 256:
-                    return " \n "
-                return oracle.generate(req, prompt)
-
-            gateway = Gateway(ScriptedBackend(reply))
-            engine = SearchEngine(gateway, EngineConfig(n=n, h=h, b=b,
-                                                        seed=seed))
-            verdict, paths, tree = engine.search(item.claim, KnowledgeGraph(),
-                                                 claim_id=item.id)
-            gateway.close()
-            structural_check(tree, engine.config)
-            return (verdict, [(p.steps, p.verdict, p.node_ids) for p in paths],
-                    paths_digest(paths)), sum(gateway.call_counts.values())
-
-        shipped, calls = run()
-        with mock.patch("verity.mcts.completes_path", lambda tree, node: True):
-            forced, forced_calls = run()
+        """Against the search that runs every iteration, as it did before
+        the rule: the same verdict, paths and digest, and no more backend
+        calls."""
+        shipped, calls = garbled_search(n, h, b, seed, pick, salt, percent)
+        with mock.patch("verity.mcts.can_finish", lambda *args: True):
+            forced, forced_calls = garbled_search(n, h, b, seed, pick, salt,
+                                                  percent)
         assert shipped == forced
         assert calls <= forced_calls
+
+    def test_lookahead_leaves_tree_and_rng_as_they_were(self, monkeypatch):
+        """Every lookahead, the nested ones included, returns the tree and
+        the claim's rng in the state it found them."""
+        rngs = []
+        rng_for = SearchEngine._rng_for
+        lookahead = mcts.can_finish
+        horizons = []
+
+        def kept_rng(engine, claim_id):
+            rngs.append(rng_for(engine, claim_id))
+            return rngs[-1]
+
+        def checked(tree, node, rng_state, left):
+            before = tree_state(tree), rngs[-1].getstate()
+            result = lookahead(tree, node, rng_state, left)
+            assert (tree_state(tree), rngs[-1].getstate()) == before
+            horizons.append(left)
+            return result
+
+        monkeypatch.setattr(SearchEngine, "_rng_for", kept_rng)
+        monkeypatch.setattr(mcts, "can_finish", checked)
+        rng = random.Random(28)
+        for _ in range(40):
+            garbled_search(n=rng.randrange(1, 11), h=rng.randrange(2, 7),
+                           b=rng.randrange(1, 4), seed=rng.randrange(10_000),
+                           pick=rng.randrange(6), salt=rng.randrange(2**32),
+                           percent=rng.randrange(41))
+        assert set(horizons) == set(range(1, LOOKAHEAD + 1))
+
+    def test_only_a_failed_answer_can_finish(self):
+        """The root's two sub-questions, one answered twice, and its two
+        verdicts: the search picks the unanswered A1 with three iterations
+        left. With its ``b`` answers grown, no path completes in the two
+        iterations after; with its answer failed, one does."""
+        tree = make_tree(h=6, b=2)
+        answered = tree.add_child(tree.root, ActionKind.A1, "q0")
+        unanswered = tree.add_child(tree.root, ActionKind.A1, "q1")
+        for _ in range(2):
+            leaf = tree.add_child(tree.root, ActionKind.A3, "Real")
+            leaf.q, leaf.v = 1.0, 1
+        tree.root.v = 2
+        clones = [tree.add_child(answered, ActionKind.A2, "a")
+                  for _ in range(2)]
+        for _ in range(2):
+            tree.add_child(clones[1], ActionKind.A1, "q")
+        rng_state = random.Random(47).getstate()
+        before = tree_state(tree)
+        assert can_finish(tree, unanswered, rng_state, 3)
+        assert tree_state(tree) == before
+
+        def finishes_after(answers):
+            for _ in range(answers):
+                tree.add_child(unanswered, ActionKind.A2, "a")
+            rng = random.Random()
+            rng.setstate(rng_state)
+            return can_finish(tree, select(tree, rng), rng.getstate(), 2)
+
+        assert finishes_after(0)
+        assert not finishes_after(tree.config.b)
 
 
 class TestExpand:
@@ -570,22 +648,22 @@ class TestRootVerdictLookahead:
     # asks each request when a step needs it.
     @pytest.mark.parametrize(
         "config, updates, round_trips, calls, memo_hits, digest", [
-            (EngineConfig(), False, 1.88,
-             {PromptKind.GENERATE_SUBQUESTION: 152,
-              PromptKind.ANSWER_SUBQUESTION: 60, PromptKind.FINAL_VERDICT: 57},
-             14, "754eec37d5421d71ef408750ae08cf9172aceae0c45cd678446ee95c930e500f"),
+            (EngineConfig(), False, 0.88,
+             {PromptKind.GENERATE_SUBQUESTION: 114,
+              PromptKind.ANSWER_SUBQUESTION: 7, PromptKind.FINAL_VERDICT: 57},
+             0, "754eec37d5421d71ef408750ae08cf9172aceae0c45cd678446ee95c930e500f"),
             (EngineConfig(n=20, h=9, b=3), False, 4.52,
              {PromptKind.GENERATE_SUBQUESTION: 375,
               PromptKind.ANSWER_SUBQUESTION: 75,
               PromptKind.FINAL_VERDICT: 125},
              1335, "bf021130c4b19ce0ae20361ba638d43494ba0bb4632b8f9827e00e1ec07c0e68"),
-            (EngineConfig(), True, 2.40,
+            (EngineConfig(), True, 1.56,
              {PromptKind.EXTRACT_ENTITIES: 25,
               PromptKind.GENERATE_RELATIONS: 25,
               PromptKind.EXTRACT_EVENT_TRIPLES: 25,
-              PromptKind.GENERATE_SUBQUESTION: 152,
-              PromptKind.ANSWER_SUBQUESTION: 60, PromptKind.FINAL_VERDICT: 57},
-             14, "3517b2d806978da2b0be1a07eccd7c14a6227882053ee00b7f52a185abab9bf2"),
+              PromptKind.GENERATE_SUBQUESTION: 114,
+              PromptKind.ANSWER_SUBQUESTION: 7, PromptKind.FINAL_VERDICT: 57},
+             0, "3517b2d806978da2b0be1a07eccd7c14a6227882053ee00b7f52a185abab9bf2"),
             (EngineConfig(n=20, h=9, b=3), True, 5.02,
              {PromptKind.EXTRACT_ENTITIES: 25,
               PromptKind.GENERATE_RELATIONS: 25,

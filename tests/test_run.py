@@ -149,11 +149,12 @@ class TestRunDetection:
             for j in range(8):
                 graph.add(f"Alpha{i}", "mentioned", f"Filler{i}-{j}", "filler")
         seeds.clear()
-        record, _, _ = run_detection(items, graph, small_config(seed=7),
+        record, _, _ = run_detection(items, graph, small_config(n=5, seed=7),
                                      gateway)
         gateway.close()
         assert record.exclusions == 0
-        assert PromptKind.ANSWER_SUBQUESTION in seeds
+        assert {PromptKind.ANSWER_SUBQUESTION, PromptKind.RANK_TRIPLES} <= \
+            seeds.keys()
         assert seeds == {kind: {7} for kind in PromptKind}
 
     def test_hard_failure_excludes_claim(self):
@@ -241,7 +242,7 @@ class TestRunDetection:
         record, _, grown = run_detection(items, graph, EngineConfig(seed=0),
                                          gateway, updates=True)
         gateway.close()
-        assert gateway.call_counts[PromptKind.RANK_TRIPLES] == 11
+        assert gateway.call_counts[PromptKind.RANK_TRIPLES] == 1
         assert len(grown) == len(graph) + 12
         lines = [record.digest(), from_scratch(grown)]
         assert hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest() \
@@ -604,16 +605,16 @@ class TestSendAhead:
         @given(picks=st.lists(st.tuples(st.integers(0, 3),
                                         st.integers(0, 2)),
                               min_size=1, max_size=6),
-               n=st.integers(1, 4), h=st.integers(2, 4), b=st.integers(1, 3),
+               n=st.integers(1, 5), h=st.integers(2, 4), b=st.integers(1, 3),
                updates=st.booleans(), seeded=seed_triples)
         # Real claims about other entities, then a repeat, on a hub graph:
         # the read after real-0 passes.
-        @example(picks=[(0, 0), (1, 1), (1, 2)], n=4, h=3, b=2, updates=True,
+        @example(picks=[(0, 0), (1, 1), (1, 2)], n=5, h=3, b=2, updates=True,
                  seeded=[("Alpha0", "visited", "Town")] + [
                      ("Alpha1", "visited", f"Town{j}") for j in range(6)])
         # A repeat, then a Real claim about other entities, on the same
         # graph: the repeat's read waits and the next one passes.
-        @example(picks=[(1, 0), (1, 1), (0, 2)], n=4, h=3, b=2, updates=True,
+        @example(picks=[(1, 0), (1, 1), (0, 2)], n=5, h=3, b=2, updates=True,
                  seeded=[("Alpha0", "visited", "Town")] + [
                      ("Alpha1", "visited", f"Town{j}") for j in range(6)])
         def check(picks, n, h, b, updates, seeded):
@@ -765,7 +766,7 @@ class TestSendAhead:
         sent = []
 
         def reply(req, prompt):
-            sent.append(req.kind)
+            sent.append((req.kind, req.context.get("claim")))
             if req.kind is failing and \
                     req.context["claim"] == items[1].claim:
                 failed_during.append(searching[-1])
@@ -781,16 +782,17 @@ class TestSendAhead:
         gateway = Gateway(ScriptedBackend(reply), max_retries=0)
         with mock.patch.object(SearchEngine, "search", marked):
             record, _, _ = run_detection(items, KnowledgeGraph(),
-                                         small_config(), gateway,
+                                         small_config(n=5), gateway,
                                          updates=updates)
         gateway.close()
-        assert PromptKind.ANSWER_SUBQUESTION in sent
+        # Claim 0 read the graph, so claim 1 had a read to wait at.
+        assert (PromptKind.ANSWER_SUBQUESTION, items[0].claim) in sent
         # With updates off, both of the opening step's sub-questions fail.
         assert failed_during == [items[0].id] * (1 if updates else 2)
         first, second = record.results
         alone = Gateway(oracle)
         [clean], _ = one_claim_at_a_time(items[:1], KnowledgeGraph(),
-                                         small_config(), alone, updates)
+                                         small_config(n=5), alone, updates)
         alone.close()
         assert first.as_record() == clean
         assert second.error == "step down" and second.verdict is None
@@ -813,14 +815,14 @@ class TestSendAhead:
         gateway = Gateway(ScriptedBackend(reply))
         with read_branches() as seen:
             record, _, grown = run_detection(items, KnowledgeGraph(),
-                                             small_config(), gateway)
+                                             small_config(n=5), gateway)
         gateway.close()
         assert seen == {"waited": 1}
         assert "(Alpha0; commanded; Gamma0)" in contexts[0]
         assert "alpha0" in {t.subject.key for t in grown.triples}
         alone = Gateway(RuleBasedOracle(table))
         results, kg_after = one_claim_at_a_time(items, KnowledgeGraph(),
-                                                small_config(), alone)
+                                                small_config(n=5), alone)
         alone.close()
         assert [r.as_record() for r in record.results] == results
         assert record.kg_after == kg_after
@@ -892,7 +894,7 @@ class TestSendAhead:
         monkeypatch.setattr("verity.run.extract_new_knowledge", update)
         monkeypatch.setattr(_ClaimAhead, "declare_writes", declared)
         gateway = Gateway(RuleBasedOracle(table))
-        record, _, grown = run_detection(items, graph, EngineConfig(seed=0),
+        record, _, grown = run_detection(items, graph, EngineConfig(n=8, h=3, b=2, seed=0),
                                          gateway, updates=True)
         gateway.close()
         monkeypatch.undo()
@@ -928,7 +930,7 @@ class TestSendAhead:
         assert early and waited
         alone = Gateway(RuleBasedOracle(table))
         results, kg_after = one_claim_at_a_time(items, graph,
-                                                EngineConfig(seed=0), alone)
+                                                EngineConfig(n=8, h=3, b=2, seed=0), alone)
         alone.close()
         assert [r.as_record() for r in record.results] == results
         assert record.kg_after == kg_after
