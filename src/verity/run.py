@@ -4,6 +4,7 @@ assists later ones."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
@@ -167,6 +168,13 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
             raise ValidationError(f"item {item.id}: claim must be non-empty")
     kg_before = graph.content_digest()
     graph = graph.copy()
+    # The copy's triple list and identity set are new containers of one
+    # entry per triple. The first young collection after the copy visits
+    # them all (15 ms at 100k triples), in whichever claim the allocation
+    # count lands it on. Collecting the young generations here moves them
+    # to the old one before the first claim, where a young collection
+    # never visits them.
+    gc.collect(1)
     riding = _ClaimAhead(gateway)
     engine = SearchEngine(riding, config)
     record = RunRecord(config_digest=_config_digest(config, updates),

@@ -2,6 +2,7 @@ import collections
 import contextlib
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -110,6 +111,30 @@ class TestRunDetection:
         base = KnowledgeGraph()
         run_detection(items, base, small_config(), gateway)
         assert len(base) == 0
+
+    def test_copy_leaves_the_young_generations_before_the_first_claim(self):
+        # A young collection visits every entry of a young container, so one
+        # that took the run's copy of a large graph would stall whichever
+        # claim it fell in.
+        table, items = tabled_world(num_real=2, num_fake=0)
+        base = KnowledgeGraph()
+        for i in range(50):
+            base.add(f"Filler{i}", "mentioned", f"Other{i}")
+        seen = []
+        search = SearchEngine.search
+
+        def first_search(engine, claim, graph, *args, **kwargs):
+            if not seen:
+                young = {id(o) for g in (0, 1) for o in gc.get_objects(g)}
+                seen.append((graph is not base,
+                             id(graph.triples) in young,
+                             id(graph._identities) in young))
+            return search(engine, claim, graph, *args, **kwargs)
+
+        with mock.patch.object(SearchEngine, "search", first_search):
+            run_detection(items, base, small_config(),
+                          Gateway(RuleBasedOracle(table)))
+        assert seen == [(True, False, False)]
 
     def test_deterministic_digests(self):
         table, items = tabled_world(num_real=3, num_fake=3)
