@@ -12,10 +12,11 @@ read the children those iterations added.
 
 The search and its expansions are step generators (see
 :func:`verity.gateway.drive`): they yield the requests each step needs and
-hold no gateway. The first step holds the root's sub-questions and its
-evidence-free verdict, and an answer step yields a ``GraphRead`` of its
-normalized sub-question (``retrieval.retrieval_steps``) before its
-retrieval reads the graph.
+hold no gateway. A node's sub-question step also asks its verdict, once
+per transcript, for its A3 to take later, so the search's first step holds
+the root's sub-questions and its evidence-free verdict. An answer step
+yields a ``GraphRead`` of its normalized sub-question
+(``retrieval.retrieval_steps``) before its retrieval reads the graph.
 ``SearchEngine.search`` drives one claim's steps through the engine's
 gateway; ``run_detection`` runs the next claim's steps ahead, up to a
 graph read that the previous claim's update could change, and hands the
@@ -105,6 +106,10 @@ class SearchTree:
         root.open = True
         self.nodes: list[SearchNode] = [root]
         self.completed_paths: list[ReasoningPath] = []
+        # Verdicts asked in an A1 step, by transcript, held until the first
+        # A3 of that transcript takes them; a taken one is None, so each
+        # transcript is asked ahead at most once.
+        self.early_verdicts: dict[str, Optional[LLMResponse]] = {}
 
     @property
     def root(self) -> SearchNode:
@@ -159,8 +164,8 @@ def legal_actions(tree: SearchTree, node: SearchNode) -> list[ActionKind]:
 LOOKAHEAD = 3
 
 
-def can_finish(tree: SearchTree, node: SearchNode,
-               rng_state: tuple, left: int) -> bool:
+def can_finish(tree: SearchTree, node: SearchNode, rng_state: tuple,
+               left: int, scratch: Optional[random.Random] = None) -> bool:
     """Whether, for some replies of the model, expanding ``node`` and the
     ``left - 1`` iterations after it complete a path.
 
@@ -170,7 +175,9 @@ def can_finish(tree: SearchTree, node: SearchNode,
     b for an A2) is grown on the tree, ``select`` is replayed on a copy of
     ``rng_state``, the claim's rng after this iteration's select, and the
     outcome is undone. Until a path completes nothing is back-propagated,
-    so the replay sees the q and v the search would.
+    so the replay sees the q and v the search would. The replays draw from
+    ``scratch``, one ``Random`` that the outermost call makes and passes
+    down, never from the claim's rng.
     """
     action = node.pending[0]
     if action == ActionKind.A3 or (
@@ -182,7 +189,7 @@ def can_finish(tree: SearchTree, node: SearchNode,
     pending = list(node.pending)
     chain = tree.path_to(node)
     opened = [n.open for n in chain]
-    rng = random.Random()
+    rng = random.Random() if scratch is None else scratch
     for k in range(b + 1) if action == ActionKind.A1 else (0, b):
         for _ in range(k):
             tree.add_child(node, action, "")
@@ -190,7 +197,7 @@ def can_finish(tree: SearchTree, node: SearchNode,
             rng.setstate(rng_state)
             nxt = select(tree, rng)
             if nxt is not None and can_finish(tree, nxt, rng.getstate(),
-                                              left - 1):
+                                              left - 1, rng):
                 return True
         finally:
             del tree.nodes[len(tree.nodes) - k:]
@@ -313,17 +320,19 @@ class SearchEngine:
         # Unparseable verdicts default to Fake: insufficient information.
         return resp.parsed if resp.parse_ok else Verdict.FAKE
 
-    def expand(self, tree: SearchTree, node: SearchNode, graph: KnowledgeGraph,
-               answers: Optional[list[LLMResponse]] = None) -> Steps:
+    def expand(self, tree: SearchTree, node: SearchNode,
+               graph: KnowledgeGraph) -> Steps:
         """Add the ``b`` children of the first pending action under ``node``.
 
         A step generator (see :func:`verity.gateway.drive`) that returns the
         new children. Only the A1 prompt has a ``branch`` slot, so an A1
         expansion asks once per branch, with the requests in one step, and
         an A2 or A3 expansion asks once and gives the answer to all ``b``
-        children. ``answers``, when given, are the responses to the
-        expansion's first requests, asked before the expansion began. A2
-        children at the height limit share one forced verdict request. An
+        children. An A1 step also asks the node's verdict, for its A3 to
+        take, unless that transcript's verdict was asked ahead before
+        (``SearchTree.early_verdicts``); the first A3 of the transcript
+        takes it and sends nothing, and a later one asks again.
+        A2 children at the height limit share one forced verdict request. An
         A1 branch or A2 answer that fails its one retry adds no child; an
         action leaves ``pending`` with its first child, so it is not asked
         again unless every branch failed. Children are attached, and leaves
@@ -349,7 +358,18 @@ class SearchEngine:
             }, seed=self.config.seed)]
         else:
             reqs = [self._verdict_request(tree.claim, transcript)]
-        resps = answers if answers is not None else (yield reqs)
+        early = tree.early_verdicts
+        held = early.get(transcript) if action == ActionKind.A3 else None
+        if held is not None:
+            early[transcript] = None
+            resps = [held]
+        elif action == ActionKind.A1 and transcript not in early:
+            # Every node that can take an A1 has its A3 pending after it.
+            resps = yield reqs + [self._verdict_request(tree.claim,
+                                                        transcript)]
+            early[transcript] = resps.pop()
+        else:
+            resps = yield reqs
         if action != ActionKind.A3:
             # One retry for unparseable generations, then give up on the child.
             failed = [i for i, resp in enumerate(resps) if not resp.parse_ok]
@@ -383,37 +403,27 @@ class SearchEngine:
                      claim_id: str = "") -> Steps:
         """``search`` as a step generator.
 
-        Its first step holds the root's ``b`` sub-questions and the root's
-        evidence-free verdict: both read only the claim and the seed. The
-        first iteration always expands the root's A1 with those
-        sub-questions' answers, and the root's A3, whenever it comes, takes
-        that verdict. With ``LOOKAHEAD`` or fewer iterations left, the
-        search goes on only if some outcome of the selected node's
+        Its first step is the root's A1 step, so it holds the root's ``b``
+        sub-questions and the root's evidence-free verdict: both read only
+        the claim and the seed. With ``LOOKAHEAD`` or fewer iterations left,
+        the search goes on only if some outcome of the selected node's
         expansion lets a path complete before the budget runs out
-        (``can_finish``). Otherwise it ends there: the
-        iterations left would complete no path, and no verdict, path or
-        update reads the children they add. So a search with ``n`` = 1
+        (``can_finish``). Otherwise it ends there: the iterations left would
+        complete no path, and no verdict, path or update reads the children
+        they add. So a search with ``n`` = 1
         sends nothing.
         """
         if not claim.strip():
             raise ValidationError("claim must be non-empty")
         tree = SearchTree(claim, self.config)
         rng = self._rng_for(claim_id or claim)
-        early: dict[ActionKind, list[LLMResponse]] = {}
         for i in range(self.config.n):
             node = select(tree, rng)
             left = self.config.n - i
             if node is None or (left <= LOOKAHEAD and not can_finish(
                     tree, node, rng.getstate(), left)):
                 break
-            if i == 0:
-                transcript = _render_transcript([])
-                resps = yield self._subquestion_requests(claim, transcript) \
-                    + [self._verdict_request(claim, transcript)]
-                early = {ActionKind.A1: resps[:-1], ActionKind.A3: resps[-1:]}
-            answers = early.pop(node.pending[0], None) \
-                if node is tree.root else None
-            yield from self.expand(tree, node, graph, answers)
+            yield from self.expand(tree, node, graph)
         return (majority_verdict(tree.completed_paths), tree.completed_paths,
                 tree)
 

@@ -401,7 +401,7 @@ def garbled_search(n, h, b, seed, pick, salt, percent):
     """One search of ``tabled_world(3, 3)``'s claim ``pick`` in which
     ``percent`` of the asks, chosen by a hash of the salt, the request and
     how often it was asked, get garbage. Returns the verdict, paths and
-    digest, and the backend calls."""
+    digest, the backend calls, and the tree."""
     table, items = tabled_world(3, 3)
     item = items[pick]
     oracle = RuleBasedOracle(table)
@@ -422,7 +422,31 @@ def garbled_search(n, h, b, seed, pick, salt, percent):
     gateway.close()
     structural_check(tree, engine.config)
     return ((verdict, [(p.steps, p.verdict, p.node_ids) for p in paths],
-             paths_digest(paths)), sum(gateway.call_counts.values()))
+             paths_digest(paths)), sum(gateway.call_counts.values()), tree)
+
+
+class RootVerdictOnly(dict):
+    """``SearchTree.early_verdicts`` that holds every transcript but the
+    root's as asked already, so only the root's verdict rides an A1 step."""
+
+    def __contains__(self, transcript):
+        return transcript != "(none)" or super().__contains__(transcript)
+
+
+def root_verdict_only():
+    """Patch each new tree to ask only the root's verdict ahead, as the
+    search did before every node asked its own."""
+    init = SearchTree.__init__
+
+    def patched(tree, *args, **kwargs):
+        init(tree, *args, **kwargs)
+        tree.early_verdicts = RootVerdictOnly()
+
+    return mock.patch.object(SearchTree, "__init__", patched)
+
+
+def transcript_of(tree, node):
+    return mcts._render_transcript(tree.path_to(node))
 
 
 def tree_state(tree):
@@ -446,10 +470,10 @@ class TestLastIteration:
         """Against the search that runs every iteration, as it did before
         the rule: the same verdict, paths and digest, and no more backend
         calls."""
-        shipped, calls = garbled_search(n, h, b, seed, pick, salt, percent)
+        shipped, calls, _ = garbled_search(n, h, b, seed, pick, salt, percent)
         with mock.patch("verity.mcts.can_finish", lambda *args: True):
-            forced, forced_calls = garbled_search(n, h, b, seed, pick, salt,
-                                                  percent)
+            forced, forced_calls, _ = garbled_search(n, h, b, seed, pick, salt,
+                                                     percent)
         assert shipped == forced
         assert calls <= forced_calls
 
@@ -465,9 +489,9 @@ class TestLastIteration:
             rngs.append(rng_for(engine, claim_id))
             return rngs[-1]
 
-        def checked(tree, node, rng_state, left):
+        def checked(tree, node, rng_state, left, *scratch):
             before = tree_state(tree), rngs[-1].getstate()
-            result = lookahead(tree, node, rng_state, left)
+            result = lookahead(tree, node, rng_state, left, *scratch)
             assert (tree_state(tree), rngs[-1].getstate()) == before
             horizons.append(left)
             return result
@@ -549,23 +573,27 @@ class TestExpand:
                                        claim_id=item.id)
             structural_check(tree, engine.config)
         engine.gateway.close()
+        with_subquestions = [PromptKind.GENERATE_SUBQUESTION] * 3 + \
+            [PromptKind.FINAL_VERDICT]
         for i, batch in enumerate(batches):
             hashes = [request_hash(r) for r in batch]
             assert len(set(hashes)) == len(hashes)
+            kinds = [r.kind for r in batch]
             if i in firsts:
                 # The root's sub-questions, then its evidence-free verdict.
-                assert [r.kind for r in batch] == \
-                    [PromptKind.GENERATE_SUBQUESTION] * 3 + \
-                    [PromptKind.FINAL_VERDICT]
+                assert kinds == with_subquestions
                 assert {r.context["transcript"] for r in batch} == {"(none)"}
-            elif {r.kind for r in batch} & {PromptKind.ANSWER_SUBQUESTION,
-                                            PromptKind.FINAL_VERDICT}:
+            elif PromptKind.ANSWER_SUBQUESTION in kinds:
                 assert len(batch) == 1
+            elif PromptKind.FINAL_VERDICT in kinds:
+                # A verdict alone, or a node's sub-questions and its verdict.
+                assert kinds in ([PromptKind.FINAL_VERDICT], with_subquestions)
+                assert len({r.context["transcript"] for r in batch}) == 1
         kinds = [r.kind for batch in batches for r in batch]
         assert kinds.count(PromptKind.ANSWER_SUBQUESTION) > 0
         assert kinds.count(PromptKind.FINAL_VERDICT) > len(items)
         assert max(len(batch) for i, batch in enumerate(batches)
-                   if i not in firsts) == 3
+                   if i not in firsts) == 3 + 1
 
     def test_unparseable_answer_is_retried_once_and_adds_no_child(self):
         engine, items, sent = self._engine(
@@ -638,33 +666,35 @@ class TestExpand:
 
 
 class TestRootVerdictLookahead:
-    """The root's A3 verdict is asked in the search's first step, with the
-    root's sub-questions."""
+    """A node's A3 verdict is asked in its A1 step, with its sub-questions,
+    once per transcript; the root's is asked in the search's first step."""
 
     # tabled_world(25, 25) on an empty graph, with updates off and on. The
     # pins are the backend batches per claim of a run in which each claim's
     # first steps ride with the claim before it, and the calls, memo hits
     # and run digest, which are those of a run that sends nothing ahead and
-    # asks each request when a step needs it.
+    # asks each request when a step needs it, save the verdicts asked in an
+    # A1 step that no A3 took: n12-h9-b3 asks 16 (551 calls before the
+    # rule, 567 with it), the others none.
     @pytest.mark.parametrize(
         "config, updates, round_trips, calls, memo_hits, digest", [
-            (EngineConfig(), False, 0.88,
+            (EngineConfig(), False, 0.74,
              {PromptKind.GENERATE_SUBQUESTION: 114,
               PromptKind.ANSWER_SUBQUESTION: 7, PromptKind.FINAL_VERDICT: 57},
              0, "754eec37d5421d71ef408750ae08cf9172aceae0c45cd678446ee95c930e500f"),
-            (EngineConfig(n=20, h=9, b=3), False, 4.52,
+            (EngineConfig(n=20, h=9, b=3), False, 3.02,
              {PromptKind.GENERATE_SUBQUESTION: 375,
               PromptKind.ANSWER_SUBQUESTION: 75,
               PromptKind.FINAL_VERDICT: 125},
              1335, "bf021130c4b19ce0ae20361ba638d43494ba0bb4632b8f9827e00e1ec07c0e68"),
-            (EngineConfig(), True, 1.56,
+            (EngineConfig(), True, 1.42,
              {PromptKind.EXTRACT_ENTITIES: 25,
               PromptKind.GENERATE_RELATIONS: 25,
               PromptKind.EXTRACT_EVENT_TRIPLES: 25,
               PromptKind.GENERATE_SUBQUESTION: 114,
               PromptKind.ANSWER_SUBQUESTION: 7, PromptKind.FINAL_VERDICT: 57},
              0, "3517b2d806978da2b0be1a07eccd7c14a6227882053ee00b7f52a185abab9bf2"),
-            (EngineConfig(n=20, h=9, b=3), True, 5.02,
+            (EngineConfig(n=20, h=9, b=3), True, 3.52,
              {PromptKind.EXTRACT_ENTITIES: 25,
               PromptKind.GENERATE_RELATIONS: 25,
               PromptKind.EXTRACT_EVENT_TRIPLES: 25,
@@ -672,8 +702,13 @@ class TestRootVerdictLookahead:
               PromptKind.ANSWER_SUBQUESTION: 75,
               PromptKind.FINAL_VERDICT: 125},
              1335, "ecfa7ed5a649ca95fd07c38395eac06de44b706fc09a65fbada64da7c216b2b9"),
+            (EngineConfig(n=12, h=9, b=3), False, 2.98,
+             {PromptKind.GENERATE_SUBQUESTION: 369,
+              PromptKind.ANSWER_SUBQUESTION: 75,
+              PromptKind.FINAL_VERDICT: 123},
+             537, "e343126e3ca3b60163e0463fb7bf4f6d8239a1b512de7ac31db4aa994524c9a8"),
         ], ids=["defaults", "n20-h9-b3", "defaults-updates",
-                "n20-h9-b3-updates"])
+                "n20-h9-b3-updates", "n12-h9-b3"])
     def test_one_round_trip_fewer_same_calls(self, config, updates,
                                              round_trips, calls, memo_hits,
                                              digest):
@@ -773,3 +808,131 @@ class TestRootVerdictLookahead:
         # counted, though no step used it.
         assert sent.count(PromptKind.FINAL_VERDICT) == 1
         assert gateway.call_counts[PromptKind.FINAL_VERDICT] == 1
+
+    def test_clones_ask_their_verdict_once(self):
+        """Clones share a transcript: the first one's A1 step asks its
+        verdict, and no other clone's does. The memo then answers what it
+        answered when only the root's verdict was asked ahead."""
+        table, items = tabled_world(3, 3)
+        config = EngineConfig(n=20, h=9, b=3)
+
+        def run():
+            gateway = Gateway(RuleBasedOracle(table))
+            batches = []
+            complete_all = gateway.complete_all
+
+            def spy(reqs, ahead=None):
+                batches.append(list(reqs))
+                return complete_all(reqs, ahead)
+
+            gateway.complete_all = spy
+            engine = SearchEngine(gateway, config)
+            out = [engine.search(item.claim, KnowledgeGraph(),
+                                 claim_id=item.id) for item in items]
+            gateway.close()
+            return out, batches, gateway
+
+        out, batches, gateway = run()
+        with root_verdict_only():
+            before, _, gateway_before = run()
+        ahead = [(r.context["claim"], r.context["transcript"])
+                 for batch in batches for r in batch
+                 if r.kind is PromptKind.FINAL_VERDICT and len(batch) > 1]
+        assert len(ahead) == len(set(ahead))
+        clones = 0
+        for _, _, tree in out:
+            expanded = [transcript_of(tree, node) for node in tree.nodes
+                        if node.action is ActionKind.A2 and any(
+                            tree.node(c).action is ActionKind.A1
+                            for c in node.children)]
+            clones += len(expanded) - len(set(expanded))
+            assert {(tree.claim, t) for t in expanded} <= set(ahead)
+        assert clones > 0
+        assert gateway.memo_hits == gateway_before.memo_hits
+        assert gateway.call_counts == gateway_before.call_counts
+        assert [(v, paths_digest(p)) for v, p, _ in out] == \
+            [(v, paths_digest(p)) for v, p, _ in before]
+
+    def test_unparseable_verdict_asked_ahead_gives_fake(self):
+        """The A3 takes the unparseable verdict its A1 step asked, and
+        sends nothing."""
+        sent = []
+
+        def reply(req, prompt):
+            sent.append(req.kind)
+            if req.kind is PromptKind.FINAL_VERDICT:
+                return "no verdict"
+            return "sub " + req.context["branch"]
+
+        engine = SearchEngine(Gateway(ScriptedBackend(reply)),
+                              EngineConfig(h=5, b=1))
+        tree = SearchTree("claim", engine.config)
+        a1 = tree.add_child(tree.root, ActionKind.A1, "q")
+        a2 = tree.add_child(a1, ActionKind.A2, "a")
+        assert drive(engine.expand(tree, a2, KnowledgeGraph()),
+                     engine.gateway)[0].action is ActionKind.A1
+        assert sorted(sent, key=str) == [PromptKind.FINAL_VERDICT,
+                                         PromptKind.GENERATE_SUBQUESTION]
+        leaves = drive(engine.expand(tree, a2, KnowledgeGraph()),
+                       engine.gateway)
+        engine.gateway.close()
+        assert [leaf.verdict for leaf in leaves] == [Verdict.FAKE]
+        assert len(sent) == 2
+        assert tree.early_verdicts == {transcript_of(tree, a2): None}
+        assert engine.gateway.memo_hits[PromptKind.FINAL_VERDICT] == 0
+
+    def test_hard_failure_of_a_verdict_asked_ahead_ends_the_claim(self):
+        """The error ends the claim at the A1 step that asked the verdict,
+        as the root's verdict, asked in the first step, always did."""
+        batches = []
+
+        def reply(req, prompt):
+            if req.kind is PromptKind.GENERATE_SUBQUESTION:
+                return "sub " + req.context["branch"]
+            if req.kind is PromptKind.ANSWER_SUBQUESTION:
+                return "yes"
+            if req.context["transcript"] != "(none)":
+                raise GatewayHardError("verdict down")
+            return "Answer: Real"
+
+        gateway = Gateway(ScriptedBackend(reply))
+        complete_all = gateway.complete_all
+
+        def spy(reqs, ahead=None):
+            batches.append([(r.kind, r.context["transcript"]) for r in reqs])
+            return complete_all(reqs, ahead)
+
+        gateway.complete_all = spy
+        result, tree = detect_one(NewsItem(id="claim", claim="claim"),
+                                  EngineConfig(n=8, h=5, b=2), gateway)
+        gateway.close()
+        assert result.error == "verdict down" and tree is None
+        [transcript] = {transcript for _, transcript in batches[-1]}
+        assert transcript.startswith("Q: sub ") and "\nA: yes" in transcript
+        assert [kind for kind, _ in batches[-1]] == \
+            [PromptKind.GENERATE_SUBQUESTION] * 2 + [PromptKind.FINAL_VERDICT]
+        assert gateway.call_counts[PromptKind.GENERATE_SUBQUESTION] == 2 + 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 20), h=st.integers(2, 7), b=st.integers(1, 3),
+           seed=st.integers(0, 2**16), pick=st.integers(0, 5),
+           salt=st.integers(0, 2**32), percent=st.integers(0, 40))
+    # A verdict below the root is asked and never taken.
+    @example(n=7, h=4, b=2, seed=10190, pick=0, salt=3068582685, percent=19)
+    def test_unused_verdicts_belong_to_pending_a3s(self, n, h, b, seed, pick,
+                                                   salt, percent):
+        """Every verdict asked ahead that no A3 took is that of a node whose
+        A3 is still pending. Against the search that asks only the root's
+        verdict ahead: the same verdict, paths and digest, and one more
+        backend call per such verdict below the root."""
+        shipped, calls, tree = garbled_search(n, h, b, seed, pick, salt,
+                                              percent)
+        with root_verdict_only():
+            before, calls_before, _ = garbled_search(n, h, b, seed, pick,
+                                                     salt, percent)
+        unused = {t for t, held in tree.early_verdicts.items()
+                  if held is not None}
+        assert unused <= {transcript_of(tree, node) for node in tree.nodes
+                          if ActionKind.A3 in node.pending}
+        assert shipped == before
+        assert calls == calls_before + len(unused - {"(none)"})
