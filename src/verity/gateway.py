@@ -8,6 +8,7 @@ endpoint, a transcript-replay backend keyed by request hash, and (in
 
 from __future__ import annotations
 
+import collections
 import email.utils
 import functools
 import hashlib
@@ -325,12 +326,13 @@ class Gateway:
     repeated request reuses the first answer instead of sampling a new one.
 
     ``complete_all`` takes a batch of distinct requests and sends its memo
-    misses to the backend together: the first on the calling thread, the
-    rest on a pool of at most ``MAX_IN_FLIGHT - 1`` worker threads, created
-    on first need and stopped by ``close`` (or when the Gateway is
-    discarded). Workers run only the backend call with its pacing and
-    transport retries; counting, the memo and parsing stay on the calling
-    thread, in request order. A Gateway therefore serves one calling thread
+    misses to the backend together, ``MAX_IN_FLIGHT`` at a time: the
+    calling thread and a pool of at most ``MAX_IN_FLIGHT - 1`` worker
+    threads take them from one queue. The pool is created on first need
+    and stopped by ``close`` (or when the Gateway is discarded). Workers
+    run only the backend call with its pacing and transport retries;
+    counting, the memo and parsing stay on the calling thread, in request
+    order. A Gateway therefore serves one calling thread
     at a time. ``min_interval`` spaces backend calls across all threads.
     Given a second caller's ``Stepper``, ``complete_all`` also sends the
     step it waits on in the same round-trip, when the batch reaches the
@@ -402,25 +404,37 @@ class Gateway:
     def _send(self, jobs: list[tuple[LLMRequest, str]]) -> list:
         """Backend answers to ``jobs`` in order; a failed job gives its error.
 
-        Waits for every job, so no call outlives the batch.
+        The calling thread and up to ``MAX_IN_FLIGHT - 1`` workers each take
+        the next job from one queue until it is empty, so ``MAX_IN_FLIGHT``
+        calls are in flight while jobs remain. Waits for every job, so no
+        call outlives the batch.
         """
+        outcomes: list = [None] * len(jobs)
+        queue = collections.deque(enumerate(jobs))
+
+        def drain() -> None:
+            while True:
+                try:
+                    i, job = queue.popleft()
+                except IndexError:
+                    return
+                try:
+                    outcomes[i] = self._generate(*job)
+                except Exception as exc:
+                    # The caller re-raises it once the other calls are done
+                    # and counted.
+                    outcomes[i] = exc
+
         futures = []
         if len(jobs) > 1:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
                     MAX_IN_FLIGHT - 1, thread_name_prefix="verity-gateway")
-            futures = [self._pool.submit(self._generate, *job)
-                       for job in jobs[1:]]
-        outcomes: list = []
-        try:
-            outcomes.append(self._generate(*jobs[0]))
-        except Exception as exc:
-            # Kept like a worker's error: the caller re-raises it once the
-            # other calls are done and counted.
-            outcomes.append(exc)
+            futures = [self._pool.submit(drain)
+                       for _ in range(min(len(jobs), MAX_IN_FLIGHT) - 1)]
+        drain()
         for future in futures:
-            exc = future.exception()
-            outcomes.append(future.result() if exc is None else exc)
+            future.result()
         return outcomes
 
     def declare_writes(self, keys: frozenset[str]) -> None:

@@ -473,6 +473,36 @@ class TestCompleteAll:
         assert [r.parsed for r in resps] == ["Q0 of c?", "Q1 of c?", "Q2 of c?"]
         assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 3
 
+    def test_calls_go_out_max_in_flight_at_a_time(self):
+        """2 x MAX_IN_FLIGHT equal-latency calls take two latency units: the
+        calling thread takes calls from the workers' queue. Had it run only
+        the first call, the other calls would need three waves."""
+        latency = 0.25
+        lock = threading.Lock()
+        in_flight = [0, 0]  # now, most
+
+        def slow(req, prompt):
+            with lock:
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight)
+            time.sleep(latency)
+            with lock:
+                in_flight[0] -= 1
+            return _echo_branch(req, prompt)
+
+        gw = Gateway(ScriptedBackend(slow))
+        reqs = [_subquestion(b) for b in range(2 * MAX_IN_FLIGHT)]
+        start = time.monotonic()
+        try:
+            resps = gw.complete_all(reqs)
+        finally:
+            elapsed = time.monotonic() - start
+            gw.close()
+        assert [r.parsed for r in resps] == \
+            [f"Q{b} of c?" for b in range(2 * MAX_IN_FLIGHT)]
+        assert in_flight[1] == MAX_IN_FLIGHT
+        assert 2 * latency <= elapsed < 3 * latency
+
     def test_repeated_request_in_batch_is_rejected(self):
         prompts = []
         gw = Gateway(ScriptedBackend(lambda r, p: prompts.append(p) or

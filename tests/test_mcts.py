@@ -678,11 +678,11 @@ class TestRootVerdictLookahead:
     # rule, 567 with it), the others none.
     @pytest.mark.parametrize(
         "config, updates, round_trips, calls, memo_hits, digest", [
-            (EngineConfig(), False, 0.74,
+            (EngineConfig(), False, 0.70,
              {PromptKind.GENERATE_SUBQUESTION: 114,
               PromptKind.ANSWER_SUBQUESTION: 7, PromptKind.FINAL_VERDICT: 57},
              0, "754eec37d5421d71ef408750ae08cf9172aceae0c45cd678446ee95c930e500f"),
-            (EngineConfig(n=20, h=9, b=3), False, 3.02,
+            (EngineConfig(n=20, h=9, b=3), False, 2.08,
              {PromptKind.GENERATE_SUBQUESTION: 375,
               PromptKind.ANSWER_SUBQUESTION: 75,
               PromptKind.FINAL_VERDICT: 125},
@@ -702,7 +702,7 @@ class TestRootVerdictLookahead:
               PromptKind.ANSWER_SUBQUESTION: 75,
               PromptKind.FINAL_VERDICT: 125},
              1335, "ecfa7ed5a649ca95fd07c38395eac06de44b706fc09a65fbada64da7c216b2b9"),
-            (EngineConfig(n=12, h=9, b=3), False, 2.98,
+            (EngineConfig(n=12, h=9, b=3), False, 2.06,
              {PromptKind.GENERATE_SUBQUESTION: 369,
               PromptKind.ANSWER_SUBQUESTION: 75,
               PromptKind.FINAL_VERDICT: 123},

@@ -486,9 +486,12 @@ def names_any(text, keys):
 def read_branches():
     """Count, at each write declaration that finds the claim ahead at a
     graph read, whether the read is released at the update's next batch
-    (no key in common with the declaration) or waits."""
+    (no key in common with the declaration) or waits; and, at each batch
+    that finds it at a graph read with nothing declared writable, as with
+    updates off, the read released there ("unwritten")."""
     seen = collections.Counter()
     declare = _ClaimAhead.declare_writes
+    complete_all = _ClaimAhead.complete_all
 
     def counted(self, keys):
         step = self.ahead.step if self.ahead is not None else None
@@ -497,7 +500,14 @@ def read_branches():
             seen[branch] += 1
         return declare(self, keys)
 
-    with mock.patch.object(_ClaimAhead, "declare_writes", counted):
+    def batch(self, reqs):
+        step = self.ahead.step if self.ahead is not None else None
+        if isinstance(step, GraphRead) and self.writes == frozenset():
+            seen["unwritten"] += 1
+        return complete_all(self, reqs)
+
+    with mock.patch.object(_ClaimAhead, "declare_writes", counted), \
+            mock.patch.object(_ClaimAhead, "complete_all", batch):
         yield seen
 
 
@@ -569,9 +579,10 @@ class TestSendAhead:
         assert sent_in[0] == {0} and log.sizes[0] == 2 * (3 + 1)
         for i in range(len(items) - 1):
             assert sent_in[i + 1] == {marks[i]}
-        # No claim answers a sub-question, which needs the graph, before its
-        # own search call.
-        assert all(min(answered_in[i]) >= marks[i] for i in answered_in)
+        # With updates off nothing writes the graph, so a claim ahead passes
+        # its graph read at once: some claim answers a sub-question, which
+        # needs the graph, in a batch of the claim before it.
+        assert any(min(answered_in[i]) < marks[i] for i in answered_in)
         assert max(log.sizes) == 8
         assert gateway.round_trips == len(log.batches)
         alone = Gateway(oracle)
@@ -582,16 +593,17 @@ class TestSendAhead:
         assert alone.call_counts == gateway.call_counts
         assert alone.memo_hits == gateway.memo_hits
 
-    def test_identical_consecutive_claims(self):
+    @pytest.mark.parametrize("updates", [False, True])
+    def test_identical_consecutive_claims(self, updates):
         _, items = tabled_world(3, 3)
         twice = [items[0], dataclasses.replace(items[0], id="real-0-again"),
                  items[3], dataclasses.replace(items[3], id="fake-0-again")]
         config = small_config(n=20, h=9, b=3)
-        record, gateway, _ = self._run(twice, config, updates=True)
+        record, gateway, _ = self._run(twice, config, updates=updates)
         table, _ = tabled_world(3, 3)
         alone = Gateway(RuleBasedOracle(table))
         results, _ = one_claim_at_a_time(twice, KnowledgeGraph(), config,
-                                         alone)
+                                         alone, updates=updates)
         alone.close()
         assert [r.as_record() for r in record.results] == results
         assert record.exclusions == 0
@@ -623,7 +635,7 @@ class TestSendAhead:
         about the claims' entities, so a claim ahead that reads the graph
         early reads what the claim before it could have written; neighbours
         with and without an entity in common make its reads both pass and
-        wait."""
+        wait, and with updates off they pass at once."""
         branches = collections.Counter()
 
         @settings(max_examples=80, deadline=None)
@@ -642,6 +654,10 @@ class TestSendAhead:
         @example(picks=[(1, 0), (1, 1), (0, 2)], n=5, h=3, b=2, updates=True,
                  seeded=[("Alpha0", "visited", "Town")] + [
                      ("Alpha1", "visited", f"Town{j}") for j in range(6)])
+        # Updates off: each read passes at the next batch of the claim
+        # before it.
+        @example(picks=[(0, 0), (2, 1)], n=5, h=3, b=2, updates=False,
+                 seeded=[("Alpha0", "visited", "Town")])
         def check(picks, n, h, b, updates, seeded):
             table, pool = tabled_world(2, 2)
             items = [dataclasses.replace(pool[k], id=f"item-{j}")
@@ -667,6 +683,7 @@ class TestSendAhead:
 
         check()
         assert branches["released"] and branches["waited"]
+        assert branches["unwritten"]
 
     def test_single_iteration_sends_no_verdict_rider(self):
         _, items = tabled_world(3, 3)
@@ -779,9 +796,9 @@ class TestSendAhead:
         """A step of claim 1 rides with claim 0's steps and fails for good:
         with updates on, its first answer request, which rides with claim
         0's update once claim 1's graph read passes; with updates off, its
-        opening sub-question requests, since it cannot pass that read
-        before claim 0 ends. Claim 0 is decided and updated as if nothing
-        had failed, and claim 1 ends at that step."""
+        opening sub-question requests, which ride with claim 0's
+        batches. Claim 0 is decided and updated as if nothing had failed,
+        and claim 1 ends at that step."""
         table, items = tabled_world(2, 0)
         oracle = RuleBasedOracle(table)
         failing = (PromptKind.ANSWER_SUBQUESTION if updates
@@ -1033,7 +1050,8 @@ class TestFaultInjection:
     def test_faults_stay_with_their_claims(self):
         """The claims come in a drawn order, so neighbours share an entity
         (real-0, fake-0) or none (real-0, real-1), on a drawn start graph:
-        a claim ahead's graph reads both pass and wait."""
+        a claim ahead's graph reads both pass and wait, and with updates
+        off they pass at once."""
         branches = collections.Counter()
 
         # One iteration sends nothing, and two use the root's verdict,
@@ -1048,6 +1066,9 @@ class TestFaultInjection:
         # real-0, real-1 share no entity; real-1, fake-1 share Alpha1.
         @example(salt=0, percent=0, kinds=["hard"], updates=True, n=20,
                  order=(0, 1, 3, 2), seeded=(("Beta0", "visited", "Town"),))
+        # The same with updates off: every read passes at once.
+        @example(salt=0, percent=0, kinds=["hard"], updates=False, n=20,
+                 order=(0, 1, 3, 2), seeded=(("Beta0", "visited", "Town"),))
         def check(salt, percent, kinds, updates, n, order, seeded):
             with read_branches() as seen:
                 self._check(salt, percent, kinds, updates, n, order, seeded)
@@ -1057,6 +1078,7 @@ class TestFaultInjection:
 
         check()
         assert branches["released"] and branches["waited"]
+        assert branches["unwritten"]
 
     def test_relation_wave_fails_hard_after_a_release(self):
         """real-0's update declares its keys, real-1's graph read shares
@@ -1217,15 +1239,18 @@ class TestRunSequential:
     def test_carryover_round_trips(self):
         """Each Real claim's update declares the keys it can write, and the
         next claim, which names other entities, reads the graph and sends
-        its answer step with that update's relation batch: 3.44
-        round-trips per claim, where waiting for every update took 4.06
-        (146 for 36 claims). Calls and memo hits are those of one claim at
-        a time. The build sends its 24 documents together, in 2
+        its answer step with that update's relation batch. The pristine
+        cells run with updates off, so there the claim ahead reads the
+        graph at the next batch of the claim before it: 3.28 round-trips
+        per claim (118 for 36 claims), where passing reads only under an
+        update's declared keys took 3.44 (124) and waiting for every
+        update took 4.06 (146). Calls and memo hits are those of one claim
+        at a time. The build sends its 24 documents together, in 2
         round-trips where one document at a time took 48."""
         cells, _, _, gateway, built = _carryover_run()
         claims = sum(len(c.record.results) for c in cells)
         assert built == 2 and claims == 36
-        assert gateway.round_trips - built == 124
+        assert gateway.round_trips - built == 118
         assert {k: n for k, n in gateway.call_counts.items() if n} == {
             PromptKind.EXTRACT_ENTITIES: 48,
             PromptKind.GENERATE_RELATIONS: 48,
