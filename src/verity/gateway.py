@@ -9,7 +9,6 @@ endpoint, a transcript-replay backend keyed by request hash, and (in
 from __future__ import annotations
 
 import collections
-import email.utils
 import functools
 import hashlib
 import json
@@ -20,12 +19,9 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from enum import Enum
 from importlib import resources
 from typing import Any, Callable, Generator, Optional, Protocol, Sequence
-
-import requests
 
 from .errors import (FormatError, GatewayHardError, ReplayMissError,
                      TransportError, ValidationError)
@@ -182,6 +178,9 @@ def _retry_after(value: Optional[str]) -> Optional[float]:
         return float(max(0, int(value)))
     except ValueError:
         pass
+    # Loaded here, not at import: only a live endpoint's header needs them.
+    import email.utils
+    from datetime import datetime, timezone
     try:
         when = email.utils.parsedate_to_datetime(value)
     except (TypeError, ValueError):
@@ -192,7 +191,11 @@ def _retry_after(value: Optional[str]) -> Optional[float]:
 
 
 class HttpChatBackend:
-    """De-facto chat-completion HTTP endpoint: POST {base}/v1/chat/completions."""
+    """De-facto chat-completion HTTP endpoint: POST {base}/v1/chat/completions.
+
+    ``requests`` is imported when the backend is built, so the offline
+    backends never load the HTTP client stack.
+    """
 
     def __init__(self, base_url: str, model: str, api_key: str = "",
                  timeout: float = 60.0, session: Optional[requests.Session] = None):
@@ -203,6 +206,7 @@ class HttpChatBackend:
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
+        import requests
         self.session = session or requests.Session()
 
     def generate(self, req: LLMRequest, prompt: str) -> str:
@@ -215,6 +219,7 @@ class HttpChatBackend:
             "temperature": 0.0,
             "seed": req.seed,
         }
+        import requests  # loaded by __init__, so a dict lookup here
         try:
             resp = self.session.post(f"{self.base_url}/v1/chat/completions",
                                      json=payload, headers=headers,
@@ -249,61 +254,85 @@ class ScriptedBackend:
 
 
 class ReplayBackend:
-    """Replays recorded responses by request hash; misses are fatal.
+    """Replays recorded outcomes by request hash; misses are fatal.
 
-    A hash's answers are served in recorded order, then the last repeats,
-    so one transcript can serve several runs.
+    A hash's outcomes are served in recorded order, then the last repeats,
+    so one transcript can serve several runs. An outcome is an answer, or
+    an error's text and whether it is retryable, which is raised again as
+    a ``TransportError`` or a ``GatewayHardError``.
     """
 
-    def __init__(self, records: dict[str, list[str]]):
+    def __init__(self, records: dict[str, list[str | tuple[str, bool]]]):
         self._records = records
 
     @classmethod
     def from_path(cls, path: str) -> "ReplayBackend":
-        records: dict[str, list[str]] = {}
+        records: dict[str, list[str | tuple[str, bool]]] = {}
         for lineno, record in read_records(path):
             key, response = record.get("hash"), record.get("response")
-            if not isinstance(key, str) or not isinstance(response, str):
-                raise FormatError(path, lineno, "needs a string hash and response")
-            records.setdefault(key, []).append(response)
+            error, retryable = record.get("error"), record.get("retryable")
+            if isinstance(key, str) and isinstance(response, str):
+                outcome: str | tuple[str, bool] = response
+            elif isinstance(key, str) and isinstance(error, str) \
+                    and isinstance(retryable, bool):
+                outcome = (error, retryable)
+            else:
+                raise FormatError(path, lineno, "needs a string hash and a "
+                                  "string response, or a string error and a "
+                                  "boolean retryable")
+            records.setdefault(key, []).append(outcome)
         return cls(records)
 
     def generate(self, req: LLMRequest, prompt: str) -> str:
         key = request_hash(req, prompt)
-        answers = self._records.get(key)
-        if not answers:
+        outcomes = self._records.get(key)
+        if not outcomes:
             raise ReplayMissError(f"no recorded response for {req.kind.value} "
                                   f"request {key[:12]}")
-        return answers.pop(0) if len(answers) > 1 else answers[0]
+        outcome = outcomes.pop(0) if len(outcomes) > 1 else outcomes[0]
+        if isinstance(outcome, str):
+            return outcome
+        error, retryable = outcome
+        raise (TransportError if retryable else GatewayHardError)(error)
 
 
 class RecordingBackend:
-    """Wraps another backend and appends a transcript line per answer it gives.
+    """Wraps another backend and appends a transcript line per outcome.
 
-    A request asked again, because its answer did not parse, gets a line
-    per answer in call order, since a Gateway never has one request in
-    flight twice; ``ReplayBackend`` serves them back in that order.
+    An answer's line holds the ``response``; a ``TransportError`` or
+    ``GatewayHardError`` of the inner backend gets a line with its
+    ``error`` text and whether it is ``retryable``, and is raised again.
+    A request asked again, because its answer did not parse or its call
+    failed, gets a line per outcome in call order, since a Gateway never
+    has one request in flight twice; ``ReplayBackend`` serves them back in
+    that order.
     """
 
     def __init__(self, inner: Backend, path: str):
         self.inner = inner
         self.path = path
         self._lock = threading.Lock()
-        # Start the transcript empty; each answer is appended.
+        # Start the transcript empty; each outcome is appended.
         write_lines(path, ())
 
     def generate(self, req: LLMRequest, prompt: str) -> str:
-        response = self.inner.generate(req, prompt)
-        key = request_hash(req, prompt)
+        try:
+            response = self.inner.generate(req, prompt)
+        except (TransportError, GatewayHardError) as exc:
+            self._append(req, prompt, {
+                "error": str(exc),
+                "retryable": isinstance(exc, TransportError)})
+            raise
+        self._append(req, prompt, {"response": response})
+        return response
+
+    def _append(self, req: LLMRequest, prompt: str, outcome: dict) -> None:
+        line = json.dumps({"hash": request_hash(req, prompt),
+                           "kind": req.kind.value, "prompt": prompt,
+                           **outcome}, ensure_ascii=False) + "\n"
         with self._lock:
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps({
-                    "hash": key,
-                    "kind": req.kind.value,
-                    "prompt": prompt,
-                    "response": response,
-                }, ensure_ascii=False) + "\n")
-        return response
+                fh.write(line)
 
 
 # ---------------------------------------------------------------------------
@@ -460,20 +489,19 @@ class Gateway:
         second step of ``complete_steps``, which leaves it waiting if it
         would send a request that ``reqs`` sends. A step that rides is
         resumed with its responses or its first error, before any error of
-        ``reqs`` is raised. A step that fails validation is resumed with its
-        ``ValidationError``, and ``reqs`` go out without it. Any other step
-        that does not ride is left waiting, with nothing of it sent or
-        counted.
+        ``reqs`` is raised. A step that would ride but fails validation is
+        resumed with its ``ValidationError``, and ``reqs`` go out without
+        it. Any other step that does not ride is left waiting, with nothing
+        of it sent or counted.
         """
         steps = [self._jobs(reqs)]
-        if ahead is not None and ahead.pending is not None:
+        # The rider is rendered only for a batch that reaches the backend.
+        if ahead is not None and ahead.pending is not None and any(
+                key not in self._memo for _, _, key in steps[0]):
             try:
-                ride = self._jobs(ahead.pending)
+                steps.append(self._jobs(ahead.pending))
             except ValidationError as exc:
                 ahead.advance(exc)
-            else:
-                if any(key not in self._memo for _, _, key in steps[0]):
-                    steps.append(ride)
         outcomes = self._complete(steps)
         if len(outcomes) > 1 and outcomes[1] is not None:
             ahead.advance(outcomes[1])
@@ -490,12 +518,12 @@ class Gateway:
         order, or the first error among its calls, or the
         ``ValidationError`` of a repeated request or a missing template
         slot, in which case nothing of it is sent. A step that would send a
-        request that an earlier step sends, or that an earlier waiting step
-        would send, waits: its outcome is None and nothing of it is sent or
-        counted. Asked again in a later batch, it reads that request from
-        the memo, or sends it again if its answer failed or did not parse,
-        so each request reaches the backend in step order, as if the steps
-        had been completed one by one.
+        request that an earlier step sends, or that asks any request an
+        earlier waiting step asks, waits: its outcome is None and nothing of
+        it is sent or counted. Asked again in a later batch, it reads that
+        request from the memo, or sends it again if its answer failed or did
+        not parse, so each request reaches the backend in step order, as if
+        the steps had been completed one by one.
         """
         jobs: list = []
         for reqs in steps:
@@ -522,20 +550,24 @@ class Gateway:
         outcomes: list = list(steps)
         sending: list[int] = []
         misses: list[tuple[int, int]] = []
-        # The keys that an earlier step sends or waits to send.
+        # The keys that an earlier step sends, or that an earlier waiting
+        # step asks, from the backend or the memo: a step that reads the
+        # memo where a waiting one would still ask waits too, or it could
+        # reach a later request before that step.
         claimed: set[str] = set()
         for s, jobs in enumerate(steps):
             if isinstance(jobs, Exception):
                 continue
             mine = [i for i, (_, _, key) in enumerate(jobs)
                     if key not in self._memo]
-            keys = {jobs[i][2] for i in mine}
-            if keys.isdisjoint(claimed):
+            asks = {key for _, _, key in jobs}
+            if asks.isdisjoint(claimed):
                 sending.append(s)
                 misses += [(s, i) for i in mine]
+                claimed |= {jobs[i][2] for i in mine}
             else:
                 outcomes[s] = None
-            claimed |= keys
+                claimed |= asks
         fresh: dict[tuple[int, int], Any] = {}
         if misses:
             self.round_trips += 1

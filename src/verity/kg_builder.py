@@ -176,13 +176,14 @@ def build_graph(corpus: list[SourceDocument],
     document of a window sends its step in the same backend batch, so a
     window of single-chunk documents takes two round-trips. A document that
     would send a request that an earlier document of its window sends, or
-    waits to send, waits a round and then reads the memo
-    (``Gateway.complete_steps``). Two documents can share a relation request
-    only if they share a chunk, and then the later one's first step waits
-    until the earlier one's has been sent, so no document reaches a request
-    before an earlier one that asks it too. The graph, the report, calls and memo
-    hits are therefore those of extracting one document at a time. The
-    triples are inserted in corpus order once the window is done.
+    that asks any request an earlier waiting document asks, waits a round
+    and then reads the memo (``Gateway.complete_steps``). Two documents can
+    share a relation request only if they share a chunk, and then the later
+    one's first step waits until the earlier one's has been sent, even
+    where the memo holds that chunk's requests, so no document reaches a
+    request before an earlier one that asks it too. The graph, the report,
+    calls and memo hits are therefore those of extracting one document at a
+    time. The triples are inserted in corpus order once the window is done.
     """
     for doc in corpus:
         if not doc.trusted:

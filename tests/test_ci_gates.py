@@ -166,6 +166,47 @@ def test_build_kg_bytes_do_not_depend_on_completion_order(tmp_path):
     assert report.docs_processed == len(docs) and report.triples_duplicate
 
 
+# Blocks ``requests``, so importing it fails, then lists the HTTP client
+# modules the package loaded and runs each command line it is given.
+_OFFLINE = """
+import json, sys
+sys.modules["requests"] = None
+import verity, verity.cli
+print(json.dumps([name for name in ("requests", "urllib3", "email")
+                  if sys.modules.get(name) is not None]))
+print(json.dumps([verity.cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_offline_commands_never_load_the_http_client(tmp_path):
+    """Only ``--backend live`` needs ``requests``: with it unimportable, an
+    oracle run recorded, its replay and ``evaluate`` each exit 0, and the
+    package loads none of ``requests``, ``urllib3`` and ``email``."""
+    table, items = tabled_world(num_real=2, num_fake=2)
+    facts, dataset, kg = (tmp_path / "facts.json", tmp_path / "claims.jsonl",
+                          tmp_path / "kg.jsonl")
+    write_facts(facts, table)
+    save_dataset(items, str(dataset))
+    KnowledgeGraph().save(str(kg))
+    detect = ["detect", "--dataset", str(dataset), "--kg", str(kg),
+              "--n", "3", "--height", "3"]
+    transcript = str(tmp_path / "transcript.jsonl")
+    runs = [str(tmp_path / "run-1.jsonl"), str(tmp_path / "run-2.jsonl")]
+    argvs = [detect + ["--backend", "oracle", "--facts", str(facts),
+                       "--record", transcript, "--out", runs[0]],
+             detect + ["--backend", "replay", "--transcript", transcript,
+                       "--out", runs[1]],
+             ["evaluate", "--run", runs[0]]]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _OFFLINE, json.dumps(argvs)], env=env,
+        capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert json.loads(lines[0]) == [] and json.loads(lines[-1]) == [0, 0, 0]
+    assert Path(runs[0]).read_bytes() == Path(runs[1]).read_bytes()
+
+
 def test_search_is_called_once_per_claim_in_order():
     """``bench/workloads.py::ClaimClock`` stamps each ``SearchEngine.search``
     call and times a claim up to the next one, so ``claim_s_p50`` and

@@ -1,6 +1,10 @@
+import hashlib
+import http.server
 import inspect
 import json
 import re
+import socket
+import threading
 
 import pytest
 from synth import save_dataset, tabled_world, write_facts
@@ -8,7 +12,7 @@ from synth import save_dataset, tabled_world, write_facts
 from verity.cli import _build_backend, _engine_config, build_parser, main
 from verity.dataset import load_dataset
 from verity.errors import VerityError
-from verity.gateway import Gateway, HttpChatBackend
+from verity.gateway import Gateway, HttpChatBackend, ScriptedBackend
 from verity.kg_store import KnowledgeGraph
 from verity.mcts import EngineConfig
 from verity.oracle import RuleBasedOracle
@@ -243,6 +247,105 @@ class TestSequentialRun:
         assert code == 0
         assert capsys.readouterr().err == \
             "dropped 1 items with non-sentence evidence\n"
+
+
+def _stub_reply(prompt):
+    """A model that answers from the prompt alone: a verdict line that
+    parses for every kind, after a triple and a question."""
+    digest = hashlib.sha256(prompt.encode("utf-8")).digest()
+    label = "Real" if digest[0] % 2 else "Fake"
+    return (f"(Alpha{digest[1] % 3} | met | Beta{digest[2] % 3})\n"
+            f"Was it so?\nAnswer: {label}")
+
+
+class _Completions(http.server.BaseHTTPRequestHandler):
+    """POST /v1/chat/completions: the server's next queued status, then 200
+    with ``_stub_reply`` of the user message."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with self.server.lock:
+            self.server.posts += 1
+            status = self.server.statuses.pop(0) if self.server.statuses \
+                else 200
+        payload = {"error": "busy"}
+        if status == 200 and self.path == "/v1/chat/completions":
+            content = _stub_reply(body["messages"][0]["content"])
+            payload = {"choices": [{"message": {"content": content}}]}
+        data = json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def stub_endpoint():
+    """A chat-completion endpoint on a free local port, served on threads."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Completions)
+    server.lock, server.posts, server.statuses = threading.Lock(), 0, []
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05})
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+class TestLiveEndpoint:
+    """``--backend live`` through ``requests`` against a local stub."""
+
+    def _detect(self, tmp_path, base_url, items):
+        dataset, kg = tmp_path / "claims.jsonl", tmp_path / "kg.jsonl"
+        save_dataset(items, str(dataset))
+        KnowledgeGraph().save(str(kg))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"base_url": base_url, "max_retries": 1}))
+        out = tmp_path / "run.jsonl"
+        code = main(["detect", "--dataset", str(dataset), "--kg", str(kg),
+                     "--backend", "live", "--config", str(config),
+                     "--n", "3", "--height", "3", "--out", str(out)])
+        assert code == 0
+        return out
+
+    @pytest.mark.parametrize("statuses", [[], [503]])
+    def test_record_equals_a_scripted_run(self, tmp_path, capsys,
+                                          stub_endpoint, statuses):
+        """A 503 is retried, and the run is the one a scripted backend
+        answering the same way gives."""
+        _, items = tabled_world(num_real=2, num_fake=2)
+        stub_endpoint.statuses += statuses
+        host, port = stub_endpoint.server_address
+        out = self._detect(tmp_path, f"http://{host}:{port}/", items)
+        sent = int(re.search(r"^model calls: (\d+) sent",
+                             capsys.readouterr().out, re.MULTILINE).group(1))
+        assert stub_endpoint.posts == sent + len(statuses)
+        gateway = Gateway(ScriptedBackend(lambda req, prompt:
+                                          _stub_reply(prompt)))
+        record, _, _ = run_detection(items, KnowledgeGraph(),
+                                     EngineConfig(n=3, h=3), gateway)
+        gateway.close()
+        assert not record.exclusions
+        record.save(str(tmp_path / "scripted.jsonl"))
+        assert out.read_bytes() == (tmp_path / "scripted.jsonl").read_bytes()
+        assert sum(gateway.call_counts.values()) == sent
+
+    def test_closed_port_fails_each_claim(self, tmp_path, capsys):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        _, items = tabled_world(num_real=1, num_fake=1)
+        out = self._detect(tmp_path, f"http://127.0.0.1:{port}", items)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 2
+        assert all(r["verdict"] is None and re.fullmatch(
+            r"\w+ failed after 2 attempts: .+", r["error"]) for r in records)
+        assert "excluded 2 claims" in capsys.readouterr().out
 
 
 class TestDefaults:

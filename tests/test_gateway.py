@@ -269,6 +269,50 @@ class TestRecordReplay:
         assert [r["response"] for r in records] == [" ", "q1"]
         assert {r["hash"] for r in records} == {request_hash(req)}
 
+    def test_errors_recorded_and_replayed_in_order(self, tmp_path):
+        """A transport or hard error of the inner backend gets a line and
+        is raised again; replay raises it again, in the recorded order,
+        with its text and class, so a replayed retry fails and succeeds
+        where the recorded one did."""
+        path = tmp_path / "transcript.jsonl"
+        outcomes = iter([TransportError("busy"),
+                         "Answer: Real", GatewayHardError("HTTP 401: no")])
+
+        def reply(req, prompt):
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        recorded = Gateway(RecordingBackend(ScriptedBackend(reply), str(path)),
+                           max_retries=1, backoff=0.0)
+        verdict, other = TestGatewayMemo.VERDICT, _subquestion(0)
+        assert recorded.complete(verdict).raw == "Answer: Real"
+        with pytest.raises(GatewayHardError, match="HTTP 401: no"):
+            recorded.complete(other)
+        records = [json.loads(l) for l in path.read_text().splitlines()]
+        assert [{k: r[k] for k in r if k not in ("hash", "prompt")}
+                for r in records] == [
+            {"kind": "final_verdict", "error": "busy", "retryable": True},
+            {"kind": "final_verdict", "response": "Answer: Real"},
+            {"kind": "generate_subquestion", "error": "HTTP 401: no",
+             "retryable": False}]
+        assert [r["hash"] for r in records] == \
+            [request_hash(verdict)] * 2 + [request_hash(other)]
+        replay = ReplayBackend.from_path(str(path))
+        prompt = render_prompt(verdict)
+        with pytest.raises(TransportError, match="^busy$"):
+            replay.generate(verdict, prompt)
+        assert replay.generate(verdict, prompt) == "Answer: Real"
+        # The last outcome repeats, an error as an answer does.
+        for _ in range(2):
+            with pytest.raises(GatewayHardError) as err:
+                replay.generate(other, render_prompt(other))
+            assert type(err.value) is GatewayHardError
+            assert str(err.value) == "HTTP 401: no"
+        with pytest.raises(ReplayMissError):
+            replay.generate(_subquestion(1), render_prompt(_subquestion(1)))
+
     def test_replay_serves_answers_in_order_then_repeats_last(self, tmp_path):
         req = _subquestion(0)
         path = tmp_path / "transcript.jsonl"
@@ -286,8 +330,11 @@ class TestRecordReplay:
         assert request_hash(seeded) != request_hash(_subquestion(0))
         assert render_prompt(seeded) == render_prompt(_subquestion(0))
 
-    @pytest.mark.parametrize("record", [{"hash": "h"},
-                                        {"hash": 1, "response": "r"}])
+    @pytest.mark.parametrize("record", [
+        {"hash": "h"}, {"hash": 1, "response": "r"},
+        {"hash": "h", "error": "e"}, {"hash": "h", "error": 1, "retryable": True},
+        {"hash": "h", "error": "e", "retryable": "yes"},
+        {"hash": 1, "error": "e", "retryable": False}])
     def test_replay_rejects_record_without_string_fields(self, tmp_path,
                                                          record):
         path = tmp_path / "transcript.jsonl"
@@ -712,6 +759,26 @@ class TestSendAhead:
         assert jobs == [["c0", "c1"], ["c2"], ["c3"]] and gw.round_trips == 3
         assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 4
         assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 3
+
+    def test_a_batch_the_memo_answers_renders_no_rider(self, monkeypatch):
+        """Only a batch that sends renders its rider, so only such a batch
+        finds that the rider's step fails validation."""
+        gw, jobs = _spied()
+        gw.complete(_subquestion(0))
+        rendered = []
+        render = render_prompt
+        monkeypatch.setattr("verity.gateway.render_prompt", lambda req: (
+            rendered.append(req.context["claim"] + req.context["branch"])
+            or render(req)))
+        repeated = _waiting([_subquestion(4, "r"), _subquestion(4, "r")])
+        assert [r.parsed for r in gw.complete_all([_subquestion(0)],
+                                                  repeated)] == ["Q0 of c?"]
+        assert rendered == ["c0"] and repeated.error is None
+        gw.complete_all([_subquestion(1)], repeated)
+        gw.close()
+        assert rendered == ["c0", "c1", "r4", "r4"]
+        assert isinstance(repeated.error, ValidationError)
+        assert jobs == [["c0"], ["c1"]]
 
     def test_rider_error_waits_for_its_request(self):
         attempts = {}

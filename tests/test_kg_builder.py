@@ -305,6 +305,13 @@ class TestBuildGraphEqualsOneDocumentAtATime:
         @example(bodies=[SENTENCES[i % 3] for i in range(BUILD_WINDOW + 3)],
                  window=BUILD_WINDOW, chunk=CHUNK_CHARS, salt=0, percent=10,
                  kinds=["hard"], retries=0)
+        # d3 shares only d0's chunk, whose requests the memo holds, and d2
+        # shares d1's second chunk too: d3 must not reach the relation
+        # request of that chunk while d2 waits on its first step.
+        @example(bodies=[SENTENCES[0], SENTENCES[0] + " " + SENTENCES[0],
+                         SENTENCES[0] + " " + SENTENCES[0], SENTENCES[0]],
+                 window=BUILD_WINDOW, chunk=30, salt=221, percent=36,
+                 kinds=["transport", "garbage"], retries=0)
         def check(bodies, window, chunk, salt, percent, kinds, retries):
             corpus = [doc(body, id=f"d{i}") for i, body in enumerate(bodies)]
             sides = []

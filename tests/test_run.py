@@ -1157,13 +1157,14 @@ class TestFaultInjection:
         # An abandoned claim carries no verdict.
         assert all(r.verdict is None and r.paths_digest == ""
                    for r in record.results if r.error is not None)
-        if not failed:
-            # Retried transport faults and unparseable answers replay too.
-            replayed = Gateway(replay)
-            again, _, _ = run_detection(items, graph, config, replayed,
-                                        updates=updates)
-            replayed.close()
-            assert again.digest() == record.digest()
+        # Every fault replays: retried transport faults, unparseable
+        # answers and the errors that ended claims, through the live run's
+        # retry settings.
+        replayed = Gateway(replay, max_retries=1, backoff=0.0)
+        again, _, _ = run_detection(items, graph, config, replayed,
+                                    updates=updates)
+        replayed.close()
+        assert again.digest() == record.digest()
         # A hard fault ends its claim; only hard and transport faults do.
         hit = backend.hit
         assert hit.get("hard", set()) <= failed
