@@ -628,7 +628,9 @@ class GraphRead:
 @dataclass(frozen=True)
 class GraphWrite:
     """Yielded by an update once it knows every entity key that a triple it
-    may insert can have; the generator receives None."""
+    may insert can have; the generator receives None. An update begun while
+    its claim runs ahead yields it before its claim's turn; the run keeps
+    the keys and declares them when that turn begins."""
     keys: frozenset[str]
 
 

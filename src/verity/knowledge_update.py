@@ -31,7 +31,11 @@ class UpdateStats:
 def update_steps(claim_id: str, claim: str, paths: list[ReasoningPath],
                  seed: int = 0) -> Steps:
     """``extract_new_knowledge`` as a step generator, its requests at
-    ``seed``."""
+    ``seed``.
+
+    It reads no graph, so ``run_detection`` can begin it while its claim
+    runs ahead, as soon as that claim's search has ended Real, and passes
+    it the engine's seed."""
     parts = [claim]
     for path in paths:
         if path.verdict != Verdict.REAL:
@@ -55,7 +59,9 @@ def extract_new_knowledge(claim_id: str, claim: str, paths: list[ReasoningPath],
     Callers invoke this only for claims whose final verdict is Real; an empty
     agreeing-path set degrades to extraction from the claim text alone.
     Paths share their root-side steps, so the document keeps each line's
-    first occurrence only. ``run_detection`` passes the engine's seed.
+    first occurrence only. It drives ``update_steps`` alone through
+    ``gateway``; ``run_detection`` drives ``update_steps`` itself, so that
+    a claim run ahead can begin its update early.
     """
     return drive(update_steps(claim_id, claim, paths, seed), gateway)
 

@@ -13,10 +13,11 @@ from typing import Optional, Sequence
 
 from .dataset import NewsItem
 from .errors import GatewayHardError, ValidationError
-from .gateway import Gateway, GraphRead, LLMRequest, LLMResponse, Stepper
+from .gateway import (Gateway, GraphRead, GraphWrite, LLMRequest, LLMResponse,
+                      Stepper, drive)
 from .jsonl import write_lines
 from .kg_store import KnowledgeGraph
-from .knowledge_update import apply_update, extract_new_knowledge
+from .knowledge_update import apply_update, update_steps
 from .mcts import EngineConfig, SearchEngine, paths_digest
 from .retrieval import word_spans
 from .metrics import MetricsReport, compute_metrics
@@ -81,7 +82,7 @@ def _config_digest(config: EngineConfig, updates: bool) -> str:
 
 class _ClaimAhead:
     """The gateway as the claim being decided uses it, with the next claim's
-    search riding along.
+    search, then its knowledge update, riding along.
 
     It offers ``complete_all`` and ``declare_writes``, the Gateway methods
     ``drive`` calls. The search held in ``ahead`` is the next claim's, begun
@@ -99,33 +100,62 @@ class _ClaimAhead:
     batch goes to ``Gateway.complete_all`` with the search as its
     ``ahead``, where the step the search waits on rides if the batch
     reaches the backend and shares none of that step's memo misses.
+    With updates on, once the search has ended with verdict Real, the next
+    batch begins that claim's ``knowledge_update.update_steps``, held in
+    ``update``, and its steps ride in the search's place, under the same
+    rule. The extraction reads no graph. Its ``GraphWrite`` is passed at
+    the batch after its first wave, and its keys are kept in
+    ``update_writes`` for ``run_detection`` to declare when that claim's
+    turn comes.
     Whatever it has not passed by the end of the current claim it meets in
-    its own ``search`` call, made once the claims before it have committed
-    their updates. An error it meets stays with it (``Stepper.error``) and
-    is raised by that call, never by the batch that carried it.
+    its own turn, once the claims before it have committed their updates:
+    the search in its ``search`` call, the update in the ``drive`` that
+    ends it. An error it meets stays with it (``Stepper.error``) and is
+    raised there, never by the batch that carried it.
     """
 
-    def __init__(self, gateway: Gateway):
+    def __init__(self, gateway: Gateway, updates: bool, seed: int):
         self.gateway = gateway
+        self.updates, self.seed = updates, seed
+        self.item: Optional[NewsItem] = None
         self.ahead: Optional[Stepper] = None
+        self.update: Optional[Stepper] = None
+        self.update_writes: Optional[frozenset[str]] = None
         # The keys the current claim's update can write, once declared;
         # empty with updates off.
         self.writes: Optional[frozenset[str]] = None
 
-    def run_ahead(self, walk: Optional[Stepper]) -> None:
-        self.ahead, self.writes = walk, None
+    def run_ahead(self, item: Optional[NewsItem],
+                  walk: Optional[Stepper]) -> None:
+        self.item, self.ahead, self.writes = item, walk, None
+        self.update = self.update_writes = None
 
     def declare_writes(self, keys: frozenset[str]) -> None:
         self.writes = keys
 
     def complete_all(self, reqs: Sequence[LLMRequest]) -> list[LLMResponse]:
         walk = self.ahead
-        if (walk is not None and isinstance(walk.step, GraphRead)
+        if walk is not None and walk.step is None and walk is not self.update:
+            walk = self.ahead = self.update = self._begin_update(walk)
+        if walk is not None and isinstance(walk.step, GraphWrite):
+            self.update_writes = walk.step.keys
+            walk.advance(None)
+        elif (walk is not None and isinstance(walk.step, GraphRead)
                 and self.writes is not None
                 and (not self.writes or self.writes.isdisjoint(word_spans(
                     walk.step.text, max(map(len, self.writes)))))):
             walk.advance(None)
         return self.gateway.complete_all(reqs, walk)
+
+    def _begin_update(self, search: Stepper) -> Optional[Stepper]:
+        """The ended ``search`` ahead's update, if it has one."""
+        if not self.updates or search.error is not None:
+            return None
+        verdict, paths, _tree = search.result
+        if verdict != Verdict.REAL:
+            return None
+        return Stepper(update_steps(self.item.id, self.item.claim, paths,
+                                    self.seed))
 
 
 def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
@@ -151,15 +181,22 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
     reads for names none of the keys that update declared it can write
     (``_ClaimAhead``), so no triple of claim i can change what it reads.
     Otherwise it reads the graph only after claim i's update, when the run
-    hands the begun search to claim i+1's ``search`` call. That takes its opening step, the root's
-    sub-questions and verdict, off its own round-trips, and, past a read,
-    its ranking or answer step too. On ``tabled_world(25, 25)`` with
+    hands the begun search to claim i+1's ``search`` call. That takes its
+    opening step, the root's sub-questions and verdict, off its own
+    round-trips, and, past a read, its ranking or answer step too. If
+    claim i+1's search ends Real while claim i runs, its update's
+    extraction (``knowledge_update.update_steps``), which reads no graph,
+    rides claim i's later batches under the same rule. In claim i+1's turn
+    the run declares the keys that extraction has declared, right after it
+    begins claim i+2, then drives the extraction to its end and inserts
+    its triples, in dataset order. On ``tabled_world(25, 25)`` with
     ``updates`` off, a claim takes 0.70 round-trips at the engine defaults
-    and 2.08 at n20 h9 b3 (1.28 and 4.00 with no claim ahead).
-    Records, graphs, calls and memo hits are those of a run that searches
-    one claim at a time, and an error of the claim ahead ends that claim,
-    at its own step. On failure paths the run differs from one that takes
-    a claim at a time in these ways:
+    and 2.08 at n20 h9 b3 (1.28 and 4.00 with no claim ahead); with
+    ``updates`` on, 1.24 at the defaults (1.42 while each update waited for
+    its own turn). Records, graphs, calls and memo hits are those of a run
+    that searches and updates one claim at a time, and an error of the
+    claim ahead ends that claim, at its own step. On failure paths the run
+    differs from one that takes a claim at a time in these ways:
 
     - The claim ahead's transport retries delay the claim whose batch
       carried them.
@@ -183,27 +220,33 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
     # to the old one before the first claim, where a young collection
     # never visits them.
     gc.collect(1)
-    riding = _ClaimAhead(gateway)
+    riding = _ClaimAhead(gateway, updates, config.seed)
     engine = SearchEngine(riding, config)
     record = RunRecord(config_digest=_config_digest(config, updates),
                        kg_before=kg_before)
     begun: Optional[Stepper] = None
     for i, item in enumerate(items):
-        ahead = None
+        # This claim's update, if it began while the claim ran ahead, and
+        # the keys it has declared.
+        update, writes = riding.update, riding.update_writes
+        following, ahead = None, None
         if i + 1 < len(items):
-            ahead = Stepper(engine.search_steps(items[i + 1].claim, graph,
-                                                items[i + 1].id))
-        riding.run_ahead(ahead)
+            following = items[i + 1]
+            ahead = Stepper(engine.search_steps(following.claim, graph,
+                                                following.id))
+        riding.run_ahead(following, ahead)
         if not updates:
             riding.declare_writes(frozenset())
+        elif writes is not None:
+            riding.declare_writes(writes)
         result = ClaimResult(id=item.id, gold=item.gold)
         try:
             verdict, paths, _tree = engine.search(item.claim, graph,
                                                   claim_id=item.id,
                                                   begun=begun)
             if updates and verdict == Verdict.REAL:
-                new_triples = extract_new_knowledge(
-                    item.id, item.claim, paths, riding, seed=config.seed)
+                new_triples = drive(update or update_steps(
+                    item.id, item.claim, paths, config.seed), riding)
                 stats = apply_update(graph, new_triples, claim_id=item.id)
                 result.duplicates = stats.duplicates
                 # Only the actually-inserted triples land in the record.

@@ -122,11 +122,13 @@ class FaultyOracle:
     def track(self, items):
         """Note the claim each call belongs to while the block runs.
 
-        A request that names a claim belongs to that claim, and a ranking
-        request to the claim that asked the question, wherever they are
-        sent: a claim running ahead sends them while the claim before it is
-        searched or updated. Any other call belongs to the claim being
-        searched or updated.
+        A request that names a claim belongs to that claim, a ranking
+        request to the claim that asked the question, and an extraction
+        request to the claim its document's first line states (an update
+        document begins with its claim), wherever they are sent: a claim
+        running ahead sends them while the claim before it is searched or
+        updated. Any other call belongs to the claim being searched or
+        updated.
         """
         self.ids = {item.claim: item.id for item in items}
         search = SearchEngine.search
@@ -140,7 +142,9 @@ class FaultyOracle:
 
     def _owner(self, req) -> str:
         claim = req.context.get("claim")
-        if req.kind is PromptKind.RANK_TRIPLES:
+        if "document" in req.context:
+            claim = req.context["document"].split("\n", 1)[0]
+        elif req.kind is PromptKind.RANK_TRIPLES:
             claim = self.asked_by.get(req.context["question"])
         return self.ids.get(claim, self.claim)
 

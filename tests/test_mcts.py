@@ -687,7 +687,7 @@ class TestRootVerdictLookahead:
               PromptKind.ANSWER_SUBQUESTION: 75,
               PromptKind.FINAL_VERDICT: 125},
              1335, "bf021130c4b19ce0ae20361ba638d43494ba0bb4632b8f9827e00e1ec07c0e68"),
-            (EngineConfig(), True, 1.42,
+            (EngineConfig(), True, 1.24,
              {PromptKind.EXTRACT_ENTITIES: 25,
               PromptKind.GENERATE_RELATIONS: 25,
               PromptKind.EXTRACT_EVENT_TRIPLES: 25,

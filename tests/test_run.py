@@ -486,12 +486,15 @@ def names_any(text, keys):
 def read_branches():
     """Count, at each write declaration that finds the claim ahead at a
     graph read, whether the read is released at the update's next batch
-    (no key in common with the declaration) or waits; and, at each batch
-    that finds it at a graph read with nothing declared writable, as with
-    updates off, the read released there ("unwritten")."""
+    (no key in common with the declaration) or waits; at each batch that
+    finds it at a graph read with nothing declared writable, as with
+    updates off, the read released there ("unwritten"); and each claim
+    whose update's first wave, entities and event triples, went out while
+    it ran ahead ("extracted")."""
     seen = collections.Counter()
     declare = _ClaimAhead.declare_writes
     complete_all = _ClaimAhead.complete_all
+    run_ahead = _ClaimAhead.run_ahead
 
     def counted(self, keys):
         step = self.ahead.step if self.ahead is not None else None
@@ -506,8 +509,18 @@ def read_branches():
             seen["unwritten"] += 1
         return complete_all(self, reqs)
 
+    def handed(self, item, walk):
+        # The claim whose turn begins hands over the update it began ahead.
+        update = self.update
+        if update is not None and not (
+                update.pending
+                and update.pending[0].kind is PromptKind.EXTRACT_ENTITIES):
+            seen["extracted"] += 1
+        return run_ahead(self, item, walk)
+
     with mock.patch.object(_ClaimAhead, "declare_writes", counted), \
-            mock.patch.object(_ClaimAhead, "complete_all", batch):
+            mock.patch.object(_ClaimAhead, "complete_all", batch), \
+            mock.patch.object(_ClaimAhead, "run_ahead", handed):
         yield seen
 
 
@@ -635,7 +648,8 @@ class TestSendAhead:
         about the claims' entities, so a claim ahead that reads the graph
         early reads what the claim before it could have written; neighbours
         with and without an entity in common make its reads both pass and
-        wait, and with updates off they pass at once."""
+        wait, and with updates off they pass at once. A Real claim whose
+        search ends while it runs ahead sends its extraction early too."""
         branches = collections.Counter()
 
         @settings(max_examples=80, deadline=None)
@@ -657,6 +671,10 @@ class TestSendAhead:
         # Updates off: each read passes at the next batch of the claim
         # before it.
         @example(picks=[(0, 0), (2, 1)], n=5, h=3, b=2, updates=False,
+                 seeded=[("Alpha0", "visited", "Town")])
+        # Two Real claims at n = 2: item-1's search ends at its opening
+        # step, so its extraction rides item-0's update.
+        @example(picks=[(0, 0), (1, 1)], n=2, h=3, b=2, updates=True,
                  seeded=[("Alpha0", "visited", "Town")])
         def check(picks, n, h, b, updates, seeded):
             table, pool = tabled_world(2, 2)
@@ -683,7 +701,7 @@ class TestSendAhead:
 
         check()
         assert branches["released"] and branches["waited"]
-        assert branches["unwritten"]
+        assert branches["unwritten"] and branches["extracted"]
 
     def test_single_iteration_sends_no_verdict_rider(self):
         _, items = tabled_world(3, 3)
@@ -869,6 +887,61 @@ class TestSendAhead:
         assert [r.as_record() for r in record.results] == results
         assert record.kg_after == kg_after
 
+    def test_update_leaves_with_the_claim_before(self):
+        """At the engine defaults with updates on, a Real claim's search can
+        end at its opening step, which rides with the claim before it. Its
+        update then rides that claim's later batches: its entity and
+        event-triple requests go out together in a batch of the claim
+        before it, and the run still equals one claim at a time."""
+        table, items = tabled_world(3, 3)
+        oracle = RuleBasedOracle(table)
+        claim_of = {item.claim: i for i, item in enumerate(items)}
+        first_wave = (PromptKind.EXTRACT_ENTITIES,
+                      PromptKind.EXTRACT_EVENT_TRIPLES)
+        extracted_in: dict[int, dict[PromptKind, int]] = {}
+        marks = []
+
+        def reply(req, prompt):
+            if req.kind in first_wave:
+                # An update's document begins with its claim.
+                claim = claim_of[req.context["document"].split("\n", 1)[0]]
+                extracted_in.setdefault(claim, {})[req.kind] = \
+                    len(log.batches) - 1
+            return oracle.generate(req, prompt)
+
+        gateway = Gateway(ScriptedBackend(reply))
+        log = BatchLog(gateway)
+        search = SearchEngine.search
+
+        def marked(engine, *args, **kwargs):
+            marks.append(len(log.batches))
+            return search(engine, *args, **kwargs)
+
+        with mock.patch.object(SearchEngine, "search", marked):
+            record, _, grown = run_detection(items, KnowledgeGraph(),
+                                             EngineConfig(), gateway)
+        gateway.close()
+        early = [i for i, sent in extracted_in.items()
+                 if max(sent.values()) < marks[i]]
+        assert early
+        for i in early:
+            [batch] = set(extracted_in[i].values())
+            assert set(extracted_in[i]) == set(first_wave)
+            assert marks[i - 1] <= batch
+            assert set(first_wave) <= log.batches[batch]
+        alone = Gateway(RuleBasedOracle(table))
+        results, kg_after = one_claim_at_a_time(items, KnowledgeGraph(),
+                                                EngineConfig(), alone)
+        alone.close()
+        assert [r.as_record() for r in record.results] == results
+        assert record.digest() == dataclasses.replace(
+            record, results=[result_of(r) for r in results],
+            kg_after=kg_after).digest()
+        assert grown.content_digest() == kg_after
+        assert gateway.call_counts == alone.call_counts
+        assert gateway.memo_hits == alone.memo_hits
+        assert gateway.round_trips < alone.round_trips
+
     def test_no_claim_reads_the_graph_before_the_one_before_commits(
             self, monkeypatch):
         """On a hub world with updates on, a claim reads the graph before
@@ -918,22 +991,21 @@ class TestSendAhead:
                                {t.subject.key, t.object.key}))
             return inserted
 
-        updating = []
-
-        def update(claim_id, *args, **kwargs):
-            updating.append(claim_id)
-            return extract_new_knowledge(claim_id, *args, **kwargs)
-
         declare = _ClaimAhead.declare_writes
+        detects = run_detection.__code__
 
         def declared(self, keys):
-            events.append(("declare", updating[-1], set(keys)))
+            # The claim whose turn the run is in declares: its update
+            # reached its GraphWrite in that turn, or while it ran ahead.
+            frame = sys._getframe(1)
+            while frame.f_code is not detects:
+                frame = frame.f_back
+            events.append(("declare", frame.f_locals["item"].id, set(keys)))
             return declare(self, keys)
 
         for name in ("match_entities", "one_hop_subgraph"):
             monkeypatch.setattr(KnowledgeGraph, name, reader(name))
         monkeypatch.setattr(KnowledgeGraph, "add", insert)
-        monkeypatch.setattr("verity.run.extract_new_knowledge", update)
         monkeypatch.setattr(_ClaimAhead, "declare_writes", declared)
         gateway = Gateway(RuleBasedOracle(table))
         record, _, grown = run_detection(items, graph, EngineConfig(n=8, h=3, b=2, seed=0),
@@ -1046,12 +1118,20 @@ def one_claim_at_a_time(items, graph, config, gateway, updates=True):
     return results, graph.content_digest()
 
 
+def result_of(record):
+    """The ``ClaimResult`` whose ``as_record`` is ``record``."""
+    verdicts = {k: record[k] and Verdict(record[k])
+                for k in ("verdict", "gold")}
+    return ClaimResult(**{**record, **verdicts})
+
+
 class TestFaultInjection:
     def test_faults_stay_with_their_claims(self):
         """The claims come in a drawn order, so neighbours share an entity
         (real-0, fake-0) or none (real-0, real-1), on a drawn start graph:
         a claim ahead's graph reads both pass and wait, and with updates
-        off they pass at once."""
+        off they pass at once. A Real claim whose search ends while it runs
+        ahead sends its extraction early too."""
         branches = collections.Counter()
 
         # One iteration sends nothing, and two use the root's verdict,
@@ -1069,6 +1149,10 @@ class TestFaultInjection:
         # The same with updates off: every read passes at once.
         @example(salt=0, percent=0, kinds=["hard"], updates=False, n=20,
                  order=(0, 1, 3, 2), seeded=(("Beta0", "visited", "Town"),))
+        # At n = 2 real-1's search ends at its opening step, so its
+        # extraction rides real-0's update.
+        @example(salt=0, percent=0, kinds=["hard"], updates=True, n=2,
+                 order=(0, 1, 3, 2), seeded=(("Beta0", "visited", "Town"),))
         def check(salt, percent, kinds, updates, n, order, seeded):
             with read_branches() as seen:
                 self._check(salt, percent, kinds, updates, n, order, seeded)
@@ -1078,7 +1162,7 @@ class TestFaultInjection:
 
         check()
         assert branches["released"] and branches["waited"]
-        assert branches["unwritten"]
+        assert branches["unwritten"] and branches["extracted"]
 
     def test_relation_wave_fails_hard_after_a_release(self):
         """real-0's update declares its keys, real-1's graph read shares
@@ -1120,6 +1204,67 @@ class TestFaultInjection:
         alone.close()
         assert [r.as_record() for r in record.results] == results
         assert record.kg_after == kg_after
+        assert gateway.call_counts == alone.call_counts
+        assert gateway.memo_hits == alone.memo_hits
+
+    def test_hard_fault_on_an_update_ahead_ends_its_own_claim(self):
+        """At salt 77 and 5%, the one hard fault falls on real-2's entity
+        request, which rides a batch of real-1's update at the engine
+        defaults. real-2 ends with the error in its own turn and inserts
+        nothing; real-1, whose batch carried the request, and every other
+        claim decide and update as in a run with no fault."""
+        table, items = tabled_world(3, 3)
+        backend = FaultyOracle(table, 77, 5, ["hard"])
+        failed_in = []
+        marks = []
+
+        def reply(req, prompt):
+            try:
+                return backend.generate(req, prompt)
+            except GatewayHardError:
+                failed_in.append((req.kind, len(log.batches) - 1))
+                raise
+
+        gateway = Gateway(ScriptedBackend(reply), max_retries=1, backoff=0.0)
+        log = BatchLog(gateway)
+        with backend.track(items):
+            search = SearchEngine.search
+
+            def marked(engine, *args, **kwargs):
+                marks.append(len(log.batches))
+                return search(engine, *args, **kwargs)
+
+            with mock.patch.object(SearchEngine, "search", marked):
+                record, _, grown = run_detection(items, KnowledgeGraph(),
+                                                 EngineConfig(), gateway)
+        gateway.close()
+        assert backend.hit == {"hard": {"real-2"}}
+        [(kind, batch)] = failed_in
+        assert kind is PromptKind.EXTRACT_ENTITIES
+        assert marks[1] <= batch < marks[2]
+        failed = record.results[2]
+        assert failed.id == "real-2" and failed.error == "injected"
+        assert failed.verdict is None and failed.triples_added == []
+        assert all(t.source_id != "real-2" for t in grown.triples)
+        clean = Gateway(RuleBasedOracle(table))
+        unfaulted, _, _ = run_detection(items, KnowledgeGraph(),
+                                        EngineConfig(), clean)
+        clean.close()
+        for i, (result, alone) in enumerate(zip(record.results,
+                                                unfaulted.results)):
+            if i != 2:
+                assert result.as_record() == alone.as_record()
+        one_by_one = FaultyOracle(table, 77, 5, ["hard"])
+        alone = Gateway(ScriptedBackend(one_by_one.generate), max_retries=1,
+                        backoff=0.0)
+        with one_by_one.track(items):
+            results, kg_after = one_claim_at_a_time(items, KnowledgeGraph(),
+                                                    EngineConfig(), alone)
+        alone.close()
+        assert [r.as_record() for r in record.results] == results
+        assert record.kg_after == kg_after
+        assert one_by_one.hit == backend.hit
+        assert one_by_one.sent == backend.sent
         assert gateway.call_counts == alone.call_counts
         assert gateway.memo_hits == alone.memo_hits
 
