@@ -466,10 +466,6 @@ class Gateway:
             future.result()
         return outcomes
 
-    def declare_writes(self, keys: frozenset[str]) -> None:
-        """Note the entity keys the running update can still write; a
-        Gateway runs no claim ahead, so it has no use for them."""
-
     def complete(self, req: LLMRequest) -> LLMResponse:
         return self.complete_all([req])[0]
 
@@ -627,10 +623,10 @@ class GraphRead:
 
 @dataclass(frozen=True)
 class GraphWrite:
-    """Yielded by an update once it knows every entity key that a triple it
-    may insert can have; the generator receives None. An update begun while
-    its claim runs ahead yields it before its claim's turn; the run keeps
-    the keys and declares them when that turn begins."""
+    """Yielded by a step generator once it knows every entity key that a
+    triple it may insert can have; the generator receives None. Its
+    ``Stepper`` keeps the keys (``Stepper.writes``). A claim with updates
+    off declares the empty set before its search begins."""
     keys: frozenset[str]
 
 
@@ -642,7 +638,8 @@ class Stepper:
 
     ``step`` is what the generator waits on: a list of requests, a
     ``GraphRead`` or ``GraphWrite``, or None once it has ended, with its
-    ``result`` or with the ``error`` it raised.
+    ``result`` or with the ``error`` it raised. ``writes`` is None until the
+    generator yields a ``GraphWrite``, then the keys of the last one.
     """
 
     def __init__(self, steps: Steps):
@@ -650,6 +647,7 @@ class Stepper:
         self.step: Any = None
         self.result: Any = None
         self.error: Optional[Exception] = None
+        self.writes: Optional[frozenset[str]] = None
         self.advance(None)
 
     @property
@@ -671,22 +669,21 @@ class Stepper:
             # Held, not raised: a claim run ahead fails at its own search,
             # not in the batch of the claim that carried its step.
             self.step, self.error = None, exc
+        if isinstance(self.step, GraphWrite):
+            self.writes = self.step.keys
 
 
 def drive(steps: "Steps | Stepper", gateway: Gateway) -> Any:
     """Run ``steps`` to its result, asking ``gateway.complete_all`` for each
-    batch it yields and passing each ``GraphWrite`` to
-    ``gateway.declare_writes``; ``steps`` may be a ``Stepper`` part of the
-    way through.
+    batch it yields and passing each ``GraphRead`` and ``GraphWrite`` at
+    once; ``steps`` may be a ``Stepper`` part of the way through.
 
     An error the generator does not catch is raised here.
     """
     walk = steps if isinstance(steps, Stepper) else Stepper(steps)
     while walk.step is not None:
         outcome: Any = None
-        if isinstance(walk.step, GraphWrite):
-            gateway.declare_writes(walk.step.keys)
-        elif walk.pending is not None:
+        if walk.pending is not None:
             try:
                 outcome = gateway.complete_all(walk.pending)
             except Exception as exc:
@@ -701,10 +698,10 @@ def drive(steps: "Steps | Stepper", gateway: Gateway) -> Any:
 def drive_all(steps_list: Sequence[Steps], gateway: Gateway) -> list[Stepper]:
     """Run every generator of ``steps_list`` to its end together, and return
     each one's ended ``Stepper``, which holds its ``result`` or its
-    ``error``.
+    ``error``, and its ``writes``.
 
-    Each round passes every ``GraphWrite`` to ``gateway.declare_writes``,
-    then sends the step every unfinished generator waits on in one
+    Each round passes every ``GraphRead`` and ``GraphWrite``, then sends
+    the step every unfinished generator waits on in one
     ``gateway.complete_steps`` batch, and resumes each generator with its
     own responses or its own error. A step that batch leaves waiting is
     asked again in the next round. So a request that several generators
@@ -719,8 +716,6 @@ def drive_all(steps_list: Sequence[Steps], gateway: Gateway) -> list[Stepper]:
     while True:
         for walk in walks:
             while walk.step is not None and walk.pending is None:
-                if isinstance(walk.step, GraphWrite):
-                    gateway.declare_writes(walk.step.keys)
                 walk.advance(None)
         waiting = [walk for walk in walks if walk.pending is not None]
         if not waiting:

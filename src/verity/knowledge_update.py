@@ -33,9 +33,10 @@ def update_steps(claim_id: str, claim: str, paths: list[ReasoningPath],
     """``extract_new_knowledge`` as a step generator, its requests at
     ``seed``.
 
-    It reads no graph, so ``run_detection`` can begin it while its claim
-    runs ahead, as soon as that claim's search has ended Real, and passes
-    it the engine's seed."""
+    It reads no graph. ``run_detection`` chains it after a claim's search
+    that ends Real, with the engine's seed, so it may run while its claim
+    runs ahead. Between its two waves it yields the ``GraphWrite`` of
+    ``document_steps``."""
     parts = [claim]
     for path in paths:
         if path.verdict != Verdict.REAL:
@@ -60,8 +61,9 @@ def extract_new_knowledge(claim_id: str, claim: str, paths: list[ReasoningPath],
     agreeing-path set degrades to extraction from the claim text alone.
     Paths share their root-side steps, so the document keeps each line's
     first occurrence only. It drives ``update_steps`` alone through
-    ``gateway``; ``run_detection`` drives ``update_steps`` itself, so that
-    a claim run ahead can begin its update early.
+    ``gateway``; ``run_detection`` chains ``update_steps`` after the
+    claim's search instead, so that a claim run ahead can begin its
+    update early.
     """
     return drive(update_steps(claim_id, claim, paths, seed), gateway)
 

@@ -18,9 +18,10 @@ the root's sub-questions and its evidence-free verdict. An answer step
 yields a ``GraphRead`` of its normalized sub-question
 (``retrieval.retrieval_steps``) before its retrieval reads the graph.
 ``SearchEngine.search`` drives one claim's steps through the engine's
-gateway; ``run_detection`` runs the next claim's steps ahead, up to a
-graph read that the previous claim's update could change, and hands the
-begun search to that claim's ``search`` call.
+gateway. ``run_detection`` chains each claim's update after its search in
+one step generator, runs the next claim's ahead, past only the graph reads
+that the claim before cannot change, and hands each claim's begun steps
+to its ``search`` call.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ class SearchEngine:
     """Runs the select/expand/back-propagate loop for one claim at a time.
 
     It holds no search between calls: a search begun early, for a claim
-    run ahead, is its caller's until it is passed back to ``search``.
+    run ahead, is its caller's until it is passed to ``search``.
     """
 
     def __init__(self, gateway: Gateway, config: Optional[EngineConfig] = None):
@@ -432,10 +433,14 @@ class SearchEngine:
                ) -> tuple[Verdict, list[ReasoningPath], SearchTree]:
         """Decide ``claim`` with ``n`` select/expand/back-propagate rounds.
 
-        ``begun``, when given, is this claim's search already under way,
-        ``Stepper(self.search_steps(claim, graph, claim_id))`` after part
-        of its run, and is driven to its end on the graph it was given.
-        Otherwise a new search begins. A blank claim raises
+        ``begun``, when given, is a ``Stepper`` over this claim's steps,
+        which may be part of the way through: a generator that runs
+        ``self.search_steps(claim, graph, claim_id)`` on the graph it was
+        given, possibly with steps chained after it, such as the claim's
+        extraction, and returns the search's result. It is driven to its
+        end, so any chained steps run within this call, and a timer that
+        wraps the call, such as the benchmark's ``mcts.search`` span,
+        counts them. Otherwise a new search begins. A blank claim raises
         ``ValidationError`` before anything is sent.
         """
         return drive(self.search_steps(claim, graph, claim_id)

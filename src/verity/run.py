@@ -14,9 +14,9 @@ from typing import Optional, Sequence
 from .dataset import NewsItem
 from .errors import GatewayHardError, ValidationError
 from .gateway import (Gateway, GraphRead, GraphWrite, LLMRequest, LLMResponse,
-                      Stepper, drive)
+                      Steps, Stepper)
 from .jsonl import write_lines
-from .kg_store import KnowledgeGraph
+from .kg_store import KnowledgeGraph, Triple
 from .knowledge_update import apply_update, update_steps
 from .mcts import EngineConfig, SearchEngine, paths_digest
 from .retrieval import word_spans
@@ -80,123 +80,81 @@ def _config_digest(config: EngineConfig, updates: bool) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class _ClaimAhead:
-    """The gateway as the claim being decided uses it, with the next claim's
-    search, then its knowledge update, riding along.
+def _claim_steps(engine: SearchEngine, item: NewsItem, graph: KnowledgeGraph,
+                 updates: bool, extracted: list[Triple]) -> Steps:
+    """One claim's steps: its search, then, with ``updates`` on and a Real
+    verdict, its update's extraction, whose triples it appends to
+    ``extracted``. It returns the search's verdict, paths and tree.
 
-    It offers ``complete_all`` and ``declare_writes``, the Gateway methods
-    ``drive`` calls. The search held in ``ahead`` is the next claim's, begun
-    by ``run_detection`` from ``SearchEngine.search_steps``, and it moves
-    only inside ``complete_all``, by at most a read and a step per batch of
-    the current claim.
-    First, if it waits at a ``GraphRead`` whose text holds, between word
-    boundaries, none of the keys the current claim's update has declared
-    it can write (``GraphWrite``), it passes the read, since no triple of
-    that update can then change what the read returns. With updates off,
-    ``run_detection`` declares an empty set for every claim, so the search
-    passes each read at the next batch without scanning its text: on
-    ``tabled_world(25, 25)`` a claim then takes 2.08 round-trips at n20 h9
-    b3, where waiting for the current claim to end took 3.02. Then the
-    batch goes to ``Gateway.complete_all`` with the search as its
-    ``ahead``, where the step the search waits on rides if the batch
-    reaches the backend and shares none of that step's memo misses.
-    With updates on, once the search has ended with verdict Real, the next
-    batch begins that claim's ``knowledge_update.update_steps``, held in
-    ``update``, and its steps ride in the search's place, under the same
-    rule. The extraction reads no graph. Its ``GraphWrite`` is passed at
-    the batch after its first wave, and its keys are kept in
-    ``update_writes`` for ``run_detection`` to declare when that claim's
-    turn comes.
-    Whatever it has not passed by the end of the current claim it meets in
-    its own turn, once the claims before it have committed their updates:
-    the search in its ``search`` call, the update in the ``drive`` that
-    ends it. An error it meets stays with it (``Stepper.error``) and is
-    raised there, never by the batch that carried it.
+    With ``updates`` off it first declares that it writes nothing."""
+    search = engine.search_steps(item.claim, graph, item.id)
+    if not updates:
+        yield GraphWrite(frozenset())
+    verdict, paths, tree = yield from search
+    if updates and verdict == Verdict.REAL:
+        extracted += yield from update_steps(item.id, item.claim, paths,
+                                             engine.config.seed)
+    return verdict, paths, tree
+
+
+class _ClaimAhead:
+    """The gateway as the current claim uses it, with the next claim's steps
+    riding along.
+
+    ``current`` and ``ahead`` are the two claims' ``Stepper``s over
+    ``_claim_steps``. The claim ahead moves only inside ``complete_all``,
+    by at most one ``GraphRead`` or ``GraphWrite`` and one step per batch
+    of the current claim:
+
+    - it passes a ``GraphWrite`` at once;
+    - it passes a ``GraphRead`` once the current claim has declared its
+      write set (``Stepper.writes``), if that set is empty or the read's
+      text names none of its keys between word boundaries, since no triple
+      the current claim inserts can then change what the read returns;
+    - the step it then waits on rides the batch, under
+      ``Gateway.complete_all``'s rule for ``ahead``.
+
+    An error the claim ahead meets stays on its ``Stepper`` and is raised
+    in its own ``search`` call, never by the batch that carried it.
     """
 
-    def __init__(self, gateway: Gateway, updates: bool, seed: int):
+    def __init__(self, gateway: Gateway):
         self.gateway = gateway
-        self.updates, self.seed = updates, seed
-        self.item: Optional[NewsItem] = None
+        self.current: Optional[Stepper] = None
         self.ahead: Optional[Stepper] = None
-        self.update: Optional[Stepper] = None
-        self.update_writes: Optional[frozenset[str]] = None
-        # The keys the current claim's update can write, once declared;
-        # empty with updates off.
-        self.writes: Optional[frozenset[str]] = None
-
-    def run_ahead(self, item: Optional[NewsItem],
-                  walk: Optional[Stepper]) -> None:
-        self.item, self.ahead, self.writes = item, walk, None
-        self.update = self.update_writes = None
-
-    def declare_writes(self, keys: frozenset[str]) -> None:
-        self.writes = keys
 
     def complete_all(self, reqs: Sequence[LLMRequest]) -> list[LLMResponse]:
-        walk = self.ahead
-        if walk is not None and walk.step is None and walk is not self.update:
-            walk = self.ahead = self.update = self._begin_update(walk)
+        walk, writes = self.ahead, self.current.writes
         if walk is not None and isinstance(walk.step, GraphWrite):
-            self.update_writes = walk.step.keys
             walk.advance(None)
         elif (walk is not None and isinstance(walk.step, GraphRead)
-                and self.writes is not None
-                and (not self.writes or self.writes.isdisjoint(word_spans(
-                    walk.step.text, max(map(len, self.writes)))))):
+                and writes is not None
+                and (not writes or writes.isdisjoint(word_spans(
+                    walk.step.text, max(map(len, writes)))))):
             walk.advance(None)
         return self.gateway.complete_all(reqs, walk)
-
-    def _begin_update(self, search: Stepper) -> Optional[Stepper]:
-        """The ended ``search`` ahead's update, if it has one."""
-        if not self.updates or search.error is not None:
-            return None
-        verdict, paths, _tree = search.result
-        if verdict != Verdict.REAL:
-            return None
-        return Stepper(update_steps(self.item.id, self.item.claim, paths,
-                                    self.seed))
 
 
 def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
                   config: EngineConfig, gateway: Gateway,
                   updates: bool = True,
                   ) -> tuple[RunRecord, Optional[MetricsReport], KnowledgeGraph]:
-    """Sequentially detect each claim, committing KG updates between claims.
+    """Detect each claim in order, inserting each Real claim's extracted
+    triples into the graph before the next claim's turn.
 
-    Claims that hit a hard gateway failure, in the search or in the
-    knowledge update, are recorded with an error and no verdict and are
-    excluded from metrics; the exclusion count is reported on the record.
+    Each claim runs as one ``Stepper`` over ``_claim_steps``. In claim i's
+    turn, claim i+1's ``Stepper`` is begun, and claim i's is handed to
+    ``SearchEngine.search`` as ``begun``, so ``search`` is called once per
+    claim, in dataset order. Claim i+1 rides claim i's batches
+    (``_ClaimAhead``). Once claim i's ``search`` returns, its extracted
+    triples are inserted. Records, graphs, calls and memo hits are those of
+    a run that takes one claim at a time.
 
-    Each claim is searched, updated and committed in order, but one claim
-    runs ahead. Before claim i's search, the run begins claim i+1's
-    (``SearchEngine.search_steps``), and a backend batch of claim i, in its
-    search or in its update, also carries the step claim i+1's search waits
-    on, unless that step asks a request the batch sends
-    (``Gateway.complete_all``, given claim i+1's search as ``ahead``), and
-    resumes claim i+1 with that step's answers. Claim i+1 stops at each
-    graph read. With ``updates`` off nothing writes the graph, so it
-    passes each read at claim i's next batch. With ``updates`` on it
-    passes one at a batch of claim i's update only when the question it
-    reads for names none of the keys that update declared it can write
-    (``_ClaimAhead``), so no triple of claim i can change what it reads.
-    Otherwise it reads the graph only after claim i's update, when the run
-    hands the begun search to claim i+1's ``search`` call. That takes its
-    opening step, the root's sub-questions and verdict, off its own
-    round-trips, and, past a read, its ranking or answer step too. If
-    claim i+1's search ends Real while claim i runs, its update's
-    extraction (``knowledge_update.update_steps``), which reads no graph,
-    rides claim i's later batches under the same rule. In claim i+1's turn
-    the run declares the keys that extraction has declared, right after it
-    begins claim i+2, then drives the extraction to its end and inserts
-    its triples, in dataset order. On ``tabled_world(25, 25)`` with
-    ``updates`` off, a claim takes 0.70 round-trips at the engine defaults
-    and 2.08 at n20 h9 b3 (1.28 and 4.00 with no claim ahead); with
-    ``updates`` on, 1.24 at the defaults (1.42 while each update waited for
-    its own turn). Records, graphs, calls and memo hits are those of a run
-    that searches and updates one claim at a time, and an error of the
-    claim ahead ends that claim, at its own step. On failure paths the run
-    differs from one that takes a claim at a time in these ways:
+    A claim that hits a hard gateway failure, in its search or in its
+    extraction, is recorded with an error and no verdict, inserts nothing,
+    and is excluded from metrics; the record counts the exclusions. On
+    failure paths the run differs from one that takes a claim at a time in
+    two ways:
 
     - The claim ahead's transport retries delay the claim whose batch
       carried them.
@@ -220,39 +178,28 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
     # to the old one before the first claim, where a young collection
     # never visits them.
     gc.collect(1)
-    riding = _ClaimAhead(gateway, updates, config.seed)
+    riding = _ClaimAhead(gateway)
     engine = SearchEngine(riding, config)
     record = RunRecord(config_digest=_config_digest(config, updates),
                        kg_before=kg_before)
-    begun: Optional[Stepper] = None
-    for i, item in enumerate(items):
-        # This claim's update, if it began while the claim ran ahead, and
-        # the keys it has declared.
-        update, writes = riding.update, riding.update_writes
-        following, ahead = None, None
-        if i + 1 < len(items):
-            following = items[i + 1]
-            ahead = Stepper(engine.search_steps(following.claim, graph,
-                                                following.id))
-        riding.run_ahead(following, ahead)
-        if not updates:
-            riding.declare_writes(frozenset())
-        elif writes is not None:
-            riding.declare_writes(writes)
+    extracted: list[list[Triple]] = [[] for _ in items]
+    walks = (Stepper(_claim_steps(engine, item, graph, updates, triples))
+             for item, triples in zip(items, extracted))
+    riding.ahead = next(walks, None)
+    for item, triples in zip(items, extracted):
+        riding.current, riding.ahead = riding.ahead, next(walks, None)
         result = ClaimResult(id=item.id, gold=item.gold)
         try:
             verdict, paths, _tree = engine.search(item.claim, graph,
                                                   claim_id=item.id,
-                                                  begun=begun)
-            if updates and verdict == Verdict.REAL:
-                new_triples = drive(update or update_steps(
-                    item.id, item.claim, paths, config.seed), riding)
-                stats = apply_update(graph, new_triples, claim_id=item.id)
-                result.duplicates = stats.duplicates
-                # Only the actually-inserted triples land in the record.
-                result.triples_added = [
-                    t.as_record() for t in graph.triples[-stats.added:]
-                ] if stats.added else []
+                                                  begun=riding.current)
+            stats = apply_update(graph, triples, claim_id=item.id)
+            triples.clear()  # the graph holds them now; keep no second copy
+            result.duplicates = stats.duplicates
+            # Only the actually-inserted triples land in the record.
+            result.triples_added = [
+                t.as_record() for t in graph.triples[-stats.added:]
+            ] if stats.added else []
             # An abandoned claim carries no verdict, so it is set last.
             result.verdict = verdict
             result.paths_digest = paths_digest(paths)
@@ -260,7 +207,6 @@ def run_detection(items: list[NewsItem], graph: KnowledgeGraph,
             log.warning("claim %s failed: %s", item.id, exc)
             result.error = str(exc)
         record.results.append(result)
-        begun = ahead
     record.kg_after = graph.content_digest()
     scored = [r for r in record.results if r.error is None and r.gold is not None]
     report = None

@@ -7,11 +7,12 @@ output digest hashes a graph saved by copying its loaded file. All are
 cheap enough to check here on a small world, and so is a hash-seed pass
 over ``verity build-kg``, whose documents finish in any order. So is the
 rule that the benchmark's pinned calls per claim rest on: only graph
-extraction asks the model for entities, never a search. The file also
-holds two lint
-gates that need only the standard library: no module in ``src/`` or
-``tests/`` imports a name it never uses, and every backticked
-``Class.attr`` in ``src/verity/`` and README names something the class has.
+extraction asks the model for entities, never a search. The benchmark
+prints no round-trips, so two of its workloads' round-trips are pinned
+here. The file also holds two lint gates that need only the standard
+library: no module in ``src/`` or ``tests/`` imports a name it never uses,
+and every backticked ``Class.attr`` in ``src/verity/`` and README names
+something the class has.
 """
 
 import ast
@@ -42,7 +43,7 @@ from verity.gateway import Gateway, PromptKind, ScriptedBackend
 from verity.kg_builder import BUILD_WINDOW, SourceDocument
 from verity.kg_store import KnowledgeGraph
 from verity.mcts import EngineConfig, SearchEngine
-from verity.oracle import RuleBasedOracle
+from verity.oracle import FactTable, RuleBasedOracle
 from verity.run import run_detection
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -225,6 +226,9 @@ def test_search_is_called_once_per_claim_in_order():
     search = SearchEngine.search
 
     def stamped(engine, claim, graph, claim_id="", **kwargs):
+        # Each claim's steps, its extraction included, are begun before
+        # its call, so the clock charges them to the claim's own call.
+        assert kwargs.get("begun") is not None
         searched.append(claim_id)
         return search(engine, claim, graph, claim_id, **kwargs)
 
@@ -235,6 +239,34 @@ def test_search_is_called_once_per_claim_in_order():
     gateway.close()
     assert searched == [item.id for item in items]
     assert [r.id for r in record.results if r.error] == [items[1].id]
+
+
+# Backend batches of each workload at seed 1, through one plain Gateway,
+# graph build included; bench/run.py does not print them.
+BENCH_ROUND_TRIPS = {"carryover": 329, "deep": 209}
+
+
+def test_bench_worlds_keep_their_round_trips(monkeypatch, tmp_path):
+    """The benchmark's pins are calls, prompt bytes and digests, which a
+    change to how requests are batched keeps. So the round-trips of the
+    ``carryover`` and ``deep`` workloads at seed 1 are pinned here, each
+    run as ``bench/run.py`` runs one round, over ``RuleBasedOracle``."""
+    worlds = _load_bench_module("worlds", monkeypatch)
+    workloads = _load_bench_module("workloads", monkeypatch)
+    for name, expected in BENCH_ROUND_TRIPS.items():
+        world = worlds.generate(name, 1, tmp_path)
+        workload = workloads.WORKLOADS[name]
+        gateway = Gateway(RuleBasedOracle(
+            FactTable.from_path(str(world.files["facts"]))))
+        clock = workloads.ClaimClock()
+        try:
+            cells = workload.execute(workload.setup(world), workload.config(1),
+                                     gateway, clock, tmp_path)
+        finally:
+            clock.remove()
+            gateway.close()
+        assert workloads.check_cells(world, cells) == [], name
+        assert gateway.round_trips == expected, name
 
 
 def test_only_extraction_asks_for_entities():

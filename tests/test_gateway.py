@@ -972,8 +972,6 @@ class TestDriveAll:
             return _echo_branch(req, prompt)
 
         gw = Gateway(ScriptedBackend(reply), max_retries=0)
-        declared = []
-        gw.declare_writes = declared.append
         a, down, b, again = drive_all(
             [steps("a", 3), failing(), steps("b", 1), steps("a", 2)], gw)
         gw.close()
@@ -986,7 +984,9 @@ class TestDriveAll:
         assert gw.round_trips == 3
         assert gw.call_counts[PromptKind.GENERATE_SUBQUESTION] == 4
         assert gw.memo_hits[PromptKind.GENERATE_SUBQUESTION] == 2
-        assert declared == [frozenset({"a"})] * 2
+        # Each Stepper keeps what its own generator declared, if anything.
+        assert [w.writes for w in (a, down, b, again)] == \
+            [frozenset({"a"}), None, None, frozenset({"a"})]
 
     def test_nothing_to_drive(self):
         gw = Gateway(ScriptedBackend(_echo_branch))
@@ -1028,16 +1028,38 @@ class TestDrive:
             return read, write, resp.parsed
 
         gw = Gateway(ScriptedBackend(_echo_branch))
-        declared = []
-        gw.declare_writes = declared.append
         walk = Stepper(steps())
         assert walk.step == GraphRead("alpha")
         assert walk.pending is None
+        assert walk.writes is None
         assert drive(walk, gw) == (None, None, "Q0 of c?")
         gw.close()
         assert gw.round_trips == 1
-        # drive passes the declaration to its gateway, and only that.
-        assert declared == [frozenset({"beta"})]
+        # The Stepper keeps the declaration, and only that.
+        assert walk.writes == frozenset({"beta"})
+
+    def test_writes_hold_the_last_declaration(self):
+        def steps():
+            yield [_subquestion(0)]
+            yield GraphWrite(frozenset({"alpha"}))
+            yield [_subquestion(1)]
+            yield GraphWrite(frozenset())
+            [resp] = yield [_subquestion(2)]
+            return resp.parsed
+
+        gw = Gateway(ScriptedBackend(_echo_branch))
+        walk = Stepper(steps())
+        assert walk.pending is not None and walk.writes is None
+        walk.advance(gw.complete_all(walk.pending))
+        assert walk.step == GraphWrite(frozenset({"alpha"}))
+        assert walk.writes == frozenset({"alpha"})
+        walk.advance(None)
+        # Kept while the generator goes on, until it declares again.
+        assert walk.pending is not None
+        assert walk.writes == frozenset({"alpha"})
+        assert drive(walk, gw) == "Q2 of c?"
+        gw.close()
+        assert walk.writes == frozenset()
 
     def test_a_stepper_part_way_through_is_finished(self):
         asked = []

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from verity.gateway import Gateway, PromptKind, ScriptedBackend, drive
+from verity.gateway import Gateway, PromptKind, ScriptedBackend, Stepper, drive
 from verity.kg_builder import SourceDocument, document_steps
 from verity.kg_store import KnowledgeGraph, make_triple
 from verity.knowledge_update import apply_update, extract_new_knowledge
@@ -147,14 +147,13 @@ class TestWriteDeclaration:
                    PromptKind.GENERATE_RELATIONS: relations}
         gateway = Gateway(ScriptedBackend(
             lambda req, prompt: answers[req.kind]))
-        declared = []
-        gateway.declare_writes = declared.append
         # Two chunks once the body passes kg_builder.CHUNK_CHARS.
         body = "Alpha met Beta. " * (1 if chunks == 1 else 300)
-        triples, _ = drive(document_steps(SourceDocument("doc", body)),
-                           gateway)
+        walk = Stepper(document_steps(SourceDocument("doc", body)))
+        triples, _ = drive(walk, gateway)
         gateway.close()
-        [keys] = declared
+        keys = walk.writes
+        assert keys is not None
         for t in triples:
             assert {t.subject.key, t.object.key} <= keys
         graph = KnowledgeGraph()

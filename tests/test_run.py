@@ -484,43 +484,37 @@ def names_any(text, keys):
 
 @contextlib.contextmanager
 def read_branches():
-    """Count, at each write declaration that finds the claim ahead at a
-    graph read, whether the read is released at the update's next batch
-    (no key in common with the declaration) or waits; at each batch that
-    finds it at a graph read with nothing declared writable, as with
-    updates off, the read released there ("unwritten"); and each claim
-    whose update's first wave, entities and event triples, went out while
-    it ran ahead ("extracted")."""
+    """Count, at each batch of a claim whose write set (``Stepper.writes``)
+    the claim ahead has not yet been measured against, whether the claim
+    ahead waits at a graph read that names a key of that set ("waited") or
+    not ("released"); at each batch that finds the claim ahead at a graph
+    read with nothing declared writable, as with updates off, the read
+    released there ("unwritten"); and each claim whose update's first wave,
+    entities and event triples, went out while it ran ahead
+    ("extracted")."""
     seen = collections.Counter()
-    declare = _ClaimAhead.declare_writes
     complete_all = _ClaimAhead.complete_all
-    run_ahead = _ClaimAhead.run_ahead
-
-    def counted(self, keys):
-        step = self.ahead.step if self.ahead is not None else None
-        if isinstance(step, GraphRead):
-            branch = "waited" if names_any(step.text, keys) else "released"
-            seen[branch] += 1
-        return declare(self, keys)
+    measured = []
 
     def batch(self, reqs):
-        step = self.ahead.step if self.ahead is not None else None
-        if isinstance(step, GraphRead) and self.writes == frozenset():
+        walk, writes = self.ahead, self.current.writes
+        step = walk.step if walk is not None else None
+        if writes is not None and self.current not in measured:
+            measured.append(self.current)
+            if writes and isinstance(step, GraphRead):
+                branch = "waited" if names_any(step.text, writes) \
+                    else "released"
+                seen[branch] += 1
+        if isinstance(step, GraphRead) and writes == frozenset():
             seen["unwritten"] += 1
-        return complete_all(self, reqs)
-
-    def handed(self, item, walk):
-        # The claim whose turn begins hands over the update it began ahead.
-        update = self.update
-        if update is not None and not (
-                update.pending
-                and update.pending[0].kind is PromptKind.EXTRACT_ENTITIES):
+        first_wave = walk is not None and walk.pending is not None and \
+            walk.pending[0].kind is PromptKind.EXTRACT_ENTITIES
+        out = complete_all(self, reqs)
+        if first_wave and walk.step is not step:
             seen["extracted"] += 1
-        return run_ahead(self, item, walk)
+        return out
 
-    with mock.patch.object(_ClaimAhead, "declare_writes", counted), \
-            mock.patch.object(_ClaimAhead, "complete_all", batch), \
-            mock.patch.object(_ClaimAhead, "run_ahead", handed):
+    with mock.patch.object(_ClaimAhead, "complete_all", batch):
         yield seen
 
 
@@ -716,6 +710,44 @@ class TestSendAhead:
         assert [r.paths_digest for r in record.results] == \
             [paths_digest([])] * len(items)
 
+    @pytest.mark.parametrize("updates", [False, True])
+    def test_claim_ahead_carries_its_write_set(self, updates):
+        """A claim's ``Stepper.writes`` is None until its steps yield a
+        ``GraphWrite``, then that step's keys. With updates off each claim
+        declares the empty set before its search begins. With updates on,
+        at n = 2, item-1's search ends at its opening step, so its
+        extraction passes its ``GraphWrite`` while it runs ahead, and it
+        reaches its own turn with its keys declared; the keys cover every
+        triple a claim inserts."""
+        table, pool = tabled_world(2, 2)
+        items = [dataclasses.replace(pool[k], id=f"item-{j}")
+                 for j, k in enumerate((0, 1, 0))]
+        search = SearchEngine.search
+        writes = []
+
+        def marked(engine, claim, graph, claim_id="", begun=None):
+            before = begun.writes
+            out = search(engine, claim, graph, claim_id, begun=begun)
+            writes.append((before, begun.writes))
+            return out
+
+        gateway = Gateway(RuleBasedOracle(table))
+        with mock.patch.object(SearchEngine, "search", marked):
+            record, _, _ = run_detection(
+                items, start_graph([("Alpha0", "visited", "Town")]),
+                small_config(n=2), gateway, updates=updates)
+        gateway.close()
+        if not updates:
+            assert writes == [(frozenset(), frozenset())] * len(items)
+            return
+        assert [r.verdict for r in record.results] == [Verdict.REAL] * 3
+        first = frozenset({"alpha0", "beta0", "gamma0"})
+        second = frozenset({"alpha1", "beta1", "gamma1"})
+        assert writes == [(None, first), (second, second), (None, first)]
+        for result, (_, keys) in zip(record.results, writes):
+            for t in result.triples_added:
+                assert {t["subject"].lower(), t["object"].lower()} <= keys
+
     def test_last_claim_sends_no_riders(self):
         table, items = tabled_world(3, 3)
         oracle = RuleBasedOracle(table)
@@ -743,17 +775,16 @@ class TestSendAhead:
             run_detection(items, KnowledgeGraph(), small_config(), gateway,
                           updates=False)
         gateway.close()
-        # The first claim begins in its own search call, and each later
-        # claim just before the search of the claim ahead of it, which
-        # hands that begun search to the claim's own call.
-        expected = [("begin", items[1].id), ("search", items[0].id),
-                    ("begin", items[0].id)]
-        for i in range(1, len(items)):
+        # The first claim begins before its own search call, and each later
+        # claim just before the search of the claim ahead of it; every
+        # claim's search call is handed its begun steps.
+        expected = [("begin", items[0].id)]
+        for i in range(len(items)):
             if i + 1 < len(items):
                 expected.append(("begin", items[i + 1].id))
             expected.append(("search", items[i].id))
         assert [event for event in events if event[0] != "sent"] == expected
-        assert handed == [False] + [True] * (len(items) - 1)
+        assert handed == [True] * len(items)
         # Once the last claim is searched, nothing else rides along.
         last = events.index(("search", items[-1].id))
         assert {claim for kind, claim in events[last:] if kind == "sent"} \
@@ -991,22 +1022,28 @@ class TestSendAhead:
                                {t.subject.key, t.object.key}))
             return inserted
 
-        declare = _ClaimAhead.declare_writes
+        complete_all = _ClaimAhead.complete_all
         detects = run_detection.__code__
+        declared = {}
 
-        def declared(self, keys):
-            # The claim whose turn the run is in declares: its update
+        def declaring(self, reqs):
+            # The claim whose turn the run is in declares, at the first
+            # batch that sees its write set, or a new one: its update
             # reached its GraphWrite in that turn, or while it ran ahead.
-            frame = sys._getframe(1)
-            while frame.f_code is not detects:
-                frame = frame.f_back
-            events.append(("declare", frame.f_locals["item"].id, set(keys)))
-            return declare(self, keys)
+            writes = self.current.writes
+            if writes is not None and declared.get(self.current) != writes:
+                declared[self.current] = writes
+                frame = sys._getframe(1)
+                while frame.f_code is not detects:
+                    frame = frame.f_back
+                events.append(("declare", frame.f_locals["item"].id,
+                               set(writes)))
+            return complete_all(self, reqs)
 
         for name in ("match_entities", "one_hop_subgraph"):
             monkeypatch.setattr(KnowledgeGraph, name, reader(name))
         monkeypatch.setattr(KnowledgeGraph, "add", insert)
-        monkeypatch.setattr(_ClaimAhead, "declare_writes", declared)
+        monkeypatch.setattr(_ClaimAhead, "complete_all", declaring)
         gateway = Gateway(RuleBasedOracle(table))
         record, _, grown = run_detection(items, graph, EngineConfig(n=8, h=3, b=2, seed=0),
                                          gateway, updates=True)
